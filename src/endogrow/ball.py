@@ -67,18 +67,24 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         return cached
 
     identity = group.identity()
+    gens = group.symmetric_generators()
+    for s in (identity, *gens):
+        group.check(s)
+    # products of checked elements go through the unchecked kernel; each
+    # frontier element is still checked once, before it is expanded
+    mul = group._bfs_mul()
     lengths = {identity: 0}
     counts = [1]
     frontier = [identity]
-    gens = group.symmetric_generators()
     completed = 0
     complete = True
     for n in range(1, radius + 1):
         next_frontier = []
         overflow = False
         for g in frontier:
+            group.check(g)
             for s in gens:
-                x = group.multiply(g, s)
+                x = mul(g, s)
                 if x not in lengths:
                     lengths[x] = n
                     next_frontier.append(x)
@@ -142,18 +148,19 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     Supported embeddings: the base lattice of a semidirect product, and a
     sublattice of a free abelian ambient group.
     """
+    # intrinsic(g) is g's intrinsic subgroup length, or None for a non-member
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
-        member = group.is_base_element
-        intrinsic = group.base_intrinsic_length
+
+        def intrinsic(g):
+            return group.base_intrinsic_length(g) if group.is_base_element(g) else None
+
     elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != group.rank:
             raise ValueError("sublattice ambient rank mismatch")
 
-        def member(g):
-            return subgroup.contains(g)
-
         def intrinsic(g):
-            return subgroup.intrinsic_length(g).value
+            coords = subgroup.coordinates(g)
+            return None if coords is None else sum(abs(c) for c in coords)
 
     else:
         raise ValueError("unsupported group/subgroup pair for distortion")
@@ -162,10 +169,9 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     top = census.completed_radius
     best_at = [0] * (top + 1)
     for element, n in census.lengths.items():
-        if member(element):
-            value = intrinsic(element)
-            if value > best_at[n]:
-                best_at[n] = value
+        value = intrinsic(element)
+        if value is not None and value > best_at[n]:
+            best_at[n] = value
     values = [0] * (top + 1)
     running = 0
     for n in range(top + 1):

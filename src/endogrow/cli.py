@@ -12,7 +12,7 @@ import sys
 
 from endogrow import specio
 from endogrow.ball import distortion_profile, enumerate_ball, exact_length
-from endogrow.groups import OutOfBallError, UnsupportedOperationError
+from endogrow.groups import KindMismatchError, OutOfBallError, UnsupportedOperationError
 from endogrow.intmat import RootConvergenceError
 from endogrow.laws import LawConfig, UnknownLawError, run_suite
 from endogrow.products import Semidirect
@@ -114,6 +114,8 @@ def cmd_spectral(args) -> int:
 
 
 def _parse_query_element(raw: str, group):
+    """An element literal: nested JSON lists of integers, checked against
+    the group."""
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -122,15 +124,26 @@ def _parse_query_element(raw: str, group):
     def to_element(value):
         if isinstance(value, list):
             return tuple(to_element(v) for v in value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecError(f"at query: {raw} holds {value!r}, not nested lists of integers")
         return value
 
-    return to_element(data)
+    element = to_element(data)
+    try:
+        group.check(element)
+    except (KindMismatchError, TypeError) as exc:
+        raise SpecError(f"at query: {raw} is not a {group.kind} element ({exc})")
+    return element
+
+
+def _budget(args, instance):
+    return args.budget if args.budget is not None else instance.options.budget
 
 
 def cmd_ball(args) -> int:
     instance = specio.load_instance_file(args.spec)
     radius = args.radius if args.radius is not None else instance.options.radius
-    census = enumerate_ball(instance.group, radius, args.budget or instance.options.budget)
+    census = enumerate_ball(instance.group, radius, _budget(args, instance))
     queries = []
     for raw in args.query or []:
         element = _parse_query_element(raw, instance.group)
@@ -164,7 +177,7 @@ def cmd_distortion(args) -> int:
     rate = None
     if isinstance(group, Semidirect):
         subgroup = instance.subgroup if instance.subgroup is not None else "base"
-        profile = distortion_profile(group, subgroup, radius, args.budget)
+        profile = distortion_profile(group, subgroup, radius, _budget(args, instance))
         rate = distortion_rate(group, max_power)
         rate_payload = {
             "table": list(rate.table),
@@ -175,7 +188,7 @@ def cmd_distortion(args) -> int:
     else:
         if instance.subgroup is None:
             raise SpecError("at subgroup: distortion on this group needs a subgroup spec")
-        profile = distortion_profile(group, instance.subgroup, radius, args.budget)
+        profile = distortion_profile(group, instance.subgroup, radius, _budget(args, instance))
         rate_payload = None
     if args.format == "json":
         payload = {"profile": list(profile.values), "complete": profile.complete}
@@ -261,6 +274,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_LAW_FAILURE
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low, so a bad value exits 2 at parse time."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="endogrow",
@@ -272,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="iterated-image growth table and estimate")
     p_est.add_argument("spec", help="instance spec file (JSON)")
-    p_est.add_argument("--max-m", type=int, default=None)
+    p_est.add_argument("--max-m", type=_int_at_least(1), default=None)
     p_est.add_argument(
         "--length-mode",
         choices=("exact", "quasi", "bfs"),
         default=None,
         help="override the group's length mode (bfs uses the spec's radius)",
     )
-    p_est.add_argument("--radius", type=int, default=None)
+    p_est.add_argument("--radius", type=_int_at_least(0), default=None)
     p_est.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -291,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ball = sub.add_parser("ball", help="BFS ball census (radius, count) table")
     p_ball.add_argument("spec")
-    p_ball.add_argument("--radius", type=int, default=None)
-    p_ball.add_argument("--budget", type=int, default=None)
+    p_ball.add_argument("--radius", type=_int_at_least(0), default=None)
+    p_ball.add_argument("--budget", type=_int_at_least(1), default=None)
     p_ball.add_argument(
         "--query",
         action="append",
@@ -303,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("distortion", help="subgroup distortion profile and rate")
     p_dist.add_argument("spec")
-    p_dist.add_argument("--radius", type=int, default=None)
-    p_dist.add_argument("--max-m", type=int, default=None)
-    p_dist.add_argument("--budget", type=int, default=None)
+    p_dist.add_argument("--radius", type=_int_at_least(0), default=None)
+    p_dist.add_argument("--max-m", type=_int_at_least(1), default=None)
+    p_dist.add_argument("--budget", type=_int_at_least(1), default=None)
     p_dist.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_dist.set_defaults(func=cmd_distortion)
 

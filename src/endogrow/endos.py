@@ -210,17 +210,17 @@ class ProductEndo(Endomorphism):
         self._check_homomorphism_on_samples(_sample_pairs(self.group))
 
     def apply(self, g):
+        # the factor endos check the components
+        self.group._check_shape(g)
         if isinstance(self.group, DirectProduct):
-            self.group.check(g)
             return (self.factors[0].apply(g[0]), self.factors[1].apply(g[1]))
         # free product: map syllables and renormalize
-        self.group.check(g)
         out = self.group.identity()
         for i, s in g:
             image = self.factors[i].apply(s)
             if image == self.group.factor(i).identity():
                 continue
-            out = self.group.multiply(out, ((i, image),))
+            out = self.group._mul(out, ((i, image),))
         return out
 
     def compose(self, other):

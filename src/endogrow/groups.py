@@ -10,6 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from math import isqrt
+from operator import add
 
 
 EXACT = "exact"
@@ -77,7 +78,16 @@ class Group(ABC):
     def identity(self) -> tuple: ...
 
     @abstractmethod
-    def multiply(self, g, h) -> tuple: ...
+    def check(self, g) -> None:
+        """Raise KindMismatchError unless g is a normal form of this group."""
+
+    @abstractmethod
+    def _mul(self, g, h) -> tuple:
+        """The product of two normal forms, which the caller has checked."""
+
+    @abstractmethod
+    def multiply(self, g, h) -> tuple:
+        """check(g); check(h); _mul(g, h)."""
 
     @abstractmethod
     def invert(self, g) -> tuple: ...
@@ -101,6 +111,12 @@ class Group(ABC):
                     seen.add(el)
                     out.append(el)
         return tuple(out)
+
+    def _bfs_mul(self):
+        """The unchecked product one BFS run steps with.  A kind that can
+        reuse work across the products of one run returns a closure that
+        holds it, so the work is freed with the run."""
+        return self._mul
 
     def _bfs_length(self, g) -> LengthValue:
         from endogrow import ball
@@ -140,10 +156,13 @@ class FreeAbelian(Group):
         if not isinstance(g, tuple) or len(g) != self.rank:
             raise KindMismatchError(f"not a rank-{self.rank} lattice element: {g!r}")
 
+    def _mul(self, g, h):
+        return tuple(map(add, g, h))
+
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        return tuple(a + b for a, b in zip(g, h))
+        return self._mul(g, h)
 
     def invert(self, g):
         self.check(g)
@@ -205,10 +224,18 @@ class Free(Group):
             if a == -b:
                 raise KindMismatchError("word is not freely reduced")
 
+    def _mul(self, g, h):
+        # both words are reduced, so letters cancel only where they meet; a
+        # one-letter h is therefore a pop or an append
+        k = 0
+        while k < len(g) and k < len(h) and g[-1 - k] == -h[k]:
+            k += 1
+        return g[: len(g) - k] + h[k:]
+
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        return free_reduce(g + h)
+        return self._mul(g, h)
 
     def invert(self, g):
         self.check(g)
@@ -257,12 +284,15 @@ class Heisenberg(Group):
         if not isinstance(g, tuple) or len(g) != 3:
             raise KindMismatchError(f"not a Heisenberg triple: {g!r}")
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
+    def _mul(self, g, h):
         a, b, c = g
         p, q, r = h
         return (a + p, b + q + a * r, c + r)
+
+    def multiply(self, g, h):
+        self.check(g)
+        self.check(h)
+        return self._mul(g, h)
 
     def invert(self, g):
         self.check(g)

@@ -164,14 +164,14 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
         raise DimensionError("power of non-square matrix")
     if n < 0:
         raise ValueError("negative power (use inverse_unimodular for unimodular matrices)")
-    result = IntMatrix.identity(a.rows)
+    result = None
     base = a
     while n:
         if n & 1:
-            result = mat_mul(result, base)
+            result = base if result is None else mat_mul(result, base)
         base = mat_mul(base, base) if n > 1 else base
         n >>= 1
-    return result
+    return IntMatrix.identity(a.rows) if result is None else result
 
 
 @dataclass(frozen=True)

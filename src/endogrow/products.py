@@ -4,7 +4,8 @@ cyclic-by-cyclic towers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add, mul
 
 from endogrow.groups import (
     EXACT,
@@ -22,6 +23,7 @@ from endogrow.intmat import (
     SmithForm,
     inverse_unimodular,
     mat_mul,
+    mat_pow,
     smith_normal_form,
     solve_int,
 )
@@ -51,21 +53,30 @@ class DirectProduct(Group):
     def identity(self):
         return (self.left.identity(), self.right.identity())
 
-    def check(self, g):
+    def _check_shape(self, g):
+        """The pair structure; the factors check the components."""
         if not isinstance(g, tuple) or len(g) != 2:
             raise KindMismatchError(f"not a product pair: {g!r}")
+
+    def check(self, g):
+        self._check_shape(g)
+        self.left.check(g[0])
+        self.right.check(g[1])
+
+    def _mul(self, g, h):
+        return (self.left._mul(g[0], h[0]), self.right._mul(g[1], h[1]))
 
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        return (self.left.multiply(g[0], h[0]), self.right.multiply(g[1], h[1]))
+        return self._mul(g, h)
 
     def invert(self, g):
-        self.check(g)
+        self._check_shape(g)
         return (self.left.invert(g[0]), self.right.invert(g[1]))
 
     def word_length(self, g) -> LengthValue:
-        self.check(g)
+        self._check_shape(g)
         a = self.left.word_length(g[0])
         b = self.right.word_length(g[1])
         exactness = EXACT if a.exactness == b.exactness == EXACT else QUASI_EQUIVALENT
@@ -120,7 +131,8 @@ class FreeProduct(Group):
     def identity(self):
         return ()
 
-    def check(self, g):
+    def _check_shape(self, g):
+        """The syllable structure; the factors check the syllables."""
         if not isinstance(g, tuple):
             raise KindMismatchError("free-product elements are syllable tuples")
         last = None
@@ -134,33 +146,36 @@ class FreeProduct(Group):
                 raise KindMismatchError("adjacent syllables from the same factor")
             last = i
 
-    def _push(self, out: list, syl):
-        i, s = syl
-        fac = self.factor(i)
-        if s == fac.identity():
-            return
-        if out and out[-1][0] == i:
-            merged = fac.multiply(out[-1][1], s)
-            out.pop()
+    def check(self, g):
+        self._check_shape(g)
+        for i, s in g:
+            self.factor(i).check(s)
+
+    def _mul(self, g, h):
+        # both are normal forms, so syllables merge only where they meet; a
+        # merge that cancels to the identity exposes the next pair
+        i, j = len(g), 0
+        while i and j < len(h) and g[i - 1][0] == h[j][0]:
+            k = h[j][0]
+            fac = self.factor(k)
+            merged = fac._mul(g[i - 1][1], h[j][1])
             if merged != fac.identity():
-                out.append((i, merged))
-        else:
-            out.append((i, s))
+                return g[: i - 1] + ((k, merged),) + h[j + 1 :]
+            i -= 1
+            j += 1
+        return g[:i] + h[j:]
 
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        out = list(g)
-        for syl in h:
-            self._push(out, syl)
-        return tuple(out)
+        return self._mul(g, h)
 
     def invert(self, g):
-        self.check(g)
+        self._check_shape(g)
         return tuple((i, self.factor(i).invert(s)) for i, s in reversed(g))
 
     def word_length(self, g) -> LengthValue:
-        self.check(g)
+        self._check_shape(g)
         total = 0
         exactness = EXACT
         for i, s in g:
@@ -219,30 +234,14 @@ class Semidirect(Group):
     def _inverse_action(self) -> tuple[IntMatrix, ...]:
         return tuple(inverse_unimodular(a) for a in self.action)
 
-    @cached_property
-    def _power_cache(self) -> dict:
-        return {}
-
     def generator_power(self, i: int, n: int) -> IntMatrix:
         """action_i ** n for any integer n (negative powers via exact inverse)."""
-        key = (i, n)
-        cached = self._power_cache.get(key)
-        if cached is not None:
-            return cached
-        base = self.action[i] if n >= 0 else self._inverse_action[i]
-        result = IntMatrix.identity(self.base_rank)
-        for _ in range(abs(n)):
-            result = mat_mul(result, base)
-        self._power_cache[key] = result
-        return result
+        return mat_pow(self.action[i] if n >= 0 else self._inverse_action[i], abs(n))
 
     def action_of(self, q: tuple[int, ...]) -> IntMatrix:
         """The automorphism of H attached to q (product of generator powers)."""
-        result = IntMatrix.identity(self.base_rank)
-        for i, e in enumerate(q):
-            if e:
-                result = mat_mul(result, self.generator_power(i, e))
-        return result
+        powers = [self.generator_power(i, e) for i, e in enumerate(q) if e]
+        return reduce(mat_mul, powers) if powers else IntMatrix.identity(self.base_rank)
 
     @cached_property
     def action_orders(self) -> tuple:
@@ -290,14 +289,35 @@ class Semidirect(Group):
         self.base.check(g[0])
         self.quotient.check(g[1])
 
+    @staticmethod
+    def _twist(rows, g, h):
+        """(g_H + A h_H, g_Q + h_Q), given the rows of A = action_of(g_Q)."""
+        gh, gq = g
+        hh, hq = h
+        if any(hh):
+            gh = tuple(a + sum(map(mul, row, hh)) for a, row in zip(gh, rows))
+        if any(hq):
+            gq = tuple(map(add, gq, hq))
+        return (gh, gq)
+
+    def _mul(self, g, h):
+        return self._twist(self.action_of(g[1]).to_rows(), g, h)
+
+    def _bfs_mul(self):
+        rows_of = {}  # q -> rows of action_of(q), for the q this run reaches
+
+        def step(g, h):
+            rows = rows_of.get(g[1])
+            if rows is None:
+                rows = rows_of[g[1]] = self.action_of(g[1]).to_rows()
+            return self._twist(rows, g, h)
+
+        return step
+
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        moved = self.action_of(g[1]).apply_col(h[0])
-        return (
-            tuple(a + b for a, b in zip(g[0], moved)),
-            tuple(a + b for a, b in zip(g[1], h[1])),
-        )
+        return self._mul(g, h)
 
     def invert(self, g):
         self.check(g)
@@ -481,10 +501,13 @@ class AbelianQuotient(Group):
             out[i] %= d
         return tuple(out)
 
+    def _mul(self, g, h):
+        return self._reduce(tuple(map(add, g, h)))
+
     def multiply(self, g, h):
         self.check(g)
         self.check(h)
-        return self._reduce(tuple(a + b for a, b in zip(g, h)))
+        return self._mul(g, h)
 
     def invert(self, g):
         self.check(g)

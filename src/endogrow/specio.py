@@ -242,6 +242,8 @@ def parse_options(d, path: str = "options") -> Options:
         _fail(f"{path}.max_m", "must be >= 1")
     if out.radius < 0:
         _fail(f"{path}.radius", "must be >= 0")
+    if out.budget is not None and out.budget < 1:
+        _fail(f"{path}.budget", "must be >= 1")
     return out
 
 
