@@ -27,7 +27,6 @@ from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
     FreeProduct,
-    PolycyclicTower,
     Semidirect,
     Sublattice,
     abelian_quotient,
@@ -59,7 +58,6 @@ from endogrow.growth import (
     GrowthEstimate,
     NilpotentRate,
     RateVerdict,
-    abelian_growth_rate,
     distortion_rate,
     exact_growth_rate,
     extension_bounds,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from endogrow.groups import Group, LengthValue, OutOfBallError, EXACT
 from endogrow.products import Semidirect, Sublattice
 from endogrow.groups import FreeAbelian
+from endogrow.specio import SpecError
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "ENDOGROW_BUDGET"
@@ -22,9 +23,15 @@ def _resolve_budget(budget):
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        raise SpecError(f"at {BUDGET_ENV_VAR}: expected an integer, got {env!r}") from None
+    if value < 1:
+        raise SpecError(f"at {BUDGET_ENV_VAR}: must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

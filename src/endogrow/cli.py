@@ -7,7 +7,9 @@ Subcommands: estimate, spectral, ball, distortion, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 from endogrow import specio
@@ -39,19 +41,6 @@ def _fmt(x) -> str:
 def _emit(text: str):
     sys.stdout.write(text)
     sys.stdout.flush()
-
-
-def _with_length_mode(group, mode_name: str, radius: int):
-    import dataclasses
-
-    from endogrow.groups import LengthMode
-
-    if not hasattr(group, "length_mode"):
-        raise SpecError(
-            f"at group: kind {group.kind!r} does not take a length-mode override"
-        )
-    mode = LengthMode(mode_name, radius if mode_name == "bfs" else 0)
-    return dataclasses.replace(group, length_mode=mode)
 
 
 def _estimate_payload(est) -> dict:
@@ -86,10 +75,8 @@ def cmd_estimate(args) -> int:
         raise SpecError("at endo: estimate needs an endomorphism in the spec")
     endo = instance.endo
     if args.length_mode is not None:
-        import dataclasses
-
         radius = args.radius if args.radius is not None else instance.options.radius
-        group = _with_length_mode(instance.group, args.length_mode, radius)
+        group = specio.with_length_mode(instance.group, args.length_mode, radius, "--length-mode")
         endo = dataclasses.replace(endo, group=group)
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
     est = growth_table(endo, max_power)
@@ -237,12 +224,15 @@ def cmd_verify(args) -> int:
         if not isinstance(data, dict) or "checks" not in data:
             raise SpecError("at suite: expected an object with a 'checks' list")
         if "seed" in data:
-            config = LawConfig(seed=int(data["seed"]))
+            config = LawConfig(seed=specio.expect_int(data["seed"], "seed"))
+        if not isinstance(data["checks"], list):
+            raise SpecError("at checks: expected a list of checks")
         catalog = []
         for i, entry in enumerate(data["checks"]):
-            if not isinstance(entry, dict) or "id" not in entry:
+            if not isinstance(entry, dict) or not isinstance(entry.get("id"), str):
                 raise SpecError(f"at checks[{i}]: expected an object with an 'id'")
-            catalog.append((entry["id"], entry.get("instance", {})))
+            instance = specio.expect_dict(entry.get("instance", {}), f"checks[{i}].instance")
+            catalog.append((entry["id"], instance))
     try:
         report = run_suite(config, catalog)
     except UnknownLawError as exc:
@@ -272,6 +262,17 @@ def cmd_verify(args) -> int:
         )
         _emit("\n".join(lines) + "\n")
     return EXIT_OK if report.all_pass else EXIT_LAW_FAILURE
+
+
+def _positive_real(text: str) -> float:
+    """An argparse type: a finite real > 0, so a bad value exits 2 at parse time."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
 def _int_at_least(low: int):
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", help="exact growth rate (spectral route)")
     p_spec.add_argument("spec")
-    p_spec.add_argument("--tol", type=float, default=None)
+    p_spec.add_argument("--tol", type=_positive_real, default=None)
     p_spec.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_spec.set_defaults(func=cmd_spectral)
 

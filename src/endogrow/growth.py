@@ -70,14 +70,6 @@ class GrowthEstimate:
     def max_power(self) -> int:
         return len(self.table)
 
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(
-            float(Fraction(self.table[m + 1], self.table[m]))
-            for m in range(len(self.table) - 1)
-            if self.table[m]
-        )
-
 
 def estimate_from_table(
     table,
@@ -229,13 +221,6 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
             "free-group endomorphisms have no exact spectral route; use growth_table"
         )
     raise UnsupportedOperationError(f"no exact route for {type(endo).__name__}")
-
-
-def abelian_growth_rate(endo, tol: float = 1e-12) -> float:
-    """Exact growth rate on an abelian kind (matrix or quotient endo)."""
-    if not isinstance(endo, (MatrixEndo, QuotientEndo)):
-        raise UnsupportedOperationError("abelian route needs a matrix or quotient endo")
-    return exact_growth_rate(endo, tol)
 
 
 @dataclass(frozen=True)

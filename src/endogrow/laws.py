@@ -8,6 +8,7 @@ instances derive from the configured seed, so reports are reproducible.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
 )
 from endogrow.intmat import IntMatrix, spectral_radius
-from endogrow.products import PolycyclicTower, Semidirect, Sublattice
+from endogrow.products import Semidirect, Sublattice
 from endogrow.growth import (
     distortion_rate,
     exact_growth_rate,
@@ -44,11 +45,7 @@ from endogrow.growth import (
 
 @dataclass(frozen=True)
 class LawConfig:
-    seed: int = 20250811
-    tolerance: float | None = None  # overrides the per-law default when set
-    radius: int | None = None
-    max_power: int | None = None
-    budget: int | None = None
+    seed: int = 20250811  # used by random instances that carry no seed of their own
 
 
 @dataclass(frozen=True)
@@ -68,48 +65,38 @@ class UnknownLawError(ValueError):
     pass
 
 
-def _verdict(ok: bool) -> str:
-    return "pass" if ok else "fail"
-
-
-def _tol(config: LawConfig, default: float) -> float:
-    return default if config.tolerance is None else config.tolerance
-
-
-def _mp(config: LawConfig, default: int) -> int:
-    return default if config.max_power is None else config.max_power
-
-
-def _radius(config: LawConfig, default: int) -> int:
-    return default if config.radius is None else config.radius
+class Inapplicable(Exception):
+    """The instance violates a hypothesis of the law; the message says which."""
 
 
 def _parse(instance: dict) -> specio.Instance:
     return specio.parse_instance(instance, "instance")
 
 
-def _describe(instance: dict) -> str:
-    import json
+def _parse_endo(instance: dict):
+    """The instance's endomorphism, for a law that cannot do without one."""
+    endo = _parse(instance).endo
+    if endo is None:
+        raise specio.SpecError("at instance.endo: this law needs an endomorphism")
+    return endo
 
-    return json.dumps(instance, sort_keys=True, separators=(",", ":"))
+
+def _int(d: dict, key: str, default=None, low=None, path="instance") -> int:
+    """An integer law field, checked like any spec integer."""
+    return specio.expect_int(d.get(key, default), f"{path}.{key}", low)
 
 
 # -- individual law runners ---------------------------------------------------
+#
+# Each runner takes (instance, options, seed, tol) and returns the values it
+# measured and whether the law held within tol, or raises Inapplicable.
 
 
-def _law_fekete(instance, config):
+def _law_fekete(instance, options, seed, tol):
     """Submultiplicativity of the generator-image length table, exact."""
-    tol = _tol(config, 0.0)
-    parsed = _parse(instance)
-    est = growth_table(parsed.endo, _mp(config, parsed.options.max_power))
+    est = growth_table(_parse_endo(instance), options.max_power)
     if est.exactness != EXACT:
-        return LawCheck(
-            "thm2.2.1-fekete",
-            _describe(instance),
-            {"reason": "needs exact word lengths"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("needs exact word lengths")
     table = est.table
     violations = 0
     for i in range(1, len(table) + 1):
@@ -124,33 +111,21 @@ def _law_fekete(instance, config):
         "inf_bound": est.inf_bound,
         "prefix_inf_nonincreasing": monotone,
     }
-    return LawCheck(
-        "thm2.2.1-fekete",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(violations == 0 and monotone),
-    )
+    return values, violations == 0 and monotone
 
 
-def _law_generator_bound(instance, config):
+def _law_generator_bound(instance, options, seed, tol):
     """table[m] <= table[1]**m as exact integers, over seeded random free
     endomorphisms."""
-    tol = _tol(config, 0.0)
-    group = specio.parse_group(instance["group"], "instance.group")
+    group = specio.parse_group(instance.get("group"), "instance.group")
     if not isinstance(group, Free):
-        return LawCheck(
-            "thm2.2.2-generator-bound",
-            _describe(instance),
-            {"reason": "needs a free group"},
-            tol,
-            "inapplicable",
-        )
-    params = instance.get("random_endos", {})
-    count = params.get("count", 50)
-    max_len = params.get("max_image_length", 4)
-    powers = params.get("powers", 7)
-    rng = random.Random(instance.get("seed", config.seed))
+        raise Inapplicable("needs a free group")
+    path = "instance.random_endos"
+    params = specio.expect_dict(instance.get("random_endos", {}), path)
+    count = _int(params, "count", 50, low=0, path=path)
+    max_len = _int(params, "max_image_length", 4, low=1, path=path)
+    powers = _int(params, "powers", 7, low=1, path=path)
+    rng = random.Random(seed)
     violations = 0
     checked = 0
     for _ in range(count):
@@ -172,70 +147,42 @@ def _law_generator_bound(instance, config):
             if km > k1**m:
                 violations += 1
     values = {"endos": count, "roots_checked": checked, "violations": violations}
-    return LawCheck(
-        "thm2.2.2-generator-bound",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(violations == 0),
-    )
+    return values, violations == 0
 
 
-def _law_power(instance, config):
-    """rate(endo**n) == rate(endo)**n, exact route when available."""
-    parsed = _parse(instance)
-    n = instance.get("n", 2)
+def _law_power(instance, options, seed, tol):
+    """rate(endo**n) == rate(endo)**n, exact route when available.  The law
+    has no fixed default tolerance: it also returns its route's default."""
+    endo = _parse_endo(instance)
+    n = _int(instance, "n", 2, low=0)
     try:
-        base = exact_growth_rate(parsed.endo)
-        powered = exact_growth_rate(parsed.endo.power(n))
-        tol = _tol(config, 1e-6)
+        base = exact_growth_rate(endo)
+        powered = exact_growth_rate(endo.power(n))
+        route_tol, gap_key = 1e-6, "relative_gap"
         gap = abs(powered - base**n) / max(1.0, base**n)
-        ok = gap <= tol
-        values = {"n": n, "rate_of_power": powered, "power_of_rate": base**n, "relative_gap": gap}
     except UnsupportedOperationError:
-        tol = _tol(config, 0.1)
-        mp = _mp(config, parsed.options.max_power)
-        powered = growth_table(parsed.endo.power(n), mp).ratio_estimate
-        base = growth_table(parsed.endo, mp).ratio_estimate
+        powered = growth_table(endo.power(n), options.max_power).ratio_estimate
+        base = growth_table(endo, options.max_power).ratio_estimate
+        route_tol, gap_key = 0.1, "gap"
         gap = abs(powered - base**n)
-        ok = gap <= tol
-        values = {"n": n, "rate_of_power": powered, "power_of_rate": base**n, "gap": gap}
-    return LawCheck("thm2.2.3-power", _describe(instance), values, tol, _verdict(ok))
+    values = {"n": n, "rate_of_power": powered, "power_of_rate": base**n, gap_key: gap}
+    return values, gap <= (route_tol if tol is None else tol), route_tol
 
 
-def _law_finite_index(instance, config):
+def _law_finite_index(instance, options, seed, tol):
     """Restriction to a finite-index invariant sublattice has the same rate."""
-    tol = _tol(config, 1e-9)
     parsed = _parse(instance)
     sub = parsed.subgroup
     if not isinstance(sub, Sublattice) or sub.index is None:
-        return LawCheck(
-            "thm3.1-finite-index",
-            _describe(instance),
-            {"reason": "subgroup is not finite index"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("subgroup is not finite index")
     try:
         restricted = restrict(parsed.endo, sub)
     except InvarianceError as exc:
-        return LawCheck(
-            "thm3.1-finite-index",
-            _describe(instance),
-            {"reason": str(exc)},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable(str(exc)) from exc
     full = exact_growth_rate(parsed.endo)
     on_sub = exact_growth_rate(restricted)
     values = {"index": sub.index, "rate_full": full, "rate_restricted": on_sub}
-    return LawCheck(
-        "thm3.1-finite-index",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(abs(full - on_sub) <= tol),
-    )
+    return values, abs(full - on_sub) <= tol
 
 
 def _random_invariant_instances(rng, count):
@@ -272,96 +219,69 @@ def _random_invariant_instances(rng, count):
     return out
 
 
-def _law_quotient(instance, config):
+def _worst_random_gap(seed, count, tol, gap):
+    """The largest gap(extension report) over seeded random instances."""
+    worst = -math.inf
+    for endo, sub, _ in _random_invariant_instances(random.Random(seed), count):
+        worst = max(worst, gap(extension_bounds(endo, sub, tol)))
+    return worst
+
+
+def _law_quotient(instance, options, seed, tol):
     """rate on the quotient <= rate on the group."""
-    tol = _tol(config, 0.05)
     if "random_instances" in instance:
-        rng = random.Random(instance.get("seed", config.seed))
-        worst = -math.inf
-        count = instance["random_instances"]
-        for endo, sub, _ in _random_invariant_instances(rng, count):
-            report = extension_bounds(endo, sub, tol)
-            worst = max(worst, report.quotient - report.full)
-        values = {"instances": count, "worst_quotient_minus_full": worst}
-        return LawCheck(
-            "lemma3.2-quotient", _describe(instance), values, tol, _verdict(worst <= tol)
-        )
+        count = _int(instance, "random_instances", low=0)
+        worst = _worst_random_gap(seed, count, tol, lambda r: r.quotient - r.full)
+        return {"instances": count, "worst_quotient_minus_full": worst}, worst <= tol
     parsed = _parse(instance)
     if isinstance(parsed.endo, HeisenbergEndo) and isinstance(parsed.subgroup, LowerCentralLayer):
         quotient_rate = exact_growth_rate(induce_on_quotient(parsed.endo, parsed.subgroup))
-        full = growth_table(parsed.endo, _mp(config, 14)).ratio_estimate
+        full = growth_table(parsed.endo, 14).ratio_estimate
         values = {"rate_quotient": quotient_rate, "rate_full_estimate": full}
-        return LawCheck(
-            "lemma3.2-quotient",
-            _describe(instance),
-            values,
-            tol,
-            _verdict(quotient_rate <= full + tol),
-        )
+        return values, quotient_rate <= full + tol
     try:
         report = extension_bounds(parsed.endo, parsed.subgroup, tol)
     except InvarianceError as exc:
-        return LawCheck(
-            "lemma3.2-quotient", _describe(instance), {"reason": str(exc)}, tol, "inapplicable"
-        )
-    values = {"rate_full": report.full, "rate_quotient": report.quotient}
-    return LawCheck(
-        "lemma3.2-quotient",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(report.quotient_le_full),
-    )
+        raise Inapplicable(str(exc)) from exc
+    return {"rate_full": report.full, "rate_quotient": report.quotient}, report.quotient_le_full
 
 
-def _law_extension(instance, config):
+def _law_extension(instance, options, seed, tol):
     """rate on the group <= max(rate on subgroup, rate on quotient)."""
-    tol = _tol(config, 0.05)
     if "random_instances" in instance:
-        rng = random.Random(instance.get("seed", config.seed))
-        worst = -math.inf
-        count = instance["random_instances"]
-        for endo, sub, _ in _random_invariant_instances(rng, count):
-            report = extension_bounds(endo, sub, tol)
-            worst = max(worst, report.full - max(report.restricted, report.quotient))
-        values = {"instances": count, "worst_full_minus_max": worst}
-        return LawCheck(
-            "thm3.3-extension", _describe(instance), values, tol, _verdict(worst <= tol)
+        count = _int(instance, "random_instances", low=0)
+        worst = _worst_random_gap(
+            seed, count, tol, lambda r: r.full - max(r.restricted, r.quotient)
         )
+        return {"instances": count, "worst_full_minus_max": worst}, worst <= tol
     parsed = _parse(instance)
     if isinstance(parsed.endo, HeisenbergEndo) and isinstance(parsed.subgroup, LowerCentralLayer):
         sub_rate = exact_growth_rate(restrict(parsed.endo, parsed.subgroup))
         quotient_rate = exact_growth_rate(induce_on_quotient(parsed.endo, parsed.subgroup))
-        full = growth_table(parsed.endo, _mp(config, 14)).ratio_estimate
-        ok = full <= max(sub_rate, quotient_rate) + tol
+        full = growth_table(parsed.endo, 14).ratio_estimate
         values = {
             "rate_full_estimate": full,
             "rate_restricted": sub_rate,
             "rate_quotient": quotient_rate,
         }
-        return LawCheck("thm3.3-extension", _describe(instance), values, tol, _verdict(ok))
+        return values, full <= max(sub_rate, quotient_rate) + tol
     try:
         report = extension_bounds(parsed.endo, parsed.subgroup, tol)
     except InvarianceError as exc:
-        return LawCheck(
-            "thm3.3-extension", _describe(instance), {"reason": str(exc)}, tol, "inapplicable"
-        )
+        raise Inapplicable(str(exc)) from exc
     values = {
         "rate_full": report.full,
         "rate_restricted": report.restricted,
         "rate_quotient": report.quotient,
     }
-    return LawCheck(
-        "thm3.3-extension", _describe(instance), values, tol, _verdict(report.full_le_max)
-    )
+    return values, report.full_le_max
 
 
-def _law_complement(instance, config):
+def _law_complement(instance, options, seed, tol):
     """Equality rate = max(subgroup, quotient) when the subgroup is generated
     by part of the generating system."""
-    tol = _tol(config, 1e-6)
-    rng = random.Random(instance.get("seed", config.seed))
-    count = instance.get("random_instances", 20)
+    rng = random.Random(seed)
+    count = _int(instance, "random_instances", 20, low=0)
     worst = 0.0
     checked = 0
     while checked < count:
@@ -372,19 +292,14 @@ def _law_complement(instance, config):
         gap = abs(report.full - max(report.restricted, report.quotient))
         worst = max(worst, gap)
         checked += 1
-    values = {"instances": checked, "worst_equality_gap": worst}
-    return LawCheck(
-        "cor3.4-complement", _describe(instance), values, tol, _verdict(worst <= tol)
-    )
+    return {"instances": checked, "worst_equality_gap": worst}, worst <= tol
 
 
-def _law_abelian(instance, config):
+def _law_abelian(instance, options, seed, tol):
     """Exact spectral rate against the iterated-table estimators."""
-    tol = _tol(config, 0.05)
     if "random_instances" in instance:
-        rng = random.Random(instance.get("seed", config.seed))
-        count = instance["random_instances"]
-        mp = _mp(config, 30)
+        rng = random.Random(seed)
+        count = _int(instance, "random_instances", low=0)
         worst_est = 0.0
         worst_inf = -math.inf
         done = 0
@@ -397,7 +312,7 @@ def _law_abelian(instance, config):
             if exact < 1.0:
                 continue
             endo = MatrixEndo(FreeAbelian(n), mat)
-            est = growth_table(endo, mp)
+            est = growth_table(endo, 30)
             gap = min(abs(est.ratio_estimate - exact), abs(est.inf_bound - exact))
             worst_est = max(worst_est, gap)
             worst_inf = max(worst_inf, exact - est.inf_bound)
@@ -407,11 +322,10 @@ def _law_abelian(instance, config):
             "worst_estimate_gap": worst_est,
             "worst_inf_deficit": worst_inf,
         }
-        ok = worst_est <= tol and worst_inf <= 1e-9
-        return LawCheck("thm4.1-abelian", _describe(instance), values, tol, _verdict(ok))
-    parsed = _parse(instance)
-    exact = exact_growth_rate(parsed.endo)
-    est = growth_table(parsed.endo, _mp(config, parsed.options.max_power))
+        return values, worst_est <= tol and worst_inf <= 1e-9
+    endo = _parse_endo(instance)
+    exact = exact_growth_rate(endo)
+    est = growth_table(endo, options.max_power)
     gap = min(abs(est.ratio_estimate - exact), abs(est.inf_bound - exact))
     values = {
         "rate_exact": exact,
@@ -419,23 +333,15 @@ def _law_abelian(instance, config):
         "inf_bound": est.inf_bound,
         "estimate_gap": gap,
     }
-    ok = gap <= tol and est.inf_bound >= exact - 1e-9
-    return LawCheck("thm4.1-abelian", _describe(instance), values, tol, _verdict(ok))
+    return values, gap <= tol and est.inf_bound >= exact - 1e-9
 
 
-def _law_lcs(instance, config):
+def _law_lcs(instance, options, seed, tol):
     """rate >= (rate on layer_j quotient)**(1/j) for the supported layers."""
-    tol = _tol(config, 1e-9)
-    parsed = _parse(instance)
-    if not isinstance(parsed.endo, HeisenbergEndo):
-        return LawCheck(
-            "lemma4.3-lcs",
-            _describe(instance),
-            {"reason": "needs a Heisenberg endo"},
-            tol,
-            "inapplicable",
-        )
-    rate = nilpotent_growth_rate(parsed.endo)
+    endo = _parse(instance).endo
+    if not isinstance(endo, HeisenbergEndo):
+        raise Inapplicable("needs a Heisenberg endo")
+    rate = nilpotent_growth_rate(endo)
     full = rate.combined
     ok = True
     values = {"rate_full": full}
@@ -443,15 +349,14 @@ def _law_lcs(instance, config):
         bound = layer_rate ** (1.0 / j)
         values[f"layer{j}_root"] = bound
         ok = ok and full >= bound - tol
-    return LawCheck("lemma4.3-lcs", _describe(instance), values, tol, _verdict(ok))
+    return values, ok
 
 
-def _law_nilpotent(instance, config):
+def _law_nilpotent(instance, options, seed, tol):
     """Layer formula with 1/k exponents against the quasi-length estimate."""
-    tol = _tol(config, 0.1)
-    parsed = _parse(instance)
-    rate = nilpotent_growth_rate(parsed.endo)
-    est = growth_table(parsed.endo, _mp(config, 14))
+    endo = _parse_endo(instance)
+    rate = nilpotent_growth_rate(endo)
+    est = growth_table(endo, 14)
     gap = abs(est.ratio_estimate - rate.combined)
     values = {
         "layer_rates": list(rate.layer_rates),
@@ -459,18 +364,15 @@ def _law_nilpotent(instance, config):
         "ratio_estimate": est.ratio_estimate,
         "gap": gap,
     }
-    return LawCheck(
-        "thm4.4-nilpotent", _describe(instance), values, tol, _verdict(gap <= tol)
-    )
+    return values, gap <= tol
 
 
-def _law_counterexample(instance, config):
+def _law_counterexample(instance, options, seed, tol):
     """The exponent in the layer formula is necessary: without it the max
     differs from the rate; with it they agree."""
-    tol = _tol(config, 1e-9)
-    parsed = _parse(instance)
-    rate = nilpotent_growth_rate(parsed.endo)
-    est = growth_table(parsed.endo, _mp(config, 14))
+    endo = _parse_endo(instance)
+    rate = nilpotent_growth_rate(endo)
+    est = growth_table(endo, 14)
     with_exponent_ok = abs(rate.combined - max(rate.layer_rates[0], math.sqrt(rate.layer_rates[1]))) <= tol
     differs = abs(rate.no_exponent_max - rate.combined) > 0.5
     estimate_ok = abs(est.ratio_estimate - rate.combined) <= 0.1
@@ -479,94 +381,50 @@ def _law_counterexample(instance, config):
         "no_exponent_max": rate.no_exponent_max,
         "ratio_estimate": est.ratio_estimate,
     }
-    return LawCheck(
-        "thm4.4-counterexample",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(with_exponent_ok and differs and estimate_ok),
-    )
+    return values, with_exponent_ok and differs and estimate_ok
 
 
-def _law_direct(instance, config):
+def _law_direct(instance, options, seed, tol):
     """Product rate equals the max of the factor rates."""
-    tol = _tol(config, 0.05)
-    parsed = _parse(instance)
-    endo = parsed.endo
+    endo = _parse(instance).endo
     if not isinstance(endo, ProductEndo):
-        return LawCheck(
-            "lemma5.1-direct",
-            _describe(instance),
-            {"reason": "needs a product endo"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("needs a product endo")
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
     formula = max(factor_rates)
     product_exact = exact_growth_rate(endo)
-    est = growth_table(endo, _mp(config, parsed.options.max_power))
+    est = growth_table(endo, options.max_power)
     values = {
         "factor_rates": factor_rates,
         "rate_product": product_exact,
         "ratio_estimate": est.ratio_estimate,
     }
-    ok = abs(product_exact - formula) <= 1e-9 and abs(est.ratio_estimate - formula) <= tol
-    return LawCheck("lemma5.1-direct", _describe(instance), values, tol, _verdict(ok))
+    return values, abs(product_exact - formula) <= 1e-9 and abs(est.ratio_estimate - formula) <= tol
 
 
-def _law_free(instance, config):
+def _law_free(instance, options, seed, tol):
     """Same max formula over free-product factors (factor-preserving endos)."""
-    tol = _tol(config, 0.05)
-    parsed = _parse(instance)
-    endo = parsed.endo
+    endo = _parse(instance).endo
     if not isinstance(endo, ProductEndo):
-        return LawCheck(
-            "lemma5.2-free",
-            _describe(instance),
-            {"reason": "needs a factor-preserving product endo"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("needs a factor-preserving product endo")
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
     formula = max(factor_rates)
-    est = growth_table(endo, _mp(config, parsed.options.max_power))
+    est = growth_table(endo, options.max_power)
     values = {"factor_rates": factor_rates, "ratio_estimate": est.ratio_estimate}
-    return LawCheck(
-        "lemma5.2-free",
-        _describe(instance),
-        values,
-        tol,
-        _verdict(abs(est.ratio_estimate - formula) <= tol),
-    )
+    return values, abs(est.ratio_estimate - formula) <= tol
 
 
-def _law_semidirect(instance, config):
+def _law_semidirect(instance, options, seed, tol):
     """Block formula max(rate on base, rate on acting group) for semidirect
     products with undistorted base (finite-order action)."""
-    tol = _tol(config, 0.15)
-    parsed = _parse(instance)
-    endo = parsed.endo
+    endo = _parse(instance).endo
     if not isinstance(endo, SemidirectEndo):
-        return LawCheck(
-            "thm5.4-semidirect",
-            _describe(instance),
-            {"reason": "needs a semidirect block endo"},
-            tol,
-            "inapplicable",
-        )
-    group = endo.group
-    if not group.action_is_finite_order:
-        return LawCheck(
-            "thm5.4-semidirect",
-            _describe(instance),
-            {"reason": "base is exponentially distorted; additive length unavailable"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("needs a semidirect block endo")
+    if not endo.group.action_is_finite_order:
+        raise Inapplicable("base is exponentially distorted; additive length unavailable")
     base_rate = spectral_radius(endo.base_matrix)
     quotient_rate = spectral_radius(endo.quotient_matrix)
     formula = max(base_rate, quotient_rate)
-    est = growth_table(endo, _mp(config, 16))
+    est = growth_table(endo, 16)
     sandwich = quotient_rate <= formula + 1e-9
     values = {
         "rate_base": base_rate,
@@ -574,68 +432,37 @@ def _law_semidirect(instance, config):
         "formula": formula,
         "ratio_estimate": est.ratio_estimate,
     }
-    ok = sandwich and abs(est.ratio_estimate - formula) <= tol
-    return LawCheck("thm5.4-semidirect", _describe(instance), values, tol, _verdict(ok))
+    return values, sandwich and abs(est.ratio_estimate - formula) <= tol
 
 
-def _law_polycyclic(instance, config):
+def _law_polycyclic(instance, options, seed, tol):
     """Endomorphisms preserving a polycyclic series have integer rate."""
-    tol = _tol(config, 1e-6)
-    parsed = _parse(instance)
-    endo = parsed.endo
+    endo = _parse(instance).endo
     if not isinstance(endo, SemidirectEndo):
-        return LawCheck(
-            "lemma5.6-polycyclic",
-            _describe(instance),
-            {"reason": "needs a series-preserving block endo"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("needs a series-preserving block endo")
     group = endo.group
-    tower = PolycyclicTower(
-        factor_orders=(0,) * (group.base_rank + group.quotient_rank),
-        realization=group,
-        endo_preserves_series=True,
-    )
     if group.base_rank != 1 or group.quotient_rank != 1:
-        return LawCheck(
-            "lemma5.6-polycyclic",
-            _describe(instance),
-            {"reason": "catalog covers the cyclic-by-cyclic case"},
-            tol,
-            "inapplicable",
-        )
+        raise Inapplicable("catalog covers the cyclic-by-cyclic case")
     rate = exact_growth_rate(endo)
     nearest = round(rate)
-    est = growth_table(endo, _mp(config, 16))
+    est = growth_table(endo, 16)
     values = {
-        "tower_length": tower.length,
+        "tower_length": group.base_rank + group.quotient_rank,
         "rate": rate,
         "nearest_integer": nearest,
         "integer_gap": abs(rate - nearest),
         "ratio_estimate": est.ratio_estimate,
     }
-    ok = abs(rate - nearest) <= tol and abs(est.ratio_estimate - rate) <= 0.1
-    return LawCheck("lemma5.6-polycyclic", _describe(instance), values, tol, _verdict(ok))
+    return values, abs(rate - nearest) <= tol and abs(est.ratio_estimate - rate) <= 0.1
 
 
-def _law_distortion(instance, config):
+def _law_distortion(instance, options, seed, tol):
     """Base-lattice distortion: exact profile against the action-word rate."""
-    tol = _tol(config, 0.05)
-    parsed = _parse(instance)
-    group = parsed.group
+    group = _parse(instance).group
     if not isinstance(group, Semidirect):
-        return LawCheck(
-            "lemma5.8-distortion",
-            _describe(instance),
-            {"reason": "needs a semidirect product"},
-            tol,
-            "inapplicable",
-        )
-    radius = _radius(config, parsed.options.radius)
-    mp = _mp(config, parsed.options.max_power)
-    rate = distortion_rate(group, mp)
-    profile = distortion_profile(group, "base", radius, config.budget)
+        raise Inapplicable("needs a semidirect product")
+    rate = distortion_rate(group, options.max_power)
+    profile = distortion_profile(group, "base", options.radius, options.budget)
     rho = profile.values
     nondecreasing = all(a <= b for a, b in zip(rho, rho[1:]))
     ceiling = rate.sqrt_spectral + 0.05
@@ -663,37 +490,56 @@ def _law_distortion(instance, config):
         "lower_bounds_certified": certified,
         "profile_complete": profile.complete,
     }
-    ok = nondecreasing and roots_ok and cert_ok and ratio_gap <= tol and profile.complete
-    return LawCheck("lemma5.8-distortion", _describe(instance), values, tol, _verdict(ok))
+    return values, nondecreasing and roots_ok and cert_ok and ratio_gap <= tol and profile.complete
 
 
-LAW_RUNNERS = {
-    "thm2.2.1-fekete": _law_fekete,
-    "thm2.2.2-generator-bound": _law_generator_bound,
-    "thm2.2.3-power": _law_power,
-    "thm3.1-finite-index": _law_finite_index,
-    "lemma3.2-quotient": _law_quotient,
-    "thm3.3-extension": _law_extension,
-    "cor3.4-complement": _law_complement,
-    "thm4.1-abelian": _law_abelian,
-    "lemma4.3-lcs": _law_lcs,
-    "thm4.4-nilpotent": _law_nilpotent,
-    "thm4.4-counterexample": _law_counterexample,
-    "lemma5.1-direct": _law_direct,
-    "lemma5.2-free": _law_free,
-    "thm5.4-semidirect": _law_semidirect,
-    "lemma5.6-polycyclic": _law_polycyclic,
-    "lemma5.8-distortion": _law_distortion,
+# law id -> (runner, default tolerance); None lets the runner pick by route
+LAWS = {
+    "thm2.2.1-fekete": (_law_fekete, 0.0),
+    "thm2.2.2-generator-bound": (_law_generator_bound, 0.0),
+    "thm2.2.3-power": (_law_power, None),
+    "thm3.1-finite-index": (_law_finite_index, 1e-9),
+    "lemma3.2-quotient": (_law_quotient, 0.05),
+    "thm3.3-extension": (_law_extension, 0.05),
+    "cor3.4-complement": (_law_complement, 1e-6),
+    "thm4.1-abelian": (_law_abelian, 0.05),
+    "lemma4.3-lcs": (_law_lcs, 1e-9),
+    "thm4.4-nilpotent": (_law_nilpotent, 0.1),
+    "thm4.4-counterexample": (_law_counterexample, 1e-9),
+    "lemma5.1-direct": (_law_direct, 0.05),
+    "lemma5.2-free": (_law_free, 0.05),
+    "thm5.4-semidirect": (_law_semidirect, 0.15),
+    "lemma5.6-polycyclic": (_law_polycyclic, 1e-6),
+    "lemma5.8-distortion": (_law_distortion, 0.05),
 }
 
-LAW_IDS = tuple(LAW_RUNNERS)
+LAW_IDS = tuple(LAWS)
 
 
 def run_law(law_id: str, instance: dict, config: LawConfig | None = None) -> LawCheck:
-    """Run one named check on one instance."""
-    if law_id not in LAW_RUNNERS:
+    """Run one named check on one instance.
+
+    The tolerance is the instance's ``options.tolerance`` when given, else
+    the law's default; an instance outside the law's hypotheses gets the
+    verdict "inapplicable" with the reason in its values.
+    """
+    if law_id not in LAWS:
         raise UnknownLawError(f"unknown law id {law_id!r}")
-    return LAW_RUNNERS[law_id](instance, config or LawConfig())
+    runner, tol = LAWS[law_id]
+    description = json.dumps(instance, sort_keys=True, separators=(",", ":"))
+    options = specio.parse_options(instance.get("options"), "instance.options")
+    if options.tolerance is not None:
+        tol = options.tolerance
+    seed = _int(instance, "seed", (config or LawConfig()).seed)
+    try:
+        values, ok, *route_tol = runner(instance, options, seed, tol)
+    except Inapplicable as exc:
+        values, verdict = {"reason": str(exc)}, "inapplicable"
+    else:
+        verdict = "pass" if ok else "fail"
+        if tol is None:
+            tol = route_tol[0]
+    return LawCheck(law_id, description, values, tol, verdict)
 
 
 # -- the built-in instance catalog --------------------------------------------
@@ -904,21 +750,5 @@ def run_suite(
     config = config or LawConfig()
     if catalog is None:
         catalog = default_catalog(config.seed)
-    checks = []
-    for law_id, instance in catalog:
-        # instance-level tolerance override rides in its options block
-        tol_override = None
-        options = instance.get("options")
-        if isinstance(options, dict) and "tolerance" in options:
-            tol_override = float(options["tolerance"])
-        local = config
-        if tol_override is not None and config.tolerance is None:
-            local = LawConfig(
-                seed=config.seed,
-                tolerance=tol_override,
-                radius=config.radius,
-                max_power=config.max_power,
-                budget=config.budget,
-            )
-        checks.append(run_law(law_id, instance, local))
-    return SuiteReport(config.seed, tuple(checks))
+    checks = tuple(run_law(law_id, instance, config) for law_id, instance in catalog)
+    return SuiteReport(config.seed, checks)

@@ -537,26 +537,3 @@ def abelian_quotient(ambient: FreeAbelian, lattice: Sublattice) -> AbelianQuotie
     if lattice.ambient_rank != ambient.rank:
         raise ValueError("sublattice lives in a different ambient rank")
     return AbelianQuotient(ambient.rank, lattice.basis)
-
-
-@dataclass(frozen=True)
-class PolycyclicTower:
-    """A subnormal series with cyclic factors, realized concretely as an
-    iterated semidirect/direct descriptor.
-
-    factor_orders lists the cyclic factor orders top-down (0 for Z); the
-    flag records whether the endomorphism under study preserves the series.
-    """
-
-    factor_orders: tuple[int, ...]
-    realization: Group
-    endo_preserves_series: bool = True
-
-    def __post_init__(self):
-        for d in self.factor_orders:
-            if d < 0:
-                raise ValueError("factor orders are 0 (infinite) or positive")
-
-    @property
-    def length(self) -> int:
-        return len(self.factor_orders)

@@ -3,7 +3,9 @@ serialization that round-trips every built-in descriptor."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from endogrow.groups import (
@@ -40,15 +42,17 @@ def _fail(path: str, message: str):
     raise SpecError(f"at {path}: {message}")
 
 
-def _expect_dict(value, path: str) -> dict:
+def expect_dict(value, path: str) -> dict:
     if not isinstance(value, dict):
         _fail(path, f"expected an object, got {type(value).__name__}")
     return value
 
 
-def _expect_int(value, path: str) -> int:
+def expect_int(value, path: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
+    if low is not None and value < low:
+        _fail(path, f"must be >= {low}")
     return value
 
 
@@ -60,41 +64,52 @@ def _expect_matrix(value, path: str) -> IntMatrix:
         if len(row) != width:
             _fail(f"{path}[{i}]", "ragged matrix rows")
         for j, x in enumerate(row):
-            _expect_int(x, f"{path}[{i}][{j}]")
+            expect_int(x, f"{path}[{i}][{j}]")
     return IntMatrix.from_rows(value)
 
 
-def _parse_length_mode(d, path: str) -> LengthMode:
-    d = _expect_dict(d, path)
-    kind = d.get("kind")
-    if kind not in ("exact", "quasi", "bfs"):
-        _fail(f"{path}.kind", f"unknown length mode {kind!r}")
-    radius = _expect_int(d.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
+def _length_mode(kind: str, radius: int, path: str) -> LengthMode:
     try:
-        return LengthMode(kind, radius)
+        return LengthMode(kind, radius if kind == "bfs" else 0)
     except ValueError as exc:
         _fail(path, str(exc))
 
 
+def _parse_length_mode(d, path: str) -> LengthMode:
+    d = expect_dict(d, path)
+    kind = d.get("kind")
+    if kind not in ("exact", "quasi", "bfs"):
+        _fail(f"{path}.kind", f"unknown length mode {kind!r}")
+    radius = expect_int(d.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
+    return _length_mode(kind, radius, path)
+
+
+def with_length_mode(group: Group, kind: str, radius: int, path: str) -> Group:
+    """The group measured in another length mode; bfs enumerates to radius."""
+    if not hasattr(group, "length_mode"):
+        _fail(path, f"group kind {group.kind!r} does not take a length-mode override")
+    return dataclasses.replace(group, length_mode=_length_mode(kind, radius, path))
+
+
 def parse_group(d, path: str = "group") -> Group:
-    d = _expect_dict(d, path)
+    d = expect_dict(d, path)
     kind = d.get("kind")
     if kind == "free_abelian":
-        rank = _expect_int(d.get("rank"), f"{path}.rank")
+        rank = expect_int(d.get("rank"), f"{path}.rank")
         mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("exact")
         try:
             return FreeAbelian(rank, mode)
         except ValueError as exc:
             _fail(path, str(exc))
     if kind == "free":
-        rank = _expect_int(d.get("rank"), f"{path}.rank")
+        rank = expect_int(d.get("rank"), f"{path}.rank")
         mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("exact")
         try:
             return Free(rank, mode)
         except ValueError as exc:
             _fail(path, str(exc))
     if kind == "heisenberg":
-        count = _expect_int(d.get("generators", 3), f"{path}.generators")
+        count = expect_int(d.get("generators", 3), f"{path}.generators")
         mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("quasi")
         try:
             return Heisenberg(count, mode)
@@ -111,8 +126,8 @@ def parse_group(d, path: str = "group") -> Group:
         except ValueError as exc:
             _fail(path, str(exc))
     if kind == "semidirect":
-        base_rank = _expect_int(d.get("base_rank"), f"{path}.base_rank")
-        quotient_rank = _expect_int(d.get("quotient_rank"), f"{path}.quotient_rank")
+        base_rank = expect_int(d.get("base_rank"), f"{path}.base_rank")
+        quotient_rank = expect_int(d.get("quotient_rank"), f"{path}.quotient_rank")
         action = d.get("action")
         if not isinstance(action, list):
             _fail(f"{path}.action", "expected a list of action matrices")
@@ -128,7 +143,7 @@ def parse_group(d, path: str = "group") -> Group:
 
 
 def parse_subgroup(d, group: Group, path: str = "subgroup"):
-    d = _expect_dict(d, path)
+    d = expect_dict(d, path)
     kind = d.get("kind")
     if kind == "sublattice":
         if not isinstance(group, FreeAbelian):
@@ -139,7 +154,7 @@ def parse_subgroup(d, group: Group, path: str = "subgroup"):
         except ValueError as exc:
             _fail(path, str(exc))
     if kind == "lower_central":
-        j = _expect_int(d.get("j"), f"{path}.j")
+        j = expect_int(d.get("j"), f"{path}.j")
         try:
             return lower_central_layer(group, j)
         except ValueError as exc:
@@ -152,7 +167,7 @@ def parse_subgroup(d, group: Group, path: str = "subgroup"):
 
 
 def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
-    d = _expect_dict(d, path)
+    d = expect_dict(d, path)
     kind = d.get("kind")
     if kind == "matrix":
         if not isinstance(group, FreeAbelian):
@@ -173,7 +188,7 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
             if not isinstance(w, list):
                 _fail(f"{path}.images[{i}]", "expected a word as a list of signed letters")
             for j, x in enumerate(w):
-                _expect_int(x, f"{path}.images[{i}][{j}]")
+                expect_int(x, f"{path}.images[{i}][{j}]")
             words.append(tuple(w))
         try:
             return WordEndo(group, tuple(words))
@@ -182,8 +197,8 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
     if kind == "heisenberg":
         if not isinstance(group, Heisenberg):
             _fail(path, f"parameter endos need the Heisenberg group, got {group.kind}")
-        lam = _expect_int(d.get("lambda"), f"{path}.lambda")
-        gam = _expect_int(d.get("gamma"), f"{path}.gamma")
+        lam = expect_int(d.get("lambda"), f"{path}.lambda")
+        gam = expect_int(d.get("gamma"), f"{path}.gamma")
         return HeisenbergEndo(group, lam, gam)
     if kind == "product":
         if not isinstance(group, (DirectProduct, FreeProduct)):
@@ -213,7 +228,7 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
 class Options:
     max_power: int = 20
     radius: int = 10
-    tolerance: float = 1e-9
+    tolerance: float | None = None  # overrides a law's default tolerance when set
     seed: int = 20250811
     budget: int | None = None
     length_mode: str | None = None  # overrides the group's mode when set
@@ -222,7 +237,7 @@ class Options:
 def parse_options(d, path: str = "options") -> Options:
     if d is None:
         return Options()
-    d = _expect_dict(d, path)
+    d = expect_dict(d, path)
     known = {"max_m", "radius", "tolerance", "length_mode", "seed", "budget"}
     for key in d:
         if key not in known:
@@ -230,21 +245,21 @@ def parse_options(d, path: str = "options") -> Options:
     mode = d.get("length_mode")
     if mode is not None and mode not in ("exact", "quasi", "bfs"):
         _fail(f"{path}.length_mode", f"unknown length mode {mode!r}")
-    out = Options(
-        max_power=_expect_int(d.get("max_m", 20), f"{path}.max_m"),
-        radius=_expect_int(d.get("radius", 10), f"{path}.radius"),
-        tolerance=float(d.get("tolerance", 1e-9)),
-        seed=_expect_int(d.get("seed", 20250811), f"{path}.seed"),
-        budget=_expect_int(d["budget"], f"{path}.budget") if "budget" in d else None,
+    tolerance = d.get("tolerance")
+    if tolerance is not None and (
+        isinstance(tolerance, bool)
+        or not isinstance(tolerance, (int, float))
+        or not 0 <= tolerance < math.inf
+    ):
+        _fail(f"{path}.tolerance", f"expected a non-negative real number, got {tolerance!r}")
+    return Options(
+        max_power=expect_int(d.get("max_m", 20), f"{path}.max_m", 1),
+        radius=expect_int(d.get("radius", 10), f"{path}.radius", 0),
+        tolerance=None if tolerance is None else float(tolerance),
+        seed=expect_int(d.get("seed", 20250811), f"{path}.seed"),
+        budget=expect_int(d["budget"], f"{path}.budget", 1) if "budget" in d else None,
         length_mode=mode,
     )
-    if out.max_power < 1:
-        _fail(f"{path}.max_m", "must be >= 1")
-    if out.radius < 0:
-        _fail(f"{path}.radius", "must be >= 0")
-    if out.budget is not None and out.budget < 1:
-        _fail(f"{path}.budget", "must be >= 1")
-    return out
 
 
 @dataclass(frozen=True)
@@ -260,21 +275,15 @@ class Instance:
 
 def parse_instance(d, path: str = "") -> Instance:
     prefix = f"{path}." if path else ""
-    d = _expect_dict(d, path or "instance")
+    d = expect_dict(d, path or "instance")
     if "group" not in d:
         _fail(f"{prefix}group", "missing group")
     group = parse_group(d["group"], f"{prefix}group")
     options = parse_options(d.get("options"), f"{prefix}options")
     if options.length_mode is not None:
-        import dataclasses
-
-        if not hasattr(group, "length_mode"):
-            _fail(
-                f"{prefix}options.length_mode",
-                f"group kind {group.kind!r} does not take a length-mode override",
-            )
-        radius = options.radius if options.length_mode == "bfs" else 0
-        group = dataclasses.replace(group, length_mode=LengthMode(options.length_mode, radius))
+        group = with_length_mode(
+            group, options.length_mode, options.radius, f"{prefix}options.length_mode"
+        )
     endo = parse_endo(d["endo"], group, f"{prefix}endo") if "endo" in d else None
     sub = parse_subgroup(d["subgroup"], group, f"{prefix}subgroup") if "subgroup" in d else None
     return Instance(group, endo, sub, options)
@@ -373,9 +382,10 @@ def instance_to_dict(instance: Instance) -> dict:
     out["options"] = {
         "max_m": opts.max_power,
         "radius": opts.radius,
-        "tolerance": opts.tolerance,
         "seed": opts.seed,
     }
+    if opts.tolerance is not None:
+        out["options"]["tolerance"] = opts.tolerance
     if opts.budget is not None:
         out["options"]["budget"] = opts.budget
     return out

@@ -218,6 +218,54 @@ class TestVerify:
         assert "1 fail" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "suite, path",
+        [
+            ({"seed": "abc", "checks": []}, "at seed:"),
+            ({"checks": 5}, "at checks:"),
+            ({"checks": [{"id": "lemma4.3-lcs", "instance": 5}]}, "at checks[0].instance:"),
+            ({"checks": [{"id": "lemma3.2-quotient", "instance": {"random_instances": "x"}}]},
+             "at instance.random_instances:"),
+            ({"checks": [{"id": "cor3.4-complement", "instance": {"seed": "x"}}]},
+             "at instance.seed:"),
+            ({"checks": [{"id": "thm2.2.2-generator-bound",
+                          "instance": {"group": {"kind": "free", "rank": 2},
+                                       "random_endos": {"count": "x"}}}]},
+             "at instance.random_endos.count:"),
+            ({"checks": [{"id": "thm2.2.3-power", "instance": {**SWAP_SPEC, "n": "x"}}]},
+             "at instance.n:"),
+            ({"checks": [{"id": "thm2.2.1-fekete", "instance": {"group": SWAP_SPEC["group"]}}]},
+             "at instance.endo:"),
+        ],
+    )
+    def test_malformed_suite_exits_2_naming_the_path(self, tmp_path, capsys, suite, path):
+        suite_path = write_spec(tmp_path, suite, "suite.json")
+        assert main(["verify", "--suite", suite_path]) == 2
+        assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "options, argv, budget_env",
+    [
+        ({}, ["spectral", "--tol", "-1"], None),
+        ({}, ["estimate", "--length-mode", "bfs", "--radius", "0"], None),
+        ({"length_mode": "bfs", "radius": 0}, ["estimate"], None),
+        ({"tolerance": "abc"}, ["estimate"], None),
+        ({}, ["ball", "--radius", "2"], "abc"),
+    ],
+)
+def test_input_fault_exits_2(tmp_path, capsys, monkeypatch, options, argv, budget_env):
+    spec = write_spec(tmp_path, {**SWAP_SPEC, "options": {**SWAP_SPEC["options"], **options}})
+    if budget_env is not None:
+        monkeypatch.setenv("ENDOGROW_BUDGET", budget_env)
+    try:
+        code = main([argv[0], spec, *argv[1:]])
+    except SystemExit as exc:  # argparse rejects the argument
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestErrorsAndDeterminism:
     def test_bad_spec_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

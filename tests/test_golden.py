@@ -1,0 +1,25 @@
+"""`endogrow verify` output is pinned byte for byte: the default seed in
+both formats, and seed 10, whose catalog holds a failing check."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from endogrow.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "seed, fmt, golden, code",
+    [
+        (20250811, "json", "verify_seed20250811.json", 0),
+        (20250811, "text", "verify_seed20250811.txt", 0),
+        (10, "json", "verify_seed10.json", 1),
+    ],
+)
+def test_verify_output_matches_golden(capsys, seed, fmt, golden, code):
+    assert main(["verify", "--seed", str(seed), "--format", fmt]) == code
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")

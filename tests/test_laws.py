@@ -93,6 +93,70 @@ class TestRunLaw:
         assert check.verdict == "inapplicable"
 
 
+_Z2 = {"kind": "free_abelian", "rank": 2}
+_HEI = {"kind": "heisenberg", "generators": 3}
+_Z2_DOUBLE = {"group": _Z2, "endo": {"kind": "matrix", "rows": [[2, 0], [0, 2]]}}
+_NON_INVARIANT = {
+    "group": _Z2,
+    "endo": {"kind": "matrix", "rows": [[0, 1], [1, 0]]},
+    "subgroup": {"kind": "sublattice", "basis": [[3, 0], [0, 1]]},
+}
+_NOT_INVARIANT_REASON = "sublattice generator h2 = (0, 1) maps outside the sublattice"
+
+
+@pytest.mark.parametrize(
+    "law_id, instance, reason, tolerance",
+    [
+        ("thm2.2.1-fekete",
+         {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2}},
+         "needs exact word lengths", 0.0),
+        ("thm2.2.2-generator-bound", {"group": _Z2}, "needs a free group", 0.0),
+        ("lemma3.2-quotient", _NON_INVARIANT, _NOT_INVARIANT_REASON, 0.05),
+        ("thm3.3-extension", _NON_INVARIANT, _NOT_INVARIANT_REASON, 0.05),
+        ("lemma4.3-lcs", _Z2_DOUBLE, "needs a Heisenberg endo", 1e-9),
+        ("lemma5.1-direct", _Z2_DOUBLE, "needs a product endo", 0.05),
+        ("lemma5.2-free", _Z2_DOUBLE, "needs a factor-preserving product endo", 0.05),
+        ("thm5.4-semidirect", _Z2_DOUBLE, "needs a semidirect block endo", 0.15),
+        ("lemma5.6-polycyclic", _Z2_DOUBLE, "needs a series-preserving block endo", 1e-6),
+        ("lemma5.6-polycyclic",
+         {"group": {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
+                    "action": [[[0, -1], [1, 0]]]},
+          "endo": {"kind": "semidirect", "base": [[2, 0], [0, 2]], "quotient": [[1]]}},
+         "catalog covers the cyclic-by-cyclic case", 1e-6),
+        ("lemma5.8-distortion", {"group": _Z2}, "needs a semidirect product", 0.05),
+    ],
+)
+def test_inapplicable_branch_reports_reason_and_default_tolerance(
+    law_id, instance, reason, tolerance
+):
+    check = run_law(law_id, instance)
+    assert check.verdict == "inapplicable"
+    assert check.values == {"reason": reason}
+    assert check.tolerance == tolerance
+
+
+def test_distortion_honours_instance_budget():
+    check = run_law(
+        "lemma5.8-distortion",
+        {"group": {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
+                   "action": [[[2, 1], [1, 1]]]},
+         "options": {"max_m": 10, "radius": 8, "budget": 10}},
+    )
+    assert check.values["profile_complete"] is False
+    assert check.verdict == "fail"
+
+
+def test_instance_tolerance_overrides_the_law_default():
+    # the quasi-length estimate cannot match the layer formula to 1e-18
+    check = run_law(
+        "thm4.4-nilpotent",
+        {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
+         "options": {"tolerance": 1e-18}},
+    )
+    assert check.tolerance == 1e-18
+    assert check.verdict == "fail"
+
+
 class TestSuite:
     def test_default_catalog_all_pass_none_inapplicable(self):
         report = run_suite(LawConfig(seed=SEED))

@@ -1,4 +1,4 @@
-"""Products, sublattices, quotients, and towers."""
+"""Products, sublattices and quotients."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, LengthMode
 from endogrow.intmat import IntMatrix
 from endogrow.products import (
     AbelianQuotient,
-    PolycyclicTower,
     Sublattice,
     abelian_quotient,
     direct_product,
@@ -242,13 +241,3 @@ class TestAbelianQuotient:
             g = q.project((rng.randint(-9, 9), rng.randint(-9, 9)))
             assert q.multiply(g, q.invert(g)) == q.identity()
 
-
-class TestPolycyclicTower:
-    def test_basic_shape(self):
-        realization = semidirect(FreeAbelian(1), FreeAbelian(1), [[[-1]]])
-        tower = PolycyclicTower((0, 0), realization, True)
-        assert tower.length == 2
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            PolycyclicTower((-1,), FreeAbelian(1), True)

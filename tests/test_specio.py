@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from endogrow import specio
@@ -75,3 +77,15 @@ class TestOptions:
         assert parsed.options.max_power == 20
         assert parsed.options.radius == 10
         assert parsed.endo is None and parsed.subgroup is None
+
+    @pytest.mark.parametrize("tolerance", ["abc", -1, True, math.nan, math.inf])
+    def test_tolerance_must_be_a_non_negative_real(self, tolerance):
+        with pytest.raises(SpecError, match="options.tolerance"):
+            specio.parse_options({"tolerance": tolerance})
+
+    def test_tolerance_is_serialized_only_when_set(self):
+        group = {"kind": "free_abelian", "rank": 1}
+        unset = specio.instance_to_dict(specio.parse_instance({"group": group}))
+        assert "tolerance" not in unset["options"]
+        given = {"group": group, "options": {"tolerance": 0.1}}
+        assert specio.instance_to_dict(specio.parse_instance(given))["options"]["tolerance"] == 0.1
