@@ -55,9 +55,6 @@ class BallCensus:
         return self.counts[n]
 
 
-_CENSUS_CACHE: dict = {}
-
-
 def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> BallCensus:
     """Breadth-first enumeration of the ball of the given radius.
 
@@ -68,11 +65,6 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = _resolve_budget(budget)
-    cache_key = (group, radius, budget)
-    cached = _CENSUS_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-
     identity = group.identity()
     gens = group.symmetric_generators()
     for s in (identity, *gens):
@@ -114,7 +106,7 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
             counts.extend(counts[-1] for _ in range(radius - n))
             completed = radius
             break
-    census = BallCensus(
+    return BallCensus(
         group=group,
         radius=radius,
         completed_radius=completed,
@@ -122,8 +114,6 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         lengths=lengths,
         complete=complete,
     )
-    _CENSUS_CACHE[cache_key] = census
-    return census
 
 
 def exact_length(census: BallCensus, g) -> LengthValue:

@@ -16,7 +16,7 @@ from endogrow.groups import (
     LowerCentralLayer,
     UnsupportedOperationError,
 )
-from endogrow.intmat import IntMatrix, mat_mul, mat_pow
+from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul, mat_pow
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -276,12 +276,6 @@ class SemidirectEndo(Endomorphism):
         self.group.check(g)
         return (self.base_matrix.apply_row(g[0]), self.quotient_matrix.apply_row(g[1]))
 
-    def base_endo(self) -> MatrixEndo:
-        return MatrixEndo(self.group.base, self.base_matrix)
-
-    def quotient_endo(self) -> MatrixEndo:
-        return MatrixEndo(self.group.quotient, self.quotient_matrix)
-
     def compose(self, other):
         if not isinstance(other, SemidirectEndo) or other.group != self.group:
             raise KindMismatchError("can only compose semidirect endos on the same group")
@@ -413,8 +407,7 @@ def induce_on_quotient(endo: Endomorphism, subgroup):
                 )
         quotient = abelian_quotient(endo.group, subgroup)
         u = quotient.snf.u
-        u_inv = _unimodular_inverse_cached(u)
-        smith_matrix = mat_mul(mat_mul(u, endo.column_matrix), u_inv)
+        smith_matrix = mat_mul(mat_mul(u, endo.column_matrix), inverse_unimodular(u))
         return QuotientEndo(quotient, smith_matrix)
     if isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer):
         if subgroup.j == 2:
@@ -427,20 +420,6 @@ def induce_on_quotient(endo: Endomorphism, subgroup):
         f"induce_on_quotient not implemented for {type(endo).__name__} on "
         f"{type(subgroup).__name__}"
     )
-
-
-_INVERSE_CACHE: dict[tuple, IntMatrix] = {}
-
-
-def _unimodular_inverse_cached(m: IntMatrix) -> IntMatrix:
-    key = (m.rows, m.cols, m.entries)
-    found = _INVERSE_CACHE.get(key)
-    if found is None:
-        from endogrow.intmat import inverse_unimodular
-
-        found = inverse_unimodular(m)
-        _INVERSE_CACHE[key] = found
-    return found
 
 
 def identity_endo(group: Group) -> Endomorphism:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from operator import add
 
@@ -118,11 +119,18 @@ class Group(ABC):
         holds it, so the work is freed with the run."""
         return self._mul
 
+    @cached_property
+    def _bfs_census(self):
+        """The ball a bfs length mode reads: enumerated once, on first use,
+        under the resolved budget, and collected with the group."""
+        from endogrow import ball  # groups -> ball -> products -> groups
+
+        return ball.enumerate_ball(self, self.length_mode.radius)
+
     def _bfs_length(self, g) -> LengthValue:
         from endogrow import ball
 
-        census = ball.enumerate_ball(self, self.length_mode.radius)
-        return ball.exact_length(census, g)
+        return ball.exact_length(self._bfs_census, g)
 
 
 @dataclass(frozen=True)

@@ -64,29 +64,18 @@ class GrowthEstimate:
     exactness: str
     status: str  # "converged" | "truncated" | "trivial"
     requested: int
-    convergence_tol: float
 
     @property
     def max_power(self) -> int:
         return len(self.table)
 
 
-def estimate_from_table(
-    table,
-    requested: int,
-    method: str,
-    exactness: str,
-    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-) -> GrowthEstimate:
+def estimate_from_table(table, requested: int, method: str, exactness: str) -> GrowthEstimate:
     """Roots, bounds and status from an already-computed length table."""
     table = tuple(int(k) for k in table)
     roots = tuple(_root(k, m) for m, k in enumerate(table, start=1))
-    if not table:
-        return GrowthEstimate((), (), 0.0, 0.0, method, exactness, "trivial", requested, convergence_tol)
-    if table[-1] == 0:
-        return GrowthEstimate(
-            table, roots, 0.0, 0.0, method, exactness, "trivial", requested, convergence_tol
-        )
+    if not table or table[-1] == 0:
+        return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, "trivial", requested)
     inf_bound = min(roots)
     ratios = [
         float(Fraction(table[m + 1], table[m])) for m in range(len(table) - 1)
@@ -98,7 +87,7 @@ def estimate_from_table(
         window = ratios[-max(1, len(ratios) // 2) :]
         ratio_estimate = math.exp(sum(math.log(r) for r in window) / len(window))
         spread = max(window) - min(window)
-        settled = len(window) >= 2 and spread <= convergence_tol * max(1.0, ratio_estimate)
+        settled = len(window) >= 2 and spread <= DEFAULT_CONVERGENCE_TOL * max(1.0, ratio_estimate)
     else:
         window = []
         ratio_estimate = roots[-1]
@@ -118,15 +107,10 @@ def estimate_from_table(
         exactness,
         status,
         requested,
-        convergence_tol,
     )
 
 
-def growth_table(
-    endo: Endomorphism,
-    max_power: int,
-    convergence_tol: float = DEFAULT_CONVERGENCE_TOL,
-) -> GrowthEstimate:
+def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     """Iterate the endomorphism on the generators and record, for each power
     m <= max_power, the largest word length among the generator images.
 
@@ -155,7 +139,7 @@ def growth_table(
             break
     mode = getattr(group, "length_mode", None)
     method = f"lengths:{mode.kind if mode is not None else 'exact'}"
-    return estimate_from_table(table, max_power, method, exactness, convergence_tol)
+    return estimate_from_table(table, max_power, method, exactness)
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:

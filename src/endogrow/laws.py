@@ -516,6 +516,13 @@ LAWS = {
 LAW_IDS = tuple(LAWS)
 
 
+def _law(law_id: str):
+    """The (runner, default tolerance) registered under a law id."""
+    if law_id not in LAWS:
+        raise UnknownLawError(f"unknown law id {law_id!r}")
+    return LAWS[law_id]
+
+
 def run_law(law_id: str, instance: dict, config: LawConfig | None = None) -> LawCheck:
     """Run one named check on one instance.
 
@@ -523,9 +530,7 @@ def run_law(law_id: str, instance: dict, config: LawConfig | None = None) -> Law
     the law's default; an instance outside the law's hypotheses gets the
     verdict "inapplicable" with the reason in its values.
     """
-    if law_id not in LAWS:
-        raise UnknownLawError(f"unknown law id {law_id!r}")
-    runner, tol = LAWS[law_id]
+    runner, tol = _law(law_id)
     description = json.dumps(instance, sort_keys=True, separators=(",", ":"))
     options = specio.parse_options(instance.get("options"), "instance.options")
     if options.tolerance is not None:
@@ -746,9 +751,12 @@ class SuiteReport:
 def run_suite(
     config: LawConfig | None = None, catalog: list[tuple[str, dict]] | None = None
 ) -> SuiteReport:
-    """Run every catalog check; deterministic for a fixed seed."""
+    """Run every catalog check; deterministic for a fixed seed.  An unknown
+    law id anywhere in the catalog is reported before the first check runs."""
     config = config or LawConfig()
     if catalog is None:
         catalog = default_catalog(config.seed)
+    for law_id, _ in catalog:
+        _law(law_id)
     checks = tuple(run_law(law_id, instance, config) for law_id, instance in catalog)
     return SuiteReport(config.seed, checks)

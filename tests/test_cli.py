@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from endogrow import laws
 from endogrow.cli import main
 
 
@@ -202,6 +203,23 @@ class TestVerify:
             tmp_path, {"checks": [{"id": "thm0.0-none", "instance": {}}]}, "suite.json"
         )
         assert main(["verify", "--suite", path]) == 2
+
+    def test_unknown_law_id_fails_before_any_check_runs(self, tmp_path, capsys, monkeypatch):
+        distortion = dict(laws.default_catalog(20250811))["lemma5.8-distortion"]
+        calls = []
+        real = laws.run_law
+
+        def spy(law_id, *args):
+            calls.append(law_id)
+            return real(law_id, *args)
+
+        monkeypatch.setattr(laws, "run_law", spy)
+        suite = {"checks": [{"id": "lemma5.8-distortion", "instance": distortion},
+                            {"id": "thm9.9-typo", "instance": {}}]}
+        path = write_spec(tmp_path, suite, "suite.json")
+        assert main(["verify", "--suite", path]) == 2
+        assert calls == []
+        assert "unknown law id 'thm9.9-typo'" in capsys.readouterr().err
 
     def test_unattainable_tolerance_fails_with_exit_one(self, tmp_path, capsys):
         # quasi-length estimate cannot match the layer formula to 1e-18

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from endogrow import ball
 from endogrow.endos import (
     HeisenbergEndo,
     MatrixEndo,
@@ -80,6 +81,20 @@ class TestGrowthTable:
         est = growth_table(MatrixEndo(group, M([[2, 0], [0, 2]])), 10)
         assert est.status == "truncated"
         assert est.table == (2, 4, 8)  # 16 exceeds the enumerated radius
+
+    def test_bfs_mode_enumerates_its_ball_once(self, monkeypatch):
+        runs = []
+        real = ball.enumerate_ball
+
+        def counting(*args, **kwargs):
+            runs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ball, "enumerate_ball", counting)
+        group = FreeAbelian(2, LengthMode("bfs", 8))
+        est = growth_table(MatrixEndo(group, M([[2, 0], [0, 2]])), 10)
+        assert est.table == (2, 4, 8)
+        assert runs == [(group, 8)]
 
     def test_fekete_submultiplicativity_exact(self):
         for endo, mp in ((swap_doubling(), 12), (fibonacci_word_endo(), 12)):

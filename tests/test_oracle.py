@@ -3,10 +3,13 @@ distortion profiles."""
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from endogrow.ball import distortion_profile, enumerate_ball, exact_length
-from endogrow.groups import Free, FreeAbelian, Heisenberg, OutOfBallError
+from endogrow.groups import Free, FreeAbelian, Heisenberg, LengthMode, OutOfBallError
 from endogrow.products import Sublattice, semidirect
 from endogrow.intmat import IntMatrix
 
@@ -80,11 +83,28 @@ class TestExactLengths:
 
 class TestDeterminism:
     def test_two_fresh_runs_agree(self):
-        # distinct budgets bypass the cache, forcing two real enumerations
-        a = enumerate_ball(Free(2), 6, budget=10**6)
-        b = enumerate_ball(Free(2), 6, budget=10**6 + 1)
+        a = enumerate_ball(Free(2), 6)
+        b = enumerate_ball(Free(2), 6)
         assert a.counts == b.counts
         assert list(a.lengths.items()) == list(b.lengths.items())
+        assert a.lengths is not b.lengths
+
+
+class TestNoRetainedState:
+    def test_census_dies_when_the_caller_drops_it(self):
+        census = enumerate_ball(Free(2), 6)
+        ref = weakref.ref(census)
+        del census
+        gc.collect()
+        assert ref() is None
+
+    def test_bfs_mode_census_is_freed_with_its_group(self):
+        group = FreeAbelian(2, LengthMode("bfs", 4))
+        assert group.word_length((1, -2)).value == 3
+        ref = weakref.ref(group._bfs_census)
+        del group
+        gc.collect()
+        assert ref() is None
 
 
 class TestBudget:
