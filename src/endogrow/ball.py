@@ -42,7 +42,6 @@ class BallCensus:
     out, complete is False and only fully enumerated radii are reported.
     """
 
-    group: Group
     radius: int
     completed_radius: int
     counts: tuple[int, ...]
@@ -107,7 +106,6 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
             completed = radius
             break
     return BallCensus(
-        group=group,
         radius=radius,
         completed_radius=completed,
         counts=tuple(counts[: completed + 1]),

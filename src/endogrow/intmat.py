@@ -11,6 +11,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 
 class DimensionError(ValueError):
@@ -100,17 +101,13 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise DimensionError("vector length mismatch")
-        return tuple(
-            sum(self.get(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)
-        )
+        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
 
     def apply_row(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Row vector times matrix (images-in-rows convention)."""
         if len(vec) != self.rows:
             raise DimensionError("vector length mismatch")
-        return tuple(
-            sum(vec[i] * self.get(i, j) for i in range(self.rows)) for j in range(self.cols)
-        )
+        return tuple(sum(map(mul, vec, self.column(j))) for j in range(self.cols))
 
     def trace(self) -> int:
         if not self.is_square:
@@ -148,14 +145,9 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact matrix product."""
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    out = []
-    bt = b.transpose()
-    for i in range(a.rows):
-        ra = a.row(i)
-        for j in range(b.cols):
-            rb = bt.row(j)
-            out.append(sum(x * y for x, y in zip(ra, rb)))
-    return IntMatrix(a.rows, b.cols, tuple(out))
+    rows = [a.row(i) for i in range(a.rows)]
+    cols = [b.column(j) for j in range(b.cols)]
+    return IntMatrix(a.rows, b.cols, tuple(sum(map(mul, r, c)) for r in rows for c in cols))
 
 
 def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
@@ -322,10 +314,7 @@ def _scaled_float_coeffs(c):
     rescaling (which leaves the roots unchanged)."""
     bits = max(x.bit_length() for x in c if x) if any(c) else 0
     shift = max(0, bits - 512)
-    out = []
-    for x in c:
-        out.append(float(x >> shift) if shift else float(x))
-    return out
+    return [x / (1 << shift) for x in c]
 
 
 def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[complex, ...]:
@@ -334,18 +323,22 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[com
 
     Convergence is declared when every root has backward error
     |p(z)| <= tol * sum_k |c_k||z|^k.  Feed square-free input for fast
-    convergence; on failure raises RootConvergenceError rather than
-    returning an unreliable value.
+    convergence; on failure, including an iterate that is no longer finite,
+    raises RootConvergenceError rather than returning an unreliable value.
     """
     c = _poly_trim(coeffs)
     n = len(c) - 1
     if n <= 0:
         return ()
     fc = _scaled_float_coeffs(c)
+    if not fc[-1]:
+        raise RootConvergenceError("coefficients span more than the floating-point range")
     if n == 1:
         return (complex(-fc[0] / fc[1]),)
     dfc = [k * fc[k] for k in range(1, n + 1)]
-    radius = 1.0 + max(abs(fc[i] / fc[-1]) for i in range(n))
+    # start on Fujiwara's bound, which holds every root and is at most 2n
+    # times the largest modulus, so z**n stays finite where the roots do
+    radius = 2.0 * max(abs(fc[n - k] / fc[n]) ** (1.0 / k) for k in range(1, n + 1))
     roots = [
         radius * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)
     ]
@@ -387,6 +380,8 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[com
                 continue
             step = newton / denom
             roots[i] = z - step
+            if not cmath.isfinite(roots[i]):
+                raise RootConvergenceError("root iteration left the finite floating-point range")
             if abs(step) > tol * max(1.0, abs(z)):
                 converged = False
         if converged and all(backward_error_ok(z) for z in roots):
@@ -396,7 +391,7 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[com
     )
 
 
-def spectral_radius(a: IntMatrix, tol: float = 1e-12, max_iter: int = 10000) -> float:
+def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
     """Largest root modulus of the characteristic polynomial.
 
     Zero roots are factored out exactly and the remaining polynomial is
@@ -413,7 +408,7 @@ def spectral_radius(a: IntMatrix, tol: float = 1e-12, max_iter: int = 10000) -> 
     if len(p) <= 1:
         return 0.0
     sf = _poly_square_free(p)
-    roots = aberth_roots(sf, tol=tol, max_iter=max_iter)
+    roots = aberth_roots(sf, tol=tol)
     top = max(abs(z) for z in roots)
     return max(top, 0.0)
 

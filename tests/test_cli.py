@@ -101,6 +101,24 @@ class TestSpectral:
         assert main(["spectral", spec, "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["growth_rate"] == pytest.approx(3.0)
 
+    def test_coefficient_over_512_bits(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "free_abelian", "rank": 2},
+             "endo": {"kind": "matrix", "rows": [[0, 2**520], [1, 0]]}},
+        )
+        assert main(["spectral", spec, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["growth_rate"] == 2.0**260
+
+    def test_root_outside_the_float_range_is_computation_failure(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "free_abelian", "rank": 2},
+             "endo": {"kind": "matrix", "rows": [[0, 2**1100], [1, 0]]}},
+        )
+        assert main(["spectral", spec]) == 3
+        assert capsys.readouterr().err.startswith("computation failed:")
+
     def test_word_endo_has_no_spectral_route(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,

@@ -40,6 +40,30 @@ def small_matrices(max_dim=4, lo=-5, hi=5):
     ).map(IntMatrix.from_rows)
 
 
+def naive_product(a, b):
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(
+            sum(a.get(i, k) * b.get(k, j) for k in range(a.cols))
+            for i in range(a.rows)
+            for j in range(b.cols)
+        ),
+    )
+
+
+def shaped_matrix(rows, cols):
+    return st.lists(
+        st.integers(-(2**70), 2**70), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda entries: IntMatrix(rows, cols, tuple(entries)))
+
+
+# (m x k, k x n) pairs, empty shapes included
+product_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda mkn: st.tuples(shaped_matrix(mkn[0], mkn[1]), shaped_matrix(mkn[1], mkn[2]))
+)
+
+
 class TestMatMul:
     def test_doubling_swap_squares_to_twice_identity(self):
         a = M([[0, 2], [1, 0]])
@@ -57,6 +81,16 @@ class TestMatMul:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             mat_mul(M([[1, 2]]), M([[1, 2]]))
+
+    @settings(max_examples=120, deadline=None)
+    @given(product_pairs, st.data())
+    def test_kernels_match_a_naive_triple_loop(self, pair, data):
+        a, b = pair
+        assert mat_mul(a, b) == naive_product(a, b)
+        col = data.draw(shaped_matrix(a.cols, 1))
+        row = data.draw(shaped_matrix(1, b.rows))
+        assert a.apply_col(col.entries) == naive_product(a, col).entries
+        assert b.apply_row(row.entries) == naive_product(row, b).entries
 
 
 class TestMatPow:
@@ -155,6 +189,27 @@ class TestSpectralRadius:
     def test_nonconvergence_is_an_explicit_failure(self):
         with pytest.raises(RootConvergenceError):
             aberth_roots([-2, 0, 0, 0, 0, 1], tol=1e-12, max_iter=1)
+
+    def test_non_finite_iterate_stops_the_iteration(self):
+        # x^2 - 2^1100: the roots fit in a float, the ratio in Fujiwara's bound does not
+        with pytest.raises(RootConvergenceError, match="finite"):
+            aberth_roots([-(2**1100), 0, 1])
+
+    def test_coefficients_beyond_the_float_range_fail_explicitly(self):
+        with pytest.raises(RootConvergenceError):
+            spectral_radius(M([[0, 2**2000], [1, 0]]))
+
+    @pytest.mark.parametrize("power", [520, 600])
+    def test_coefficients_over_512_bits(self, power):
+        assert spectral_radius(M([[0, 2**power], [1, 0]])) == 2.0 ** (power // 2)
+
+    @pytest.mark.parametrize("n, seed", [(20, 20), (24, 24)])
+    def test_large_matrices_match_numpy(self, n, seed):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(seed)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        expected = float(max(abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
+        assert spectral_radius(M(rows)) == pytest.approx(expected, rel=1e-9)
 
 
 class TestSmithNormalForm:

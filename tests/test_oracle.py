@@ -106,6 +106,17 @@ class TestNoRetainedState:
         gc.collect()
         assert ref() is None
 
+    def test_bfs_mode_census_is_freed_without_the_cycle_collector(self):
+        group = FreeAbelian(2, LengthMode("bfs", 4))
+        assert group.word_length((1, -2)).value == 3
+        ref = weakref.ref(group._bfs_census)
+        gc.disable()
+        try:
+            del group
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 class TestBudget:
     def test_budget_exhaustion_flags_incomplete(self):
