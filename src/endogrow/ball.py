@@ -68,8 +68,8 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     gens = group.symmetric_generators()
     for s in (identity, *gens):
         group.check(s)
-    # products of checked elements go through the unchecked kernel; each
-    # frontier element is still checked once, before it is expanded
+    # every element found is a product of checked ones, so the BFS steps
+    # through the unchecked kernel and checks none of them
     mul = group._bfs_mul()
     lengths = {identity: 0}
     counts = [1]
@@ -80,7 +80,6 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         next_frontier = []
         overflow = False
         for g in frontier:
-            group.check(g)
             for s in gens:
                 x = mul(g, s)
                 if x not in lengths:
@@ -145,9 +144,12 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     """
     # intrinsic(g) is g's intrinsic subgroup length, or None for a non-member
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
+        quotient_identity = group.quotient.identity()
 
         def intrinsic(g):
-            return group.base_intrinsic_length(g) if group.is_base_element(g) else None
+            # a base element's intrinsic length is the L1 norm of its base part
+            h, q = g
+            return sum(map(abs, h)) if q == quotient_identity else None
 
     elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != group.rank:

@@ -16,7 +16,7 @@ from endogrow.groups import (
     LowerCentralLayer,
     UnsupportedOperationError,
 )
-from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul, mat_pow
+from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -32,32 +32,39 @@ class InvarianceError(ValueError):
 
 
 class Endomorphism(ABC):
-    """A self-map of a group, applied to normal forms."""
+    """A self-map of a group, applied to normal forms.
+
+    apply checks its argument; _apply, which loops over elements the program
+    made itself call directly, does not.
+    """
 
     group: Group
 
+    def apply(self, g):
+        self.group.check(g)
+        return self._apply(g)
+
     @abstractmethod
-    def apply(self, g): ...
+    def _apply(self, g):
+        """The image of a normal form, which the caller has checked."""
 
     @abstractmethod
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other."""
 
-    @abstractmethod
-    def identity_like(self) -> "Endomorphism": ...
-
     def power(self, n: int) -> "Endomorphism":
+        """self composed n times, by binary powering."""
         if n < 0:
             raise ValueError("powers of endomorphisms need n >= 0")
-        result = self.identity_like()
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result.compose(base)
+                result = base if result is None else result.compose(base)
             n >>= 1
             if n:
                 base = base.compose(base)
-        return result
+        return identity_endo(self.group) if result is None else result
 
     def _check_homomorphism_on_samples(self, pairs):
         for g, h in pairs:
@@ -101,22 +108,13 @@ class MatrixEndo(Endomorphism):
         """The same map in column convention (images in columns)."""
         return self.matrix.transpose()
 
-    def apply(self, g):
-        self.group.check(g)
+    def _apply(self, g):
         return self.matrix.apply_row(g)
 
     def compose(self, other):
         if not isinstance(other, MatrixEndo) or other.group != self.group:
             raise KindMismatchError("can only compose matrix endos on the same group")
         return MatrixEndo(self.group, mat_mul(other.matrix, self.matrix))
-
-    def power(self, n):
-        if n < 0:
-            raise ValueError("powers of endomorphisms need n >= 0")
-        return MatrixEndo(self.group, mat_pow(self.matrix, n))
-
-    def identity_like(self):
-        return MatrixEndo(self.group, IntMatrix.identity(self.group.rank))
 
 
 @dataclass(frozen=True)
@@ -134,10 +132,9 @@ class WordEndo(Endomorphism):
 
     @cached_property
     def _inverse_images(self):
-        return tuple(self.group.invert(w) for w in self.images)
+        return tuple(self.group._inv(w) for w in self.images)
 
-    def apply(self, g):
-        self.group.check(g)
+    def _apply(self, g):
         out = []
         for letter in g:
             img = (
@@ -155,10 +152,7 @@ class WordEndo(Endomorphism):
     def compose(self, other):
         if not isinstance(other, WordEndo) or other.group != self.group:
             raise KindMismatchError("can only compose word endos on the same group")
-        return WordEndo(self.group, tuple(self.apply(w) for w in other.images))
-
-    def identity_like(self):
-        return WordEndo(self.group, tuple(g for _, g in self.group.generators))
+        return WordEndo(self.group, tuple(self._apply(w) for w in other.images))
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,7 @@ class HeisenbergEndo(Endomorphism):
         if not isinstance(self.lam, int) or not isinstance(self.gam, int):
             raise ValueError("parameters must be integers")
 
-    def apply(self, g):
-        self.group.check(g)
+    def _apply(self, g):
         a, b, c = g
         return (self.lam * a, self.lam * self.gam * b, self.gam * c)
 
@@ -186,14 +179,6 @@ class HeisenbergEndo(Endomorphism):
         if not isinstance(other, HeisenbergEndo) or other.group != self.group:
             raise KindMismatchError("can only compose Heisenberg endos on the same group")
         return HeisenbergEndo(self.group, self.lam * other.lam, self.gam * other.gam)
-
-    def power(self, n):
-        if n < 0:
-            raise ValueError("powers of endomorphisms need n >= 0")
-        return HeisenbergEndo(self.group, self.lam**n, self.gam**n)
-
-    def identity_like(self):
-        return HeisenbergEndo(self.group, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -209,15 +194,13 @@ class ProductEndo(Endomorphism):
             raise KindMismatchError("ProductEndo needs a product group")
         self._check_homomorphism_on_samples(_sample_pairs(self.group))
 
-    def apply(self, g):
-        # the factor endos check the components
-        self.group._check_shape(g)
+    def _apply(self, g):
         if isinstance(self.group, DirectProduct):
-            return (self.factors[0].apply(g[0]), self.factors[1].apply(g[1]))
+            return (self.factors[0]._apply(g[0]), self.factors[1]._apply(g[1]))
         # free product: map syllables and renormalize
         out = self.group.identity()
         for i, s in g:
-            image = self.factors[i].apply(s)
+            image = self.factors[i]._apply(s)
             if image == self.group.factor(i).identity():
                 continue
             out = self.group._mul(out, ((i, image),))
@@ -229,11 +212,6 @@ class ProductEndo(Endomorphism):
         return ProductEndo(
             self.group,
             (self.factors[0].compose(other.factors[0]), self.factors[1].compose(other.factors[1])),
-        )
-
-    def identity_like(self):
-        return ProductEndo(
-            self.group, (self.factors[0].identity_like(), self.factors[1].identity_like())
         )
 
 
@@ -272,8 +250,7 @@ class SemidirectEndo(Endomorphism):
                 )
         self._check_homomorphism_on_samples(_sample_pairs(g))
 
-    def apply(self, g):
-        self.group.check(g)
+    def _apply(self, g):
         return (self.base_matrix.apply_row(g[0]), self.quotient_matrix.apply_row(g[1]))
 
     def compose(self, other):
@@ -283,13 +260,6 @@ class SemidirectEndo(Endomorphism):
             self.group,
             mat_mul(other.base_matrix, self.base_matrix),
             mat_mul(other.quotient_matrix, self.quotient_matrix),
-        )
-
-    def identity_like(self):
-        return SemidirectEndo(
-            self.group,
-            IntMatrix.identity(self.group.base_rank),
-            IntMatrix.identity(self.group.quotient_rank),
         )
 
 
@@ -311,8 +281,7 @@ class QuotientEndo(Endomorphism):
             w[row] = g[n_t + idx]
         return tuple(w)
 
-    def apply(self, g):
-        self.group.check(g)
+    def _apply(self, g):
         w = self.smith_matrix.apply_col(self._lift(g))
         torsion_rows, _, free_rows = self.group._structure
         comps = [w[i] for i in torsion_rows] + [w[i] for i in free_rows]
@@ -329,9 +298,6 @@ class QuotientEndo(Endomorphism):
         if not isinstance(other, QuotientEndo) or other.group != self.group:
             raise KindMismatchError("can only compose quotient endos on the same group")
         return QuotientEndo(self.group, mat_mul(self.smith_matrix, other.smith_matrix))
-
-    def identity_like(self):
-        return QuotientEndo(self.group, IntMatrix.identity(self.group.ambient_rank))
 
 
 def abelianization(endo: HeisenbergEndo) -> MatrixEndo:

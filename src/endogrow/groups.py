@@ -64,7 +64,12 @@ def ceil_sqrt(n: int) -> int:
 
 
 class Group(ABC):
-    """Common surface of every supported group kind."""
+    """Common surface of every supported group kind.
+
+    The public operations check their arguments, then run the kind's
+    unchecked kernel (_mul, _inv, _length).  Loops over elements the program
+    made itself from checked ones call the kernels directly.
+    """
 
     @property
     @abstractmethod
@@ -87,14 +92,35 @@ class Group(ABC):
         """The product of two normal forms, which the caller has checked."""
 
     @abstractmethod
+    def _inv(self, g) -> tuple:
+        """The inverse of a normal form, which the caller has checked."""
+
+    @abstractmethod
+    def _length(self, g) -> LengthValue:
+        """The kind's own length of a checked normal form (not in bfs mode)."""
+
     def multiply(self, g, h) -> tuple:
-        """check(g); check(h); _mul(g, h)."""
+        self.check(g)
+        self.check(h)
+        return self._mul(g, h)
 
-    @abstractmethod
-    def invert(self, g) -> tuple: ...
+    def invert(self, g) -> tuple:
+        self.check(g)
+        return self._inv(g)
 
-    @abstractmethod
-    def word_length(self, g) -> LengthValue: ...
+    def word_length(self, g) -> LengthValue:
+        self.check(g)
+        return self._word_length(g)
+
+    def _word_length(self, g) -> LengthValue:
+        """word_length of a checked normal form: a bfs-mode group reads its
+        census, any other group measures with its kind's _length."""
+        mode = getattr(self, "length_mode", None)
+        if mode is not None and mode.kind == "bfs":
+            from endogrow import ball  # groups -> ball -> products -> groups
+
+            return ball.exact_length(self._bfs_census, g)
+        return self._length(g)
 
     def commutator(self, g, h) -> tuple:
         """g h g^-1 h^-1 in normal form."""
@@ -126,11 +152,6 @@ class Group(ABC):
         from endogrow import ball  # groups -> ball -> products -> groups
 
         return ball.enumerate_ball(self, self.length_mode.radius)
-
-    def _bfs_length(self, g) -> LengthValue:
-        from endogrow import ball
-
-        return ball.exact_length(self._bfs_census, g)
 
 
 @dataclass(frozen=True)
@@ -167,19 +188,10 @@ class FreeAbelian(Group):
     def _mul(self, g, h):
         return tuple(map(add, g, h))
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
-
-    def invert(self, g):
-        self.check(g)
+    def _inv(self, g):
         return tuple(-a for a in g)
 
-    def word_length(self, g) -> LengthValue:
-        self.check(g)
-        if self.length_mode.kind == "bfs":
-            return self._bfs_length(g)
+    def _length(self, g) -> LengthValue:
         return LengthValue(sum(abs(a) for a in g), EXACT)
 
 
@@ -240,19 +252,10 @@ class Free(Group):
             k += 1
         return g[: len(g) - k] + h[k:]
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
-
-    def invert(self, g):
-        self.check(g)
+    def _inv(self, g):
         return tuple(-x for x in reversed(g))
 
-    def word_length(self, g) -> LengthValue:
-        self.check(g)
-        if self.length_mode.kind == "bfs":
-            return self._bfs_length(g)
+    def _length(self, g) -> LengthValue:
         return LengthValue(len(g), EXACT)
 
 
@@ -297,13 +300,7 @@ class Heisenberg(Group):
         p, q, r = h
         return (a + p, b + q + a * r, c + r)
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
-
-    def invert(self, g):
-        self.check(g)
+    def _inv(self, g):
         a, b, c = g
         return (-a, a * c - b, -c)
 
@@ -315,15 +312,16 @@ class Heisenberg(Group):
         multiplicative constants of the word metric.
         """
         self.check(g)
+        return self._quasi_length(g)
+
+    @staticmethod
+    def _quasi_length(g) -> int:
         a, b, c = g
         return max(abs(a), abs(c), ceil_sqrt(abs(2 * b - a * c)))
 
-    def word_length(self, g) -> LengthValue:
-        self.check(g)
-        if self.length_mode.kind == "bfs":
-            return self._bfs_length(g)
+    def _length(self, g) -> LengthValue:
         if self.length_mode.kind == "quasi":
-            return LengthValue(self.quasi_length(g), QUASI_EQUIVALENT)
+            return LengthValue(self._quasi_length(g), QUASI_EQUIVALENT)
         raise UnsupportedOperationError(
             "Heisenberg has no closed-form exact length; use quasi or bfs mode"
         )

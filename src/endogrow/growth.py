@@ -117,7 +117,8 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     A zero entry means the power kills every generator, hence all later
     entries vanish too: the estimate is marked trivial with rate 0.  When a
     BFS length runs out of radius the table is truncated at the largest
-    valid power.
+    valid power.  The images start from the group's own generators, so they
+    go through the unchecked kernels.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
@@ -126,9 +127,9 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     table = []
     exactness = EXACT
     for _ in range(max_power):
-        current = [endo.apply(g) for g in current]
+        current = [endo._apply(g) for g in current]
         try:
-            measured = [group.word_length(g) for g in current]
+            measured = [group._word_length(g) for g in current]
         except OutOfBallError:
             break
         if any(lv.exactness != EXACT for lv in measured):
@@ -154,7 +155,7 @@ def _torsion_orbit_rate(endo: QuotientEndo) -> float:
         g = gen
         while g not in seen:
             seen.add(g)
-            g = endo.apply(g)
+            g = endo._apply(g)
         # g is the first repeated point; the orbit dies iff it is the identity
         if g != group.identity():
             alive = True
@@ -281,12 +282,13 @@ def rate_probe(
     if max_power < 4:
         raise ValueError("max_power must be >= 4")
     group = endo.group
+    group.check(element)
     roots = []
     g = element
     for m in range(1, max_power + 1):
-        g = endo.apply(g)
+        g = endo._apply(g)
         try:
-            lv = group.word_length(g)
+            lv = group._word_length(g)
         except OutOfBallError:
             break
         roots.append(_root(lv.value, m))

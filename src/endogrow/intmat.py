@@ -206,7 +206,10 @@ def char_poly(a: IntMatrix) -> CharPoly:
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")
         coeffs_desc.append(q)
-        m = am + IntMatrix.identity(n).scale(q)
+        entries = list(am.entries)
+        for i in range(0, n * n, n + 1):  # the diagonal: m = am + q*I
+            entries[i] += q
+        m = IntMatrix(n, n, tuple(entries))
     # m is now a*N_{n-1} + c_0*I which must vanish identically
     if any(m.entries):
         raise ArithmeticError("Faddeev-LeVerrier closure check failed")

@@ -53,32 +53,21 @@ class DirectProduct(Group):
     def identity(self):
         return (self.left.identity(), self.right.identity())
 
-    def _check_shape(self, g):
-        """The pair structure; the factors check the components."""
+    def check(self, g):
         if not isinstance(g, tuple) or len(g) != 2:
             raise KindMismatchError(f"not a product pair: {g!r}")
-
-    def check(self, g):
-        self._check_shape(g)
         self.left.check(g[0])
         self.right.check(g[1])
 
     def _mul(self, g, h):
         return (self.left._mul(g[0], h[0]), self.right._mul(g[1], h[1]))
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
+    def _inv(self, g):
+        return (self.left._inv(g[0]), self.right._inv(g[1]))
 
-    def invert(self, g):
-        self._check_shape(g)
-        return (self.left.invert(g[0]), self.right.invert(g[1]))
-
-    def word_length(self, g) -> LengthValue:
-        self._check_shape(g)
-        a = self.left.word_length(g[0])
-        b = self.right.word_length(g[1])
+    def _length(self, g) -> LengthValue:
+        a = self.left._word_length(g[0])
+        b = self.right._word_length(g[1])
         exactness = EXACT if a.exactness == b.exactness == EXACT else QUASI_EQUIVALENT
         return LengthValue(a.value + b.value, exactness)
 
@@ -131,8 +120,7 @@ class FreeProduct(Group):
     def identity(self):
         return ()
 
-    def _check_shape(self, g):
-        """The syllable structure; the factors check the syllables."""
+    def check(self, g):
         if not isinstance(g, tuple):
             raise KindMismatchError("free-product elements are syllable tuples")
         last = None
@@ -144,12 +132,8 @@ class FreeProduct(Group):
                 raise KindMismatchError("identity syllable in normal form")
             if i == last:
                 raise KindMismatchError("adjacent syllables from the same factor")
-            last = i
-
-    def check(self, g):
-        self._check_shape(g)
-        for i, s in g:
             self.factor(i).check(s)
+            last = i
 
     def _mul(self, g, h):
         # both are normal forms, so syllables merge only where they meet; a
@@ -165,21 +149,14 @@ class FreeProduct(Group):
             j += 1
         return g[:i] + h[j:]
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
+    def _inv(self, g):
+        return tuple((i, self.factor(i)._inv(s)) for i, s in reversed(g))
 
-    def invert(self, g):
-        self._check_shape(g)
-        return tuple((i, self.factor(i).invert(s)) for i, s in reversed(g))
-
-    def word_length(self, g) -> LengthValue:
-        self._check_shape(g)
+    def _length(self, g) -> LengthValue:
         total = 0
         exactness = EXACT
         for i, s in g:
-            lv = self.factor(i).word_length(s)
+            lv = self.factor(i)._word_length(s)
             total += lv.value
             if lv.exactness != EXACT:
                 exactness = QUASI_EQUIVALENT
@@ -314,31 +291,12 @@ class Semidirect(Group):
 
         return step
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
-
-    def invert(self, g):
-        self.check(g)
+    def _inv(self, g):
         q_inv = tuple(-x for x in g[1])
         moved = self.action_of(q_inv).apply_col(g[0])
         return (tuple(-x for x in moved), q_inv)
 
-    def is_base_element(self, g) -> bool:
-        self.check(g)
-        return g[1] == self.quotient.identity()
-
-    def base_intrinsic_length(self, g) -> int:
-        """L1 length of a base element in the base's own generators."""
-        if not self.is_base_element(g):
-            raise KindMismatchError("not a base element")
-        return sum(abs(x) for x in g[0])
-
-    def word_length(self, g) -> LengthValue:
-        self.check(g)
-        if self.length_mode.kind == "bfs":
-            return self._bfs_length(g)
+    def _length(self, g) -> LengthValue:
         if self.length_mode.kind == "quasi":
             if not self.action_is_finite_order:
                 raise UnsupportedOperationError(
@@ -504,13 +462,7 @@ class AbelianQuotient(Group):
     def _mul(self, g, h):
         return self._reduce(tuple(map(add, g, h)))
 
-    def multiply(self, g, h):
-        self.check(g)
-        self.check(h)
-        return self._mul(g, h)
-
-    def invert(self, g):
-        self.check(g)
+    def _inv(self, g):
         return self._reduce(tuple(-a for a in g))
 
     def project(self, v: tuple[int, ...]) -> tuple:
@@ -522,8 +474,7 @@ class AbelianQuotient(Group):
         comps = [w[i] for i in torsion_rows] + [w[i] for i in free_rows]
         return self._reduce(tuple(comps))
 
-    def word_length(self, g) -> LengthValue:
-        self.check(g)
+    def _length(self, g) -> LengthValue:
         total = 0
         for i, d in enumerate(self.torsion_moduli):
             r = g[i] % d

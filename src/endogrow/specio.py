@@ -229,7 +229,6 @@ class Options:
     max_power: int = 20
     radius: int = 10
     tolerance: float | None = None  # overrides a law's default tolerance when set
-    seed: int = 20250811
     budget: int | None = None
     length_mode: str | None = None  # overrides the group's mode when set
 
@@ -238,7 +237,7 @@ def parse_options(d, path: str = "options") -> Options:
     if d is None:
         return Options()
     d = expect_dict(d, path)
-    known = {"max_m", "radius", "tolerance", "length_mode", "seed", "budget"}
+    known = {"max_m", "radius", "tolerance", "length_mode", "budget"}
     for key in d:
         if key not in known:
             _fail(f"{path}.{key}", "unknown option")
@@ -256,7 +255,6 @@ def parse_options(d, path: str = "options") -> Options:
         max_power=expect_int(d.get("max_m", 20), f"{path}.max_m", 1),
         radius=expect_int(d.get("radius", 10), f"{path}.radius", 0),
         tolerance=None if tolerance is None else float(tolerance),
-        seed=expect_int(d.get("seed", 20250811), f"{path}.seed"),
         budget=expect_int(d["budget"], f"{path}.budget", 1) if "budget" in d else None,
         length_mode=mode,
     )
@@ -382,7 +380,6 @@ def instance_to_dict(instance: Instance) -> dict:
     out["options"] = {
         "max_m": opts.max_power,
         "radius": opts.radius,
-        "seed": opts.seed,
     }
     if opts.tolerance is not None:
         out["options"]["tolerance"] = opts.tolerance

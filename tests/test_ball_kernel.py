@@ -1,7 +1,7 @@
 """The BFS steps through each group's unchecked product kernel: its census
 must equal a plain BFS over the public, checked `multiply`; the public
-operations still reject foreign elements; and the CLI rejects bad radii,
-budgets and query literals with exit code 2."""
+operations of every group and endo kind still reject foreign elements; and
+the CLI rejects bad radii, budgets and query literals with exit code 2."""
 
 from __future__ import annotations
 
@@ -11,7 +11,9 @@ import pytest
 
 from endogrow.ball import enumerate_ball
 from endogrow.cli import main
+from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import Free, FreeAbelian, Heisenberg, KindMismatchError
+from endogrow.growth import rate_probe
 from endogrow.intmat import IntMatrix
 from endogrow.products import (
     AbelianQuotient,
@@ -103,6 +105,35 @@ def test_public_operations_reject_foreign_elements(name):
         group.invert(foreign)
     with pytest.raises(KindMismatchError):
         group.word_length(foreign)
+
+
+ENDOS = {
+    "matrix": lambda: MatrixEndo(FreeAbelian(2), IntMatrix.from_rows([[2, 1], [1, 1]])),
+    "words": lambda: WordEndo(Free(2), ((1, 2), (-2, 1))),
+    "heisenberg": lambda: HeisenbergEndo(Heisenberg(3), 2, 3),
+    "direct_product": lambda: identity_endo(DirectProduct(Free(2), FreeAbelian(1))),
+    "free_product": lambda: identity_endo(FreeProduct(FreeAbelian(1), FreeAbelian(1))),
+    "semidirect": lambda: identity_endo(semidirect(FreeAbelian(2), FreeAbelian(1), [ROTATION])),
+    "quotient": lambda: identity_endo(AbelianQuotient(2, IntMatrix.from_rows([[6], [0]]))),
+}
+ENDO_FOREIGN = {
+    "matrix": (1, 2, 3),
+    "words": (1, 3),
+    "heisenberg": (1, 2),
+    "direct_product": ((1, -1), (0,)),
+    "free_product": ((0, (1, 1)),),
+    "semidirect": ((1, 0), (0, 0)),
+    "quotient": (1, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENDOS))
+def test_endo_public_entries_reject_foreign_elements(name):
+    endo, foreign = ENDOS[name](), ENDO_FOREIGN[name]
+    with pytest.raises(KindMismatchError):
+        endo.apply(foreign)
+    with pytest.raises(KindMismatchError):
+        rate_probe(endo, foreign, 2.0, max_power=4)
 
 
 def test_semidirect_action_moves_column_vectors():

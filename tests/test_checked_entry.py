@@ -1,0 +1,201 @@
+"""Elements are checked once, at the public entry.  `growth_table` steps
+through the unchecked kernels, so its table must equal one built through
+the public, checked `apply` and `word_length`, and it must make no `check`
+call per power."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from endogrow.endos import (
+    HeisenbergEndo,
+    MatrixEndo,
+    ProductEndo,
+    SemidirectEndo,
+    WordEndo,
+    induce_on_quotient,
+)
+from endogrow.groups import (
+    EXACT,
+    Free,
+    FreeAbelian,
+    Heisenberg,
+    LengthMode,
+    OutOfBallError,
+    free_reduce,
+)
+from endogrow.growth import growth_table
+from endogrow.intmat import IntMatrix, mat_pow
+from endogrow.products import DirectProduct, FreeProduct, semidirect, sublattice
+
+MAX_POWER = 6
+FIBONACCI = ((1, 2), (1,))
+CANCELLING = ((1, 2), (-2, 1))  # a -> ab, b -> b^-1 a
+
+
+def z1_times(k):
+    return MatrixEndo(FreeAbelian(1), IntMatrix.from_rows([[k]]))
+ROTATION = [[0, -1], [1, 0]]
+HYPERBOLIC = [[2, 1], [1, 1]]
+
+
+def reference_table(endo, max_power):
+    """growth_table's table and exactness, through the public operations."""
+    group = endo.group
+    current = [g for _, g in group.generators]
+    table = []
+    exactness = EXACT
+    for _ in range(max_power):
+        current = [endo.apply(g) for g in current]
+        try:
+            measured = [group.word_length(g) for g in current]
+        except OutOfBallError:
+            break
+        if any(lv.exactness != EXACT for lv in measured):
+            exactness = "quasi-equivalent"
+        table.append(max((lv.value for lv in measured), default=0))
+        if table[-1] == 0:
+            break
+    return tuple(table), exactness
+
+
+def bfs(radius):
+    return LengthMode("bfs", radius)
+
+
+small = st.integers(-2, 2)
+
+
+@st.composite
+def words_on(draw, group):
+    """A WordEndo on a free group: random images, cancelling ones included."""
+    letters = st.sampled_from([x for i in range(1, group.rank + 1) for x in (i, -i)])
+    images = tuple(
+        free_reduce(draw(st.lists(letters, max_size=3))) for _ in range(group.rank)
+    )
+    return WordEndo(group, images)
+
+
+@st.composite
+def matrix_on(draw, group):
+    n = group.rank
+    rows = [[draw(small) for _ in range(n)] for _ in range(n)]
+    return MatrixEndo(group, IntMatrix.from_rows(rows))
+
+
+@st.composite
+def matrix_endos(draw):
+    return draw(matrix_on(FreeAbelian(draw(st.integers(1, 3)))))
+
+
+@st.composite
+def word_endos(draw):
+    mode = draw(st.sampled_from([LengthMode("exact"), bfs(5)]))
+    return draw(words_on(Free(draw(st.integers(1, 3)), mode)))
+
+
+@st.composite
+def heisenberg_endos(draw):
+    mode = draw(st.sampled_from([LengthMode("quasi"), bfs(4)]))
+    group = Heisenberg(draw(st.sampled_from([2, 3])), mode)
+    return HeisenbergEndo(group, draw(small), draw(small))
+
+
+@st.composite
+def direct_product_endos(draw):
+    # a bfs-mode free factor next to an exact lattice factor
+    left, right = Free(2, bfs(5)), FreeAbelian(draw(st.integers(1, 2)))
+    group = DirectProduct(left, right)
+    return ProductEndo(group, (draw(words_on(left)), draw(matrix_on(right))))
+
+
+@st.composite
+def free_product_endos(draw):
+    left = draw(st.sampled_from([Free(2), FreeAbelian(1)]))
+    right = FreeAbelian(1)
+    factor = words_on(left) if isinstance(left, Free) else matrix_on(left)
+    return ProductEndo(FreeProduct(left, right), (draw(factor), draw(matrix_on(right))))
+
+
+@st.composite
+def semidirect_endos(draw):
+    # base blocks k * A^j commute with the action A, so they intertwine with
+    # a quotient block that fixes the generator's action
+    if draw(st.booleans()):
+        action, quotient, mode = ROTATION, draw(st.sampled_from([1, 5, -3])), LengthMode("quasi")
+    else:
+        action, quotient, mode = HYPERBOLIC, 1, bfs(5)
+    group = semidirect(FreeAbelian(2), FreeAbelian(1), [action], mode)
+    base = mat_pow(IntMatrix.from_rows(action), draw(st.integers(0, 3))).scale(draw(small))
+    return SemidirectEndo(group, base.transpose(), IntMatrix.from_rows([[quotient]]))
+
+
+@st.composite
+def quotient_endos(draw):
+    k = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        basis = [[k, 0], [0, k]]  # k Z^2 is invariant; the quotient is torsion
+        rows = [[draw(small), draw(small)], [draw(small), draw(small)]]
+    else:
+        basis = [[k], [0]]  # Z/k x Z; invariant when the first row is (a, 0)
+        rows = [[draw(small), 0], [draw(small), draw(small)]]
+    endo = MatrixEndo(FreeAbelian(2), IntMatrix.from_rows(rows))
+    return induce_on_quotient(endo, sublattice(FreeAbelian(2), basis))
+
+
+ENDOS = st.one_of(
+    matrix_endos(),
+    word_endos(),
+    heisenberg_endos(),
+    direct_product_endos(),
+    free_product_endos(),
+    semidirect_endos(),
+    quotient_endos(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ENDOS)
+def test_growth_table_equals_the_table_built_through_public_operations(endo):
+    est = growth_table(endo, MAX_POWER)
+    assert (est.table, est.exactness) == reference_table(endo, MAX_POWER)
+
+
+@pytest.mark.parametrize(
+    "endo",
+    [
+        WordEndo(Free(2), CANCELLING),
+        WordEndo(Free(2, bfs(6)), CANCELLING),
+        ProductEndo(
+            DirectProduct(Free(2, bfs(6)), FreeAbelian(1)),
+            (WordEndo(Free(2, bfs(6)), FIBONACCI), z1_times(2)),
+        ),
+        ProductEndo(
+            FreeProduct(Free(2), FreeAbelian(1)),
+            (WordEndo(Free(2), CANCELLING), z1_times(0)),
+        ),
+    ],
+    ids=["cancelling-words", "bfs-free", "direct-bfs-factor", "free-product"],
+)
+def test_growth_table_equals_reference_on_named_endos(endo):
+    est = growth_table(endo, 10)
+    assert (est.table, est.exactness) == reference_table(endo, 10)
+
+
+def test_growth_table_check_calls_do_not_grow_with_the_power(monkeypatch):
+    calls = []
+    check = Free.check
+
+    def counting_check(self, g):
+        calls.append(g)
+        return check(self, g)
+
+    monkeypatch.setattr(Free, "check", counting_check)
+    fibonacci = WordEndo(Free(2), FIBONACCI)
+    counts = []
+    for m in (4, 12, 20):
+        calls.clear()
+        growth_table(fibonacci, m)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]

@@ -287,6 +287,7 @@ class TestVerify:
         ({}, ["estimate", "--length-mode", "bfs", "--radius", "0"], None),
         ({"length_mode": "bfs", "radius": 0}, ["estimate"], None),
         ({"tolerance": "abc"}, ["estimate"], None),
+        ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
         ({}, ["ball", "--radius", "2"], "abc"),
     ],
 )
