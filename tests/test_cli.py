@@ -287,8 +287,8 @@ class TestVerify:
         ({}, ["estimate", "--length-mode", "bfs", "--radius", "0"], None),
         ({"length_mode": "bfs", "radius": 0}, ["estimate"], None),
         ({"tolerance": "abc"}, ["estimate"], None),
-        ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
         ({}, ["ball", "--radius", "2"], "abc"),
+        ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
     ],
 )
 def test_input_fault_exits_2(tmp_path, capsys, monkeypatch, options, argv, budget_env):
