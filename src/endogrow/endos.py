@@ -134,6 +134,53 @@ class WordEndo(Endomorphism):
     def _inverse_images(self):
         return tuple(self.group._inv(w) for w in self.images)
 
+    @cached_property
+    def letter_matrix(self) -> IntMatrix:
+        """C[i][j] = the number of letters a_j^{+-1} in the image of a_i."""
+        rank = self.group.rank
+        counts = [[0] * rank for _ in range(rank)]
+        for i, w in enumerate(self.images):
+            for x in w:
+                counts[i][abs(x) - 1] += 1
+        return IntMatrix.from_rows(counts)
+
+    @cached_property
+    def is_cancellation_free(self) -> bool:
+        """Whether every iterate phi^m(a_i) of a generator is the reduced
+        concatenation of its letters' images, so that its length is row i's
+        sum in letter_matrix^m.
+
+        Closes over the letters reachable from the generators, each of which
+        must have a non-empty image, and over the adjacent letter pairs their
+        iterates can hold: the pairs inside a reachable letter's image, and
+        (last of phi(x), first of phi(y)) for every such pair (x, y).  No
+        pair may be (z, z^-1).
+        """
+
+        def image(x):
+            return self.images[x - 1] if x > 0 else self._inverse_images[-x - 1]
+
+        letters = set()
+        todo = list(range(1, self.group.rank + 1))
+        while todo:
+            x = todo.pop()
+            if x not in letters:
+                letters.add(x)
+                if not image(x):
+                    return False
+                todo.extend(image(x))
+        pairs = set()
+        todo = [pair for x in letters for pair in zip(image(x), image(x)[1:])]
+        while todo:
+            pair = todo.pop()
+            if pair not in pairs:
+                x, y = pair
+                if x == -y:
+                    return False
+                pairs.add(pair)
+                todo.append((image(x)[-1], image(y)[0]))
+        return True
+
     def _apply(self, g):
         out = []
         for letter in g:

@@ -119,10 +119,20 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     BFS length runs out of radius the table is truncated at the largest
     valid power.  The images start from the group's own generators, so they
     go through the unchecked kernels.
+
+    A word endo whose generator iterates never cancel builds no word: its
+    lengths are the row sums of the powers of its letter matrix, the same
+    numbers the words would give.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     group = endo.group
+    mode = getattr(group, "length_mode", None)
+    method = f"lengths:{mode.kind if mode is not None else 'exact'}"
+    if isinstance(endo, WordEndo) and mode.kind != "bfs" and endo.is_cancellation_free:
+        return estimate_from_table(
+            _letter_count_table(endo.letter_matrix, max_power), max_power, method, EXACT
+        )
     current = [g for _, g in group.generators]
     table = []
     exactness = EXACT
@@ -138,9 +148,18 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
         table.append(k)
         if k == 0:
             break
-    mode = getattr(group, "length_mode", None)
-    method = f"lengths:{mode.kind if mode is not None else 'exact'}"
     return estimate_from_table(table, max_power, method, exactness)
+
+
+def _letter_count_table(letter_matrix: IntMatrix, max_power: int) -> list[int]:
+    """max_i |phi^m(a_i)| for m = 1..max_power, from L_m = C L_{m-1} with
+    L_0 = (1, ..., 1); exact when no generator iterate cancels."""
+    lengths = (1,) * letter_matrix.rows
+    table = []
+    for _ in range(max_power):
+        lengths = letter_matrix.apply_col(lengths)
+        table.append(max(lengths))
+    return table
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:

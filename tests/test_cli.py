@@ -84,6 +84,22 @@ class TestEstimate:
         )
         assert main(["estimate", spec, "--length-mode", "quasi"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_table_value_over_4300_digits(self, tmp_path, capsys, fmt):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "free_abelian", "rank": 1},
+             "endo": {"kind": "matrix", "rows": [[1000]]}},
+        )
+        assert main(["estimate", spec, "--max-m", "1500", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            last = json.loads(out)["table"][-1]
+            assert last == 10**4500
+        else:
+            last = out.splitlines()[-2].split("\t")[1]
+            assert last == "1" + "0" * 4500
+
 
 class TestSpectral:
     def test_swap_doubling(self, tmp_path, capsys):
@@ -118,6 +134,22 @@ class TestSpectral:
         )
         assert main(["spectral", spec]) == 3
         assert capsys.readouterr().err.startswith("computation failed:")
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [("tsv", "growth_rate\t3\n"), ("json", '{"growth_rate": 3.0}\n')],
+        ids=["tsv", "json"],
+    )
+    def test_spec_entry_over_4300_digits(self, tmp_path, capsys, fmt, expected):
+        # written as text: the test process may still have the default
+        # limit on integer string conversion
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            '{"group": {"kind": "free_abelian", "rank": 2}, "endo": {"kind": "matrix", '
+            '"rows": [[2, 1' + "0" * 5000 + '], [0, 3]]}}'
+        )
+        assert main(["spectral", str(spec), "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_word_endo_has_no_spectral_route(self, tmp_path, capsys):
         spec = write_spec(

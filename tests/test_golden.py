@@ -1,5 +1,7 @@
-"""`endogrow verify` output is pinned byte for byte: the default seed in
-both formats, and seed 10, whose catalog holds a failing check."""
+"""CLI output is pinned byte for byte.  `endogrow verify`: the default seed
+in both formats, and seed 10, whose catalog holds a failing check.
+`endogrow estimate` on word endos, in both formats: two positive ones, which
+take the letter-count route, and a cancelling one, which builds its words."""
 
 from __future__ import annotations
 
@@ -23,3 +25,11 @@ DATA = Path(__file__).parent / "data"
 def test_verify_output_matches_golden(capsys, seed, fmt, golden, code):
     assert main(["verify", "--seed", str(seed), "--format", fmt]) == code
     assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", ["fibonacci", "positive_f3", "cancelling"])
+def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
+    spec = DATA / f"estimate_{name}.spec.json"
+    assert main(["estimate", str(spec), "--format", fmt]) == 0
+    assert capsys.readouterr().out == (DATA / f"estimate_{name}.{suffix}").read_text(encoding="utf-8")
