@@ -156,8 +156,7 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
             raise ValueError("sublattice ambient rank mismatch")
 
         def intrinsic(g):
-            # census elements have the ambient rank checked above
-            coords = subgroup._coordinates(g)
+            coords = subgroup.coordinates(g)
             return None if coords is None else sum(abs(c) for c in coords)
 
     else:

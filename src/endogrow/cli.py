@@ -347,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # spec entries and table values are exact integers of any size
-    sys.set_int_max_str_digits(0)
+    # spec entries and table values are exact integers of any size; Pythons
+    # before 3.10.7 have no limit on int/str conversion to lift
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

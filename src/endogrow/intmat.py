@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import mul
 
@@ -433,6 +434,17 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x != 0)
 
+    @cached_property
+    def solve_rows(self):
+        """U's rows, the diagonal padded with zeros to U's size, and V's rows:
+        all that a solve reads, built once per Smith form."""
+        pad = (0,) * (self.u.rows - len(self.diagonal))
+        return (
+            tuple(self.u.row(i) for i in range(self.u.rows)),
+            self.diagonal + pad,
+            tuple(self.v.row(i) for i in range(self.v.rows)),
+        )
+
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y == g > 0 (for a, b not both zero)."""
@@ -603,17 +615,16 @@ def solve_int(a: IntMatrix, b: tuple[int, ...], snf: SmithForm | None = None):
         raise DimensionError("right-hand side length mismatch")
     if snf is None:
         snf = smith_normal_form(a)
-    y = snf.u.apply_col(tuple(b))
-    k = min(a.rows, a.cols)
+    u_rows, diagonal, v_rows = snf.solve_rows
+    y = [sum(map(mul, row, b)) for row in u_rows]
     z = [0] * a.cols
-    for i in range(a.rows):
-        di = snf.d.get(i, i) if i < k else 0
+    for i, (yi, di) in enumerate(zip(y, diagonal)):
         if di == 0:
-            if y[i] != 0:
+            if yi != 0:
                 return None
         else:
-            q, r = divmod(y[i], di)
+            q, r = divmod(yi, di)
             if r:
                 return None
             z[i] = q
-    return snf.v.apply_col(tuple(z))
+    return tuple(sum(map(mul, row, z)) for row in v_rows)

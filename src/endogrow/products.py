@@ -25,6 +25,7 @@ from endogrow.intmat import (
     mat_mul,
     mat_pow,
     smith_normal_form,
+    solve_int,
 )
 
 
@@ -354,38 +355,11 @@ class Sublattice:
     def intrinsic_group(self) -> FreeAbelian:
         return FreeAbelian(self.rank)
 
-    @cached_property
-    def _smith_rows(self):
-        """U's rows, the Smith diagonal and V's rows: all one solve reads."""
-        snf = self.snf
-        return (
-            tuple(snf.u.row(i) for i in range(snf.u.rows)),
-            snf.diagonal,
-            tuple(snf.v.row(i) for i in range(snf.v.rows)),
-        )
-
     def coordinates(self, v: tuple[int, ...]):
         """Basis coordinates of an ambient vector, or None if not a member."""
         if len(v) != self.ambient_rank:
             raise KindMismatchError("ambient vector has wrong length")
-        return self._coordinates(v)
-
-    def _coordinates(self, v):
-        """coordinates of a vector of the right length.  With U basis V = D,
-        basis x = v means D z = U v and x = V z; U v must vanish past the
-        diagonal and be divisible by it on the diagonal."""
-        u_rows, diagonal, v_rows = self._smith_rows
-        k = len(diagonal)
-        y = [sum(map(mul, row, v)) for row in u_rows]
-        if any(y[k:]):
-            return None
-        z = []
-        for yi, d in zip(y, diagonal):
-            q, r = divmod(yi, d)
-            if r:
-                return None
-            z.append(q)
-        return tuple(sum(map(mul, row, z)) for row in v_rows)
+        return solve_int(self.basis, v, self.snf)
 
     def contains(self, v: tuple[int, ...]) -> bool:
         return self.coordinates(v) is not None

@@ -5,11 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from endogrow.ball import enumerate_ball
 from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, LengthMode
-from endogrow.intmat import IntMatrix, smith_normal_form, solve_int
+from endogrow.intmat import IntMatrix
 from endogrow.products import (
     AbelianQuotient,
     Sublattice,
@@ -205,23 +204,6 @@ class TestSublattice:
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
             Sublattice(2, M([[1, 2], [1, 2]]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_coordinates_kernel_equals_solve_int(self, data):
-        n = data.draw(st.integers(1, 3))
-        k = data.draw(st.integers(0, n))
-        entry = st.integers(-4, 4)
-        basis = M([[data.draw(entry) for _ in range(k)] for _ in range(n)])
-        assume(smith_normal_form(basis).rank == k)
-        lat = Sublattice(n, basis)
-        vectors = data.draw(st.lists(st.tuples(*[entry] * n), max_size=6))
-        # members, and members moved by one unit step
-        for coords in data.draw(st.lists(st.tuples(*[entry] * k), min_size=1, max_size=4)):
-            member = lat.embed(coords)
-            vectors += [member, (member[0] + 1,) + member[1:]]
-        for v in vectors:
-            assert lat._coordinates(v) == solve_int(basis, v)
 
 
 class TestAbelianQuotient:
