@@ -16,7 +16,7 @@ from endogrow import specio
 from endogrow.ball import distortion_profile, enumerate_ball, exact_length
 from endogrow.groups import KindMismatchError, OutOfBallError, UnsupportedOperationError
 from endogrow.intmat import RootConvergenceError
-from endogrow.laws import LawConfig, UnknownLawError, run_suite
+from endogrow.laws import LawConfig, run_suite
 from endogrow.products import Semidirect
 from endogrow.growth import distortion_rate, exact_growth_rate, growth_table
 from endogrow.specio import SpecError
@@ -214,13 +214,7 @@ def cmd_verify(args) -> int:
     if args.suite == "default":
         catalog = None
     else:
-        try:
-            with open(args.suite, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            raise SpecError(f"suite file not found: {args.suite}")
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"{args.suite}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+        data = specio.load_json(args.suite, "suite")
         if not isinstance(data, dict) or "checks" not in data:
             raise SpecError("at suite: expected an object with a 'checks' list")
         if "seed" in data:
@@ -233,10 +227,7 @@ def cmd_verify(args) -> int:
                 raise SpecError(f"at checks[{i}]: expected an object with an 'id'")
             instance = specio.expect_dict(entry.get("instance", {}), f"checks[{i}].instance")
             catalog.append((entry["id"], instance))
-    try:
-        report = run_suite(config, catalog)
-    except UnknownLawError as exc:
-        raise SpecError(str(exc))
+    report = run_suite(config, catalog)
     if args.format == "json":
         payload = {
             "seed": report.seed,

@@ -75,7 +75,9 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
     table = tuple(int(k) for k in table)
     roots = tuple(_root(k, m) for m, k in enumerate(table, start=1))
     if not table or table[-1] == 0:
-        return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, "trivial", requested)
+        # an empty table is a truncation; its 0.0s are placeholders (JSON has no inf)
+        status = "trivial" if table else "truncated"
+        return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, status, requested)
     inf_bound = min(roots)
     ratios = [
         float(Fraction(table[m + 1], table[m])) for m in range(len(table) - 1)
@@ -117,8 +119,9 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     A zero entry means the power kills every generator, hence all later
     entries vanish too: the estimate is marked trivial with rate 0.  When a
     BFS length runs out of radius the table is truncated at the largest
-    valid power.  The images start from the group's own generators, so they
-    go through the unchecked kernels.
+    valid power; it is empty, and still truncated, when the first images
+    already leave the ball.  The images start from the group's own
+    generators, so they go through the unchecked kernels.
 
     A word endo whose generator iterates never cancel builds no word: its
     lengths are the row sums of the powers of its letter matrix, the same
@@ -207,7 +210,7 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
             parts.append(_torsion_orbit_rate(endo))
         return max(parts)
     if isinstance(endo, HeisenbergEndo):
-        return nilpotent_growth_rate(endo).combined
+        return nilpotent_growth_rate(endo, tol).combined
     if isinstance(endo, ProductEndo):
         return max(exact_growth_rate(f, tol) for f in endo.factors)
     if isinstance(endo, SemidirectEndo):

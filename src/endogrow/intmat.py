@@ -86,9 +86,6 @@ class IntMatrix:
             self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
         )
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + other.scale(-1)
-
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(k * x for x in self.entries))
 

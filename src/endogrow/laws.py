@@ -61,7 +61,7 @@ class LawCheck:
         return self.verdict == "pass"
 
 
-class UnknownLawError(ValueError):
+class UnknownLawError(specio.SpecError):
     pass
 
 

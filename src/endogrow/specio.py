@@ -1,5 +1,7 @@
 """Declarative JSON instance specs: parsing with path-annotated errors, and
-serialization that round-trips every built-in descriptor."""
+serialization that round-trips every built-in descriptor.  The one reader
+of spec and suite files (load_json), and the one place spec values are
+checked before they reach a constructor."""
 
 from __future__ import annotations
 
@@ -68,63 +70,53 @@ def _expect_matrix(value, path: str) -> IntMatrix:
     return IntMatrix.from_rows(value)
 
 
-def _length_mode(kind: str, radius: int, path: str) -> LengthMode:
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with a constructor's ValueError reported at path."""
     try:
-        return LengthMode(kind, radius if kind == "bfs" else 0)
+        return make(*args, **kwargs)
     except ValueError as exc:
         _fail(path, str(exc))
 
 
-def _parse_length_mode(d, path: str) -> LengthMode:
-    d = expect_dict(d, path)
-    kind = d.get("kind")
+def _mode_keyword(d: dict, path: str) -> dict:
+    """{"length_mode": ...} when the spec gives one; else the class default applies."""
+    if "length_mode" not in d:
+        return {}
+    path = f"{path}.length_mode"
+    mode = expect_dict(d["length_mode"], path)
+    kind = mode.get("kind")
     if kind not in ("exact", "quasi", "bfs"):
         _fail(f"{path}.kind", f"unknown length mode {kind!r}")
-    radius = expect_int(d.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
-    return _length_mode(kind, radius, path)
+    radius = expect_int(mode.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
+    return {"length_mode": _build(path, LengthMode, kind, radius)}
 
 
 def with_length_mode(group: Group, kind: str, radius: int, path: str) -> Group:
     """The group measured in another length mode; bfs enumerates to radius."""
     if not hasattr(group, "length_mode"):
         _fail(path, f"group kind {group.kind!r} does not take a length-mode override")
-    return dataclasses.replace(group, length_mode=_length_mode(kind, radius, path))
+    mode = _build(path, LengthMode, kind, radius if kind == "bfs" else 0)
+    return dataclasses.replace(group, length_mode=mode)
 
 
 def parse_group(d, path: str = "group") -> Group:
     d = expect_dict(d, path)
     kind = d.get("kind")
-    if kind == "free_abelian":
+    if kind in ("free_abelian", "free"):
         rank = expect_int(d.get("rank"), f"{path}.rank")
-        mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("exact")
-        try:
-            return FreeAbelian(rank, mode)
-        except ValueError as exc:
-            _fail(path, str(exc))
-    if kind == "free":
-        rank = expect_int(d.get("rank"), f"{path}.rank")
-        mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("exact")
-        try:
-            return Free(rank, mode)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        cls = FreeAbelian if kind == "free_abelian" else Free
+        return _build(path, cls, rank, **_mode_keyword(d, path))
     if kind == "heisenberg":
         count = expect_int(d.get("generators", 3), f"{path}.generators")
-        mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("quasi")
-        try:
-            return Heisenberg(count, mode)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, Heisenberg, count, **_mode_keyword(d, path))
     if kind in ("direct_product", "free_product"):
         factors = d.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             _fail(f"{path}.factors", "expected exactly two factor groups")
         left = parse_group(factors[0], f"{path}.factors[0]")
         right = parse_group(factors[1], f"{path}.factors[1]")
-        try:
-            return DirectProduct(left, right) if kind == "direct_product" else FreeProduct(left, right)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        cls = DirectProduct if kind == "direct_product" else FreeProduct
+        return _build(path, cls, left, right)
     if kind == "semidirect":
         base_rank = expect_int(d.get("base_rank"), f"{path}.base_rank")
         quotient_rank = expect_int(d.get("quotient_rank"), f"{path}.quotient_rank")
@@ -134,11 +126,8 @@ def parse_group(d, path: str = "group") -> Group:
         matrices = tuple(
             _expect_matrix(a, f"{path}.action[{i}]") for i, a in enumerate(action)
         )
-        mode = _parse_length_mode(d["length_mode"], f"{path}.length_mode") if "length_mode" in d else LengthMode("quasi")
-        try:
-            return Semidirect(base_rank, quotient_rank, matrices, mode)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        mode = _mode_keyword(d, path)
+        return _build(path, Semidirect, base_rank, quotient_rank, matrices, **mode)
     _fail(f"{path}.kind", f"unknown group kind {kind!r}")
 
 
@@ -149,16 +138,10 @@ def parse_subgroup(d, group: Group, path: str = "subgroup"):
         if not isinstance(group, FreeAbelian):
             _fail(path, "sublattice subgroups need a free abelian ambient group")
         basis = _expect_matrix(d.get("basis"), f"{path}.basis")
-        try:
-            return Sublattice(group.rank, basis)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, Sublattice, group.rank, basis)
     if kind == "lower_central":
         j = expect_int(d.get("j"), f"{path}.j")
-        try:
-            return lower_central_layer(group, j)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, lower_central_layer, group, j)
     if kind == "base":
         if not isinstance(group, Semidirect):
             _fail(path, "base subgroups only exist for semidirect products")
@@ -173,10 +156,7 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
         if not isinstance(group, FreeAbelian):
             _fail(path, f"matrix endos need a free abelian group, got {group.kind}")
         rows = _expect_matrix(d.get("rows"), f"{path}.rows")
-        try:
-            return MatrixEndo(group, rows)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, MatrixEndo, group, rows)
     if kind == "words":
         if not isinstance(group, Free):
             _fail(path, f"word endos need a free group, got {group.kind}")
@@ -190,10 +170,7 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
             for j, x in enumerate(w):
                 expect_int(x, f"{path}.images[{i}][{j}]")
             words.append(tuple(w))
-        try:
-            return WordEndo(group, tuple(words))
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, WordEndo, group, tuple(words))
     if kind == "heisenberg":
         if not isinstance(group, Heisenberg):
             _fail(path, f"parameter endos need the Heisenberg group, got {group.kind}")
@@ -208,19 +185,13 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
             _fail(f"{path}.factors", "expected exactly two factor endos")
         left = parse_endo(factors[0], group.left, f"{path}.factors[0]")
         right = parse_endo(factors[1], group.right, f"{path}.factors[1]")
-        try:
-            return ProductEndo(group, (left, right))
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, ProductEndo, group, (left, right))
     if kind == "semidirect":
         if not isinstance(group, Semidirect):
             _fail(path, f"block endos need a semidirect group, got {group.kind}")
         base = _expect_matrix(d.get("base"), f"{path}.base")
         quotient = _expect_matrix(d.get("quotient"), f"{path}.quotient")
-        try:
-            return SemidirectEndo(group, base, quotient)
-        except ValueError as exc:
-            _fail(path, str(exc))
+        return _build(path, SemidirectEndo, group, base, quotient)
     _fail(f"{path}.kind", f"unknown endo kind {kind!r}")
 
 
@@ -287,16 +258,20 @@ def parse_instance(d, path: str = "") -> Instance:
     return Instance(group, endo, sub, options)
 
 
-def load_instance_file(filename: str) -> Instance:
-    """Read and parse a JSON instance spec from disk."""
+def load_json(filename: str, what: str):
+    """A JSON file's contents; a missing file or invalid JSON is a SpecError."""
     try:
         with open(filename, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise SpecError(f"spec file not found: {filename}")
+        raise SpecError(f"{what} file not found: {filename}")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{filename}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
-    return parse_instance(data)
+
+
+def load_instance_file(filename: str) -> Instance:
+    """Read and parse a JSON instance spec from disk."""
+    return parse_instance(load_json(filename, "spec"))
 
 
 # -- serialization (round-trips with the parser) -----------------------------
@@ -310,15 +285,9 @@ def length_mode_to_dict(mode: LengthMode) -> dict:
 
 
 def group_to_dict(group: Group) -> dict:
-    if isinstance(group, FreeAbelian):
+    if isinstance(group, (FreeAbelian, Free)):
         return {
-            "kind": "free_abelian",
-            "rank": group.rank,
-            "length_mode": length_mode_to_dict(group.length_mode),
-        }
-    if isinstance(group, Free):
-        return {
-            "kind": "free",
+            "kind": group.kind,
             "rank": group.rank,
             "length_mode": length_mode_to_dict(group.length_mode),
         }

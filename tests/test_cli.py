@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,8 @@ def write_spec(tmp_path, payload, name="spec.json"):
     path.write_text(json.dumps(payload))
     return str(path)
 
+
+DATA = Path(__file__).parent / "data"
 
 SWAP_SPEC = {
     "group": {"kind": "free_abelian", "rank": 2},
@@ -71,6 +74,23 @@ class TestEstimate:
         # truncated where images leave the enumerated ball, lengths still exact
         assert payload["status"] == "truncated"
         assert payload["table"] == [2, 2, 4, 4]
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_first_image_outside_the_bfs_ball_is_truncated(self, capsys, fmt):
+        # phi(a) = ab already leaves the radius-1 ball, so no power is recorded
+        spec = str(DATA / "estimate_fibonacci.spec.json")
+        argv = ["estimate", spec, "--length-mode", "bfs", "--radius", "1", "--format", fmt]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["table"], payload["status"]) == ([], "truncated")
+        else:
+            assert out == (
+                "m\tK_m\troot\tinf_bound\tratio_estimate\n"
+                "# inf_bound=0\tratio_estimate=0\tstatus=truncated"
+                "\tmethod=lengths:bfs\texactness=exact\n"
+            )
 
     def test_length_mode_override_rejected_for_products(self, tmp_path, capsys):
         spec = write_spec(
@@ -333,6 +353,84 @@ def test_input_fault_exits_2(tmp_path, capsys, monkeypatch, options, argv, budge
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+Z1 = {"kind": "free_abelian", "rank": 1}
+Z2 = {"kind": "free_abelian", "rank": 2}
+F2 = {"kind": "free", "rank": 2}
+HEIS = {"kind": "heisenberg", "generators": 3}
+HYPERBOLIC = {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
+              "action": [[[2, 1], [1, 1]]]}
+ESTIMATE = ["estimate"]
+SUITE = ["verify", "--suite"]
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        pytest.param(ESTIMATE, {"group": {**Z1, "rank": -1}},
+                     "at group: rank must be nonnegative", id="free_abelian-rank"),
+        pytest.param(ESTIMATE, {"group": {**F2, "rank": 0}},
+                     "at group: free groups here have rank >= 1", id="free-rank"),
+        pytest.param(ESTIMATE, {"group": {**HEIS, "generators": 5}},
+                     "at group: generator_count must be 2 or 3", id="heisenberg-generators"),
+        pytest.param(ESTIMATE, {"group": {"kind": "free_product", "factors": [F2, HEIS]}},
+                     "at group: free product factors must be free or Z, got 'heisenberg'",
+                     id="free_product-heisenberg"),
+        pytest.param(ESTIMATE, {"group": {"kind": "free_product", "factors": [Z2, F2]}},
+                     "at group: abelian free-product factors must have rank 1",
+                     id="free_product-z2"),
+        pytest.param(ESTIMATE, {"group": {**HYPERBOLIC, "action": [[[2, 0], [0, 1]]]}},
+                     "at group: action matrix is not unimodular", id="semidirect-unimodular"),
+        pytest.param(ESTIMATE, {"group": {**HYPERBOLIC, "action": []}},
+                     "at group: need one action matrix per quotient generator",
+                     id="semidirect-action-count"),
+        pytest.param(ESTIMATE, {"group": Z2, "subgroup": {"kind": "sublattice",
+                                                          "basis": [[1, 2], [2, 4]]}},
+                     "at subgroup: basis columns are dependent", id="sublattice-dependent"),
+        pytest.param(ESTIMATE, {"group": HEIS, "subgroup": {"kind": "lower_central", "j": 4}},
+                     "at subgroup: Heisenberg layers stop at 3, got 4", id="lower_central-j"),
+        pytest.param(ESTIMATE, {"group": Z2, "endo": {"kind": "matrix",
+                                                      "rows": [[1, 0, 0], [0, 1, 0]]}},
+                     "at endo: matrix shape does not match the group rank", id="matrix-shape"),
+        pytest.param(ESTIMATE, {"group": F2, "endo": {"kind": "words", "images": [[1, 2]]}},
+                     "at endo: need one image per generator", id="words-count"),
+        pytest.param(ESTIMATE, {"group": F2, "endo": {"kind": "words",
+                                                      "images": [[1, -1, 2], [1]]}},
+                     "at endo: word is not freely reduced", id="words-unreduced"),
+        # the factor's own message, not prefixed a second time by the product
+        pytest.param(ESTIMATE, {"group": {"kind": "direct_product", "factors": [Z2, Z1]},
+                                "endo": {"kind": "product",
+                                         "factors": [{"kind": "matrix", "rows": [[2]]},
+                                                     {"kind": "matrix", "rows": [[2]]}]}},
+                     "at endo.factors[0]: matrix shape does not match the group rank",
+                     id="product-factor-rank"),
+        pytest.param(ESTIMATE, {"group": HYPERBOLIC, "endo": {"kind": "semidirect",
+                                                              "base": [[1, 1], [0, 1]],
+                                                              "quotient": [[1]]}},
+                     "at endo: base/quotient blocks do not intertwine with the action "
+                     "at quotient generator 1", id="semidirect-intertwining"),
+        pytest.param(ESTIMATE, {"group": {**Z2, "length_mode": {"kind": "bfs", "radius": 0}}},
+                     "at group.length_mode: bfs length mode needs a positive radius",
+                     id="length_mode-radius"),
+        pytest.param(ESTIMATE, {"group": {**Z2, "length_mode": {"kind": "fuzzy"}}},
+                     "at group.length_mode.kind: unknown length mode 'fuzzy'",
+                     id="length_mode-kind"),
+        pytest.param(ESTIMATE, None, "spec file not found: {file}", id="spec-missing"),
+        pytest.param(ESTIMATE, '{"group": ', "{file}:1:11: invalid JSON (Expecting value)",
+                     id="spec-invalid-json"),
+        pytest.param(SUITE, None, "suite file not found: {file}", id="suite-missing"),
+        pytest.param(SUITE, '{"checks": [', "{file}:1:13: invalid JSON (Expecting value)",
+                     id="suite-invalid-json"),
+    ],
+)
+def test_boundary_fault_message(tmp_path, capsys, command, content, message):
+    """Each fault at the input boundary exits 2 with one exact stderr line."""
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err == f"spec error: {message.format(file=path)}\n"
 
 
 class TestErrorsAndDeterminism:

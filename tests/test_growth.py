@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from endogrow import ball
+from endogrow import ball, growth
 from endogrow.endos import (
     HeisenbergEndo,
     MatrixEndo,
@@ -82,6 +82,15 @@ class TestGrowthTable:
         assert est.status == "truncated"
         assert est.table == (2, 4, 8)  # 16 exceeds the enumerated radius
 
+    def test_bfs_first_image_outside_the_ball_is_truncated(self):
+        # phi(a) = ab already has length 2 > radius 1: no power is recorded,
+        # which says nothing about the rate (the golden ratio)
+        endo = WordEndo(Free(2, LengthMode("bfs", 1)), ((1, 2), (1,)))
+        est = growth_table(endo, 10)
+        assert est.table == ()
+        assert est.status == "truncated"
+        assert (est.inf_bound, est.ratio_estimate) == (0.0, 0.0)
+
     def test_bfs_mode_enumerates_its_ball_once(self, monkeypatch):
         runs = []
         real = ball.enumerate_ball
@@ -135,6 +144,23 @@ class TestExactRates:
 
     def test_diagonal(self):
         assert exact_growth_rate(MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize(
+        "endo",
+        [MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]])), HeisenbergEndo(Heisenberg(), 2, 3)],
+        ids=["matrix", "heisenberg"],
+    )
+    def test_tolerance_reaches_the_root_solver(self, monkeypatch, endo):
+        seen = []
+        real = growth.spectral_radius
+
+        def spy(matrix, tol=1e-12):
+            seen.append(tol)
+            return real(matrix, tol)
+
+        monkeypatch.setattr(growth, "spectral_radius", spy)
+        exact_growth_rate(endo, 0.5)
+        assert seen and set(seen) == {0.5}
 
     def test_word_endos_have_no_exact_route(self):
         with pytest.raises(UnsupportedOperationError):
