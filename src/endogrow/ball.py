@@ -10,9 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from endogrow.groups import Group, LengthValue, OutOfBallError, EXACT
+from endogrow.groups import EXACT, FreeAbelian, Group, LengthValue, OutOfBallError
 from endogrow.products import Semidirect, Sublattice
-from endogrow.groups import FreeAbelian
 from endogrow.specio import SpecError
 
 DEFAULT_BUDGET = 5_000_000

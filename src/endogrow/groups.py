@@ -140,9 +140,10 @@ class Group(ABC):
         return tuple(out)
 
     def _bfs_mul(self):
-        """The unchecked product one BFS run steps with.  A kind that can
-        reuse work across the products of one run returns a closure that
-        holds it, so the work is freed with the run."""
+        """The unchecked product g * s one BFS run steps with.  The run
+        calls it only with s a symmetric generator, so a kind may cache
+        per-run work keyed on them; such a kind returns a closure that holds
+        the cache, so the cache is freed with the run."""
         return self._mul
 
     @cached_property

@@ -164,6 +164,39 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
     return IntMatrix.identity(a.rows) if result is None else result
 
 
+def _totient(d: int) -> int:
+    out, m, p = d, d, 2
+    while p * p <= m:
+        if m % p == 0:
+            out -= out // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out - out // m if m > 1 else out
+
+
+def max_finite_order(n: int) -> int:
+    """The largest finite multiplicative order of a matrix in GL(n, Z).
+
+    A finite-order matrix's minimal polynomial is a product of distinct
+    cyclotomic polynomials Phi_d, so its order is lcm(S) for a set S of
+    d >= 1 with sum(phi(d) for d in S) <= n.  This returns the largest such
+    lcm; phi(d) >= sqrt(d / 2) bounds the d worth trying by 2 n^2.
+    """
+    reach = {0: {1}}  # phi-degree spent -> the lcms reachable with it
+    for d in range(1, 2 * n * n + 1):
+        cost = _totient(d)
+        if cost > n:
+            continue
+        # most spent first, so no set takes the same d twice
+        for spent in sorted(reach, reverse=True):
+            if spent + cost <= n:
+                reach.setdefault(spent + cost, set()).update(
+                    math.lcm(x, d) for x in reach[spent]
+                )
+    return max(max(lcms) for lcms in reach.values())
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic characteristic polynomial; coefficients ascending, so

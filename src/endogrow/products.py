@@ -24,6 +24,7 @@ from endogrow.intmat import (
     inverse_unimodular,
     mat_mul,
     mat_pow,
+    max_finite_order,
     smith_normal_form,
     solve_int,
 )
@@ -223,13 +224,14 @@ class Semidirect(Group):
     @cached_property
     def action_orders(self) -> tuple:
         """Multiplicative order of each action generator, or None if infinite
-        (searched up to a bound that covers every finite order at desk scale)."""
+        (searched up to the largest finite order in GL(base_rank, Z))."""
         orders = []
         ident = IntMatrix.identity(self.base_rank).entries
+        bound = max_finite_order(self.base_rank)
         for a in self.action:
             power = a
             found = None
-            for k in range(1, 121):
+            for k in range(1, bound + 1):
                 if power.entries == ident:
                     found = k
                     break
@@ -266,28 +268,40 @@ class Semidirect(Group):
         self.base.check(g[0])
         self.quotient.check(g[1])
 
-    @staticmethod
-    def _twist(rows, g, h):
-        """(g_H + A h_H, g_Q + h_Q), given the rows of A = action_of(g_Q)."""
+    def _mul(self, g, h):
         gh, gq = g
         hh, hq = h
+        rows = self.action_of(gq).to_rows()
         if any(hh):
             gh = tuple(a + sum(map(mul, row, hh)) for a, row in zip(gh, rows))
         if any(hq):
             gq = tuple(map(add, gq, hq))
         return (gh, gq)
 
-    def _mul(self, g, h):
-        return self._twist(self.action_of(g[1]).to_rows(), g, h)
-
     def _bfs_mul(self):
-        rows_of = {}  # q -> rows of action_of(q), for the q this run reaches
+        # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each q this run reaches,
+        # keep the rows of A(q) and, per generator s, the parts it adds
+        # (A(q) s_H and s_Q, each None when zero)
+        images_at = {}
 
-        def step(g, h):
-            rows = rows_of.get(g[1])
-            if rows is None:
-                rows = rows_of[g[1]] = self.action_of(g[1]).to_rows()
-            return self._twist(rows, g, h)
+        def step(g, s):
+            h, q = g
+            at = images_at.get(q)
+            if at is None:
+                at = images_at[q] = ({}, self.action_of(q).to_rows())
+            images, rows = at
+            parts = images.get(s)
+            if parts is None:
+                sh, sq = s
+                parts = images[s] = (
+                    tuple(sum(map(mul, row, sh)) for row in rows) if any(sh) else None,
+                    sq if any(sq) else None,
+                )
+            dh, dq = parts
+            return (
+                h if dh is None else tuple(map(add, h, dh)),
+                q if dq is None else tuple(map(add, q, dq)),
+            )
 
         return step
 

@@ -259,12 +259,17 @@ def parse_instance(d, path: str = "") -> Instance:
 
 
 def load_json(filename: str, what: str):
-    """A JSON file's contents; a missing file or invalid JSON is a SpecError."""
+    """A JSON file's contents; a file that cannot be read, is not UTF-8 or is
+    not valid JSON is a SpecError."""
     try:
         with open(filename, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"{what} file not found: {filename}")
+    except OSError as exc:
+        raise SpecError(f"{what} file cannot be read: {filename} ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{filename}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{filename}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
 

@@ -26,6 +26,8 @@ HYPERBOLIC = [[2, 1], [1, 1]]
 HYPERBOLIC_INVERSE = [[1, -1], [-1, 2]]
 ROTATION = [[0, -1], [1, 0]]
 SHEAR = [[1, 1], [0, 1]]
+HYPERBOLIC_SQUARED = [[5, 3], [3, 2]]
+CUBIC_COMPANION = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # x^3 - x - 1
 
 
 def reference_bfs(group, radius):
@@ -67,6 +69,14 @@ GROUPS = {
         semidirect(FreeAbelian(2), FreeAbelian(2), [ROTATION, [[-1, 0], [0, -1]]]),
         5,
     ),
+    "semidirect_rank3_hyperbolic": (
+        semidirect(FreeAbelian(3), FreeAbelian(1), [CUBIC_COMPANION]),
+        5,
+    ),
+    "semidirect_rank2_quotient_hyperbolic": (
+        semidirect(FreeAbelian(2), FreeAbelian(2), [HYPERBOLIC, HYPERBOLIC_SQUARED]),
+        5,
+    ),
     "quotient_z6_z": (AbelianQuotient(2, IntMatrix.from_rows([[6], [0]])), 6),
     "quotient_z2_z3": (AbelianQuotient(2, IntMatrix.from_rows([[2, 0], [0, 3]])), 6),
 }
@@ -80,6 +90,16 @@ def test_census_equals_reference_bfs(name):
     assert census.complete
     assert census.counts == counts
     assert list(census.lengths.items()) == list(lengths.items())
+
+
+def test_budget_cut_semidirect_census_is_a_prefix():
+    group = semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC])
+    full = enumerate_ball(group, 8, budget=10**7)
+    cut = enumerate_ball(group, 8, budget=full.counts[5] + 10)
+    assert not cut.complete
+    assert cut.completed_radius == 5
+    assert cut.counts == full.counts[:6]
+    assert list(cut.lengths.items()) == list(full.lengths.items())[: full.counts[5]]
 
 
 FOREIGN = {

@@ -363,6 +363,7 @@ HYPERBOLIC = {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
               "action": [[[2, 1], [1, 1]]]}
 ESTIMATE = ["estimate"]
 SUITE = ["verify", "--suite"]
+DIRECTORY = object()  # the input path is a directory
 
 
 @pytest.mark.parametrize(
@@ -422,12 +423,20 @@ SUITE = ["verify", "--suite"]
         pytest.param(SUITE, None, "suite file not found: {file}", id="suite-missing"),
         pytest.param(SUITE, '{"checks": [', "{file}:1:13: invalid JSON (Expecting value)",
                      id="suite-invalid-json"),
+        pytest.param(ESTIMATE, DIRECTORY, "spec file cannot be read: {file} (Is a directory)",
+                     id="spec-directory"),
+        pytest.param(SUITE, b"\xff\xfe{}", "{file}: not UTF-8 text (byte 0: invalid start byte)",
+                     id="suite-not-utf8"),
     ],
 )
 def test_boundary_fault_message(tmp_path, capsys, command, content, message):
     """Each fault at the input boundary exits 2 with one exact stderr line."""
     path = tmp_path / "input.json"
-    if content is not None:
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([*command, str(path)]) == 2
     assert capsys.readouterr().err == f"spec error: {message.format(file=path)}\n"

@@ -18,6 +18,7 @@ from endogrow.intmat import (
     inverse_unimodular,
     mat_mul,
     mat_pow,
+    max_finite_order,
     smith_normal_form,
     solve_int,
     spectral_radius,
@@ -113,6 +114,30 @@ class TestMatPow:
             a = M([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
             m, k = rng.randint(0, 6), rng.randint(0, 6)
             assert mat_pow(a, m + k) == mat_mul(mat_pow(a, m), mat_pow(a, k))
+
+
+class TestMaxFiniteOrder:
+    def test_first_twelve_ranks(self):
+        expected = [2, 6, 6, 12, 12, 30, 30, 60, 60, 120, 120, 210]
+        assert [max_finite_order(n) for n in range(1, 13)] == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_subset_search(self, n):
+        # every set of d <= 2 n^2 whose cyclotomic degrees fit in n
+        phi = {d: sum(math.gcd(k, d) == 1 for k in range(1, d + 1)) for d in range(1, 2 * n * n + 1)}
+        cands = [d for d in phi if phi[d] <= n]
+        best = 1
+
+        def search(i, room, order):
+            nonlocal best
+            best = max(best, order)
+            for j in range(i, len(cands)):
+                d = cands[j]
+                if phi[d] <= room:
+                    search(j + 1, room - phi[d], math.lcm(order, d))
+
+        search(0, n, 1)
+        assert max_finite_order(n) == best
 
 
 class TestCharPoly:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from endogrow import products
 from endogrow.ball import enumerate_ball
 from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, LengthMode
 from endogrow.intmat import IntMatrix
@@ -162,6 +163,30 @@ class TestSemidirect:
         lv = rot.word_length(((2, -1), (3,)))
         assert lv.value == 6
         assert lv.exactness != EXACT
+
+    def test_order_210_action_is_finite(self):
+        # -(C(Phi3) + C(Phi5) + C(Phi7)) has order lcm(6, 10, 14) = 210 in GL(12, Z)
+        blocks = [[1, 1], [1, 1, 1, 1], [1, 1, 1, 1, 1, 1]]  # Phi_d below its leading 1
+        n = sum(map(len, blocks))
+        rows = [[0] * n for _ in range(n)]
+        at = 0
+        for coeffs in blocks:
+            k = len(coeffs)
+            for i in range(1, k):
+                rows[at + i][at + i - 1] = -1
+            for i, c in enumerate(coeffs):
+                rows[at + i][at + k - 1] = c
+            at += k
+        group = semidirect(FreeAbelian(n), FreeAbelian(1), [rows])
+        assert group.action_orders == (210,)
+        assert group.action_is_finite_order
+
+    def test_infinite_order_search_stops_at_the_rank_bound(self, monkeypatch):
+        calls = []
+        real = products.mat_mul
+        monkeypatch.setattr(products, "mat_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert self.group.action_orders == (None,)
+        assert len(calls) == 6  # max_finite_order(2) == 6 powers tested, one product each
 
     def test_associativity_random(self):
         rng = random.Random(53)
