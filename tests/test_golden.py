@@ -1,7 +1,8 @@
 """CLI output is pinned byte for byte.  `endogrow verify`: the default seed
 in both formats, and seed 10, whose catalog holds a failing check.
-`endogrow estimate` on word endos, in both formats: two positive ones, which
-take the letter-count route, and a cancelling one, which builds its words."""
+`endogrow estimate`, in both formats, on word endos: two positive ones, which
+take the letter-count route, and a cancelling one, which builds its words;
+and on a direct product of a positive word endo with a matrix endo."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ def test_verify_output_matches_golden(capsys, seed, fmt, golden, code):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
-@pytest.mark.parametrize("name", ["fibonacci", "positive_f3", "cancelling"])
+@pytest.mark.parametrize("name", ["fibonacci", "positive_f3", "cancelling", "product"])
 def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
     spec = DATA / f"estimate_{name}.spec.json"
     assert main(["estimate", str(spec), "--format", fmt]) == 0
