@@ -231,7 +231,7 @@ class HeisenbergEndo(Endomorphism):
 @dataclass(frozen=True)
 class ProductEndo(Endomorphism):
     """Componentwise endomorphism of a direct or free product (each factor is
-    mapped into itself)."""
+    mapped into itself, by an endo on that very factor group)."""
 
     group: Group  # DirectProduct or FreeProduct
     factors: tuple[Endomorphism, Endomorphism]
@@ -239,6 +239,9 @@ class ProductEndo(Endomorphism):
     def __post_init__(self):
         if not isinstance(self.group, (DirectProduct, FreeProduct)):
             raise KindMismatchError("ProductEndo needs a product group")
+        for i, (f, factor) in enumerate(zip(self.factors, (self.group.left, self.group.right))):
+            if f.group != factor:
+                raise KindMismatchError(f"factor endo {i} acts on a group other than factor {i}")
         self._check_homomorphism_on_samples(_sample_pairs(self.group))
 
     def _apply(self, g):

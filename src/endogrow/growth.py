@@ -125,7 +125,8 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
 
     A word endo whose generator iterates never cancel builds no word: its
     lengths are the row sums of the powers of its letter matrix, the same
-    numbers the words would give.
+    numbers the words would give.  A product endo builds no product element
+    either: its table is the power-wise max of its factors' tables.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
@@ -136,6 +137,8 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
         return estimate_from_table(
             _letter_count_table(endo.letter_matrix, max_power), max_power, method, EXACT
         )
+    if isinstance(endo, ProductEndo):
+        return _product_table(endo, max_power, method)
     current = [g for _, g in group.generators]
     table = []
     exactness = EXACT
@@ -151,6 +154,27 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
         table.append(k)
         if k == 0:
             break
+    return estimate_from_table(table, max_power, method, exactness)
+
+
+def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEstimate:
+    """Lemma 5.1 power by power: a generator's image stays in its own factor,
+    beside the other factor's identity of length 0, so K_m is the larger of
+    the factors' K_m.  A trivial factor counts 0 after its table ends, a
+    truncated one cuts the product's table."""
+    factors = [growth_table(f, max_power) for f in endo.factors]
+    columns = [
+        est.table + (0,) * (max_power - est.max_power) if est.status == "trivial" else est.table
+        for est in factors
+    ]
+    table = []
+    for k in map(max, *columns):
+        table.append(k)
+        if k == 0:
+            break
+    exactness = EXACT
+    if table and any(est.exactness != EXACT for est in factors):
+        exactness = "quasi-equivalent"
     return estimate_from_table(table, max_power, method, exactness)
 
 

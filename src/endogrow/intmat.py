@@ -65,6 +65,11 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return self.entries[j :: self.cols] if self.cols else ()
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Every column, sliced once per matrix."""
+        return tuple(self.column(j) for j in range(self.cols))
+
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -105,7 +110,7 @@ class IntMatrix:
         """Row vector times matrix (images-in-rows convention)."""
         if len(vec) != self.rows:
             raise DimensionError("vector length mismatch")
-        return tuple(sum(map(mul, vec, self.column(j))) for j in range(self.cols))
+        return tuple(sum(map(mul, vec, col)) for col in self.columns)
 
     def trace(self) -> int:
         if not self.is_square:
