@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from endogrow.endos import (
     Endomorphism,
@@ -79,9 +78,8 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
         status = "trivial" if table else "truncated"
         return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, status, requested)
     inf_bound = min(roots)
-    ratios = [
-        float(Fraction(table[m + 1], table[m])) for m in range(len(table) - 1)
-    ]
+    # int true division rounds the exact ratio once, as a Fraction would
+    ratios = [table[m + 1] / table[m] for m in range(len(table) - 1)]
     if ratios:
         # geometric mean over the trailing-half window: it telescopes to
         # (K_M / K_{M-w})^(1/w), which cancels bounded oscillation that a

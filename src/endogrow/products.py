@@ -271,8 +271,8 @@ class Semidirect(Group):
     def _mul(self, g, h):
         gh, gq = g
         hh, hq = h
-        rows = self.action_of(gq).to_rows()
         if any(hh):
+            rows = self.action_of(gq).to_rows()
             gh = tuple(a + sum(map(mul, row, hh)) for a, row in zip(gh, rows))
         if any(hq):
             gq = tuple(map(add, gq, hq))

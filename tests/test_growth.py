@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestGrowthTable:
         est = growth_table(fibonacci_word_endo(), 10)
         assert est.table == (2, 3, 5, 8, 13, 21, 34, 55, 89, 144)
         assert abs(est.ratio_estimate - GOLDEN) <= 0.02
+
+    def test_ratios_of_big_lengths_are_the_exact_ratios_rounded_once(self):
+        # at m = 1000 the lengths have about 1,600 bits; dividing them as ints
+        # gives each ratio's float as Fraction does, so the estimate is the
+        # one built from Fraction ratios
+        endo = MatrixEndo(FreeAbelian(3), M([[1, 2, 0], [0, 1, 3], [2, 0, 1]]))
+        est = growth_table(endo, 1000)
+        table = est.table
+        assert table[-1].bit_length() > 1000
+        ratios = [float(Fraction(b, a)) for a, b in zip(table, table[1:])]
+        window = ratios[-(len(ratios) // 2) :]
+        assert est.ratio_estimate == math.exp(sum(map(math.log, window)) / len(window))
+        assert est.status == "converged"
 
     def test_trivial_endo(self):
         est = growth_table(MatrixEndo(FreeAbelian(2), M([[0, 1], [0, 0]])), 6)

@@ -12,6 +12,7 @@ from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, LengthMode
 from endogrow.intmat import IntMatrix
 from endogrow.products import (
     AbelianQuotient,
+    Semidirect,
     Sublattice,
     abelian_quotient,
     direct_product,
@@ -106,6 +107,19 @@ class TestSemidirect:
         t = ((0, 0), (1,))
         moved = self.group.multiply(self.group.multiply(g1, t), g1)
         assert moved == ((3, 1), (1,))
+
+    def test_action_is_built_only_for_a_nonzero_base_part(self, monkeypatch):
+        # g (h, t) = (g_H + A(g_Q) h, g_Q + t) reads A(g_Q) only when h != 0
+        calls = []
+        action_of = Semidirect.action_of
+        monkeypatch.setattr(
+            Semidirect, "action_of", lambda group, q: calls.append(q) or action_of(group, q)
+        )
+        g = ((3, -1), (2,))
+        assert self.group.multiply(g, ((0, 0), (1,))) == ((3, -1), (3,))
+        assert calls == []
+        assert self.group.multiply(g, ((1, 0), (1,))) == ((8, 2), (3,))
+        assert calls == [(2,)]
 
     def test_trivial_action_behaves_like_direct_product(self):
         g = semidirect(FreeAbelian(1), FreeAbelian(1), [[[1]]])
