@@ -85,7 +85,7 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
         # (K_M / K_{M-w})^(1/w), which cancels bounded oscillation that a
         # median of consecutive ratios cannot see past
         window = ratios[-max(1, len(ratios) // 2) :]
-        ratio_estimate = math.exp(sum(math.log(r) for r in window) / len(window))
+        ratio_estimate = math.exp(math.fsum(math.log(r) for r in window) / len(window))
         spread = max(window) - min(window)
         settled = len(window) >= 2 and spread <= DEFAULT_CONVERGENCE_TOL * max(1.0, ratio_estimate)
     else:

@@ -81,7 +81,7 @@ class TestGrowthTable:
         assert table[-1].bit_length() > 1000
         ratios = [float(Fraction(b, a)) for a, b in zip(table, table[1:])]
         window = ratios[-(len(ratios) // 2) :]
-        assert est.ratio_estimate == math.exp(sum(map(math.log, window)) / len(window))
+        assert est.ratio_estimate == math.exp(math.fsum(map(math.log, window)) / len(window))
         assert est.status == "converged"
 
     def test_trivial_endo(self):
