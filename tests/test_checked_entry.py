@@ -1,7 +1,9 @@
 """Elements are checked once, at the public entry.  `growth_table` steps
 through the unchecked kernels, so its table must equal one built through
 the public, checked `apply` and `word_length`, and it must make no `check`
-call per power."""
+call per power.  A product endo's table comes from its factors' tables, so
+it must equal the table of the product images, and a factor endo must act
+on the product's own factor group."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from endogrow.groups import (
     Free,
     FreeAbelian,
     Heisenberg,
+    KindMismatchError,
     LengthMode,
     OutOfBallError,
     free_reduce,
@@ -36,6 +39,8 @@ CANCELLING = ((1, 2), (-2, 1))  # a -> ab, b -> b^-1 a
 
 def z1_times(k):
     return MatrixEndo(FreeAbelian(1), IntMatrix.from_rows([[k]]))
+
+
 ROTATION = [[0, -1], [1, 0]]
 HYPERBOLIC = [[2, 1], [1, 1]]
 
@@ -103,11 +108,24 @@ def heisenberg_endos(draw):
 
 
 @st.composite
-def direct_product_endos(draw):
-    # a bfs-mode free factor next to an exact lattice factor
-    left, right = Free(2, bfs(5)), FreeAbelian(draw(st.integers(1, 2)))
-    group = DirectProduct(left, right)
-    return ProductEndo(group, (draw(words_on(left)), draw(matrix_on(right))))
+def direct_product_endos(draw, depth=1):
+    # an exact lattice factor next to a bfs-mode free factor, an exact free
+    # factor (whose words may take letter counts), a quasi Heisenberg factor
+    # or a nested direct product
+    kinds = ["bfs-free", "free", "heisenberg"] + (["nested"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "bfs-free":
+        left_endo = draw(words_on(Free(2, bfs(5))))
+    elif kind == "free":
+        left_endo = draw(words_on(Free(2)))
+    elif kind == "heisenberg":
+        group = Heisenberg(draw(st.sampled_from([2, 3])), LengthMode("quasi"))
+        left_endo = HeisenbergEndo(group, draw(small), draw(small))
+    else:
+        left_endo = draw(direct_product_endos(depth - 1))
+    right = FreeAbelian(draw(st.integers(1, 2)))
+    group = DirectProduct(left_endo.group, right)
+    return ProductEndo(group, (left_endo, draw(matrix_on(right))))
 
 
 @st.composite
@@ -175,8 +193,33 @@ def test_growth_table_equals_the_table_built_through_public_operations(endo):
             FreeProduct(Free(2), FreeAbelian(1)),
             (WordEndo(Free(2), CANCELLING), z1_times(0)),
         ),
+        ProductEndo(
+            DirectProduct(Free(2), FreeAbelian(1)),
+            (WordEndo(Free(2), FIBONACCI), z1_times(0)),
+        ),
+        ProductEndo(
+            DirectProduct(FreeAbelian(2), FreeAbelian(1)),
+            (MatrixEndo(FreeAbelian(2), IntMatrix.zero(2, 2)), z1_times(0)),
+        ),
+        ProductEndo(
+            DirectProduct(FreeAbelian(1), Free(2, bfs(6))),
+            (z1_times(3), WordEndo(Free(2, bfs(6)), FIBONACCI)),
+        ),
+        ProductEndo(
+            DirectProduct(Free(2, bfs(1)), Heisenberg(3)),
+            (WordEndo(Free(2, bfs(1)), FIBONACCI), HeisenbergEndo(Heisenberg(3), 2, 3)),
+        ),
     ],
-    ids=["cancelling-words", "bfs-free", "direct-bfs-factor", "free-product"],
+    ids=[
+        "cancelling-words",
+        "bfs-free",
+        "direct-bfs-factor",
+        "free-product",
+        "zero-matrix-factor",
+        "zero-matrix-factors",
+        "bfs-truncates-the-smaller-factor",
+        "bfs-empty-beside-quasi",
+    ],
 )
 def test_growth_table_equals_reference_on_named_endos(endo):
     est = growth_table(endo, 10)
@@ -199,3 +242,26 @@ def test_growth_table_check_calls_do_not_grow_with_the_power(monkeypatch):
         growth_table(fibonacci, m)
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_word_factor_of_a_product_builds_no_words(monkeypatch):
+    # a -> abb, b -> a is positive, so its table comes from letter counts,
+    # also inside a product
+    group = DirectProduct(Free(2), FreeAbelian(1))
+    endo = ProductEndo(group, (WordEndo(Free(2), ((1, 2, 2), (1,))), z1_times(2)))
+    calls = []
+    apply = WordEndo._apply
+    monkeypatch.setattr(WordEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
+    est = growth_table(endo, 18)
+    assert calls == []
+    assert est.table[-1] == 349525  # |phi^m(a)| = (2^(m+2) - (-1)^m) / 3
+
+
+@pytest.mark.parametrize(
+    "left_endo",
+    [WordEndo(Free(2, bfs(6)), FIBONACCI), MatrixEndo(FreeAbelian(2), IntMatrix.identity(2))],
+    ids=["other-length-mode", "other-rank"],
+)
+def test_product_endo_rejects_a_factor_on_another_group(left_endo):
+    with pytest.raises(KindMismatchError, match="factor endo 0"):
+        ProductEndo(DirectProduct(Free(2), FreeAbelian(1)), (left_endo, z1_times(2)))
