@@ -78,7 +78,7 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
         status = "trivial" if table else "truncated"
         return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, status, requested)
     inf_bound = min(roots)
-    # int true division rounds the exact ratio once, as a Fraction would
+    # int / int is correctly rounded, also for lengths past the float range
     ratios = [table[m + 1] / table[m] for m in range(len(table) - 1)]
     if ratios:
         # geometric mean over the trailing-half window: it telescopes to
@@ -161,12 +161,12 @@ def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEsti
     the factors' K_m.  A trivial factor counts 0 after its table ends, a
     truncated one cuts the product's table."""
     factors = [growth_table(f, max_power) for f in endo.factors]
-    columns = [
+    tables = [
         est.table + (0,) * (max_power - est.max_power) if est.status == "trivial" else est.table
         for est in factors
     ]
     table = []
-    for k in map(max, *columns):
+    for k in map(max, *tables):
         table.append(k)
         if k == 0:
             break

@@ -72,7 +72,7 @@ class TestGrowthTable:
         assert abs(est.ratio_estimate - GOLDEN) <= 0.02
 
     def test_ratios_of_big_lengths_are_the_exact_ratios_rounded_once(self):
-        # at m = 1000 the lengths have about 1,600 bits; dividing them as ints
+        # at m = 1000 the lengths have about 1,700 bits; dividing them as ints
         # gives each ratio's float as Fraction does, so the estimate is the
         # one built from Fraction ratios
         endo = MatrixEndo(FreeAbelian(3), M([[1, 2, 0], [0, 1, 3], [2, 0, 1]]))
