@@ -3,6 +3,12 @@
 Everything inside a matrix operation is exact (Python ints); floating point
 enters only at the very end, in the polynomial root solver that turns an
 exact characteristic polynomial into a spectral radius.
+
+The characteristic polynomial is multi-modular: modulo each prime below
+2**62 the matrix is reduced to Hessenberg form, whose characteristic
+polynomial a recurrence gives in O(n^3) word-size operations.  The residues
+are combined by CRT until the modulus passes twice Hadamard's bound on the
+coefficients, which makes the lift exact, and one more prime checks it.
 """
 
 from __future__ import annotations
@@ -83,22 +89,6 @@ class IntMatrix:
             self.rows,
             tuple(self.get(i, j) for j in range(self.cols) for i in range(self.rows)),
         )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in addition")
-        return IntMatrix(
-            self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries))
-        )
-
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * x for x in self.entries))
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        return mat_mul(self, other)
-
-    def __pow__(self, n: int) -> "IntMatrix":
-        return mat_pow(self, n)
 
     def apply_col(self, vec: tuple[int, ...]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -213,43 +203,129 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate_matrix(self, a: IntMatrix) -> IntMatrix:
-        """p(a) by Horner's rule -- zero matrix iff Cayley-Hamilton holds."""
-        n = a.rows
-        acc = IntMatrix.zero(n, n)
-        for c in reversed(self.coefficients):
-            acc = mat_mul(acc, a) + IntMatrix.identity(n).scale(c)
-        return acc
+
+# The 80 largest primes below 2**62, written as 2**62 - k.  char_poly searches
+# further down, within the call, only when a coefficient bound needs more.
+_PRIMES = tuple((1 << 62) - k for k in (
+    57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317,
+    443, 483, 495, 575, 581, 603, 633, 663, 765, 773, 777, 791,
+    813, 831, 923, 981, 993, 1001, 1007, 1017, 1197, 1241, 1293, 1353,
+    1433, 1515, 1553, 1575, 1581, 1595, 1617, 1673, 1697, 1701, 1703, 1823,
+    1881, 1911, 1923, 2043, 2073, 2103, 2141, 2187, 2217, 2247, 2285, 2351,
+    2367, 2375, 2397, 2421, 2511, 2541, 2583, 2661, 2675, 2753, 2777, 2793,
+    2861, 2891, 2927, 3023, 3041, 3221, 3251, 3255,
+))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on odd n > 2 with bases that make it deterministic below 2**64."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for base in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        x = pow(base, d, n)
+        if x in (1, n - 1) or base % n == 0:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """_PRIMES, then the primes below them in descending order."""
+    yield from _PRIMES
+    q = _PRIMES[-1]
+    while True:
+        q -= 2
+        if _is_prime(q):
+            yield q
+
+
+def _char_poly_mod(rows, p: int) -> list[int]:
+    """det(xI - A) mod p, ascending, without its leading 1.
+
+    A is brought to upper Hessenberg form H by similarity mod p, and the
+    char poly is read off the recurrence p_0 = 1,
+    p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_i.
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for j in range(n - 2):
+        k = j + 1
+        pivot = next((i for i in range(k, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != k:
+            h[pivot], h[k] = h[k], h[pivot]
+            for row in h:
+                row[pivot], row[k] = row[k], row[pivot]
+        inv = pow(h[k][j], -1, p)
+        pivot_tail = h[k][j:]
+        targets, factors = [], []
+        for i in range(k + 1, n):
+            u = h[i][j] * inv % p
+            if u:
+                # row i -= u * row k (left of column j both rows are zero) ...
+                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], pivot_tail)]
+                targets.append(i)
+                factors.append(u)
+        if targets:
+            # ... undone on the right by column k += u * column i
+            for row in h:
+                row[k] = (row[k] + sum(map(mul, factors, map(row.__getitem__, targets)))) % p
+    polys = [[1]]
+    for k in range(n):
+        nxt = [0] + polys[k]
+        hkk = h[k][k]
+        nxt[: k + 1] = [x - hkk * c for x, c in zip(nxt, polys[k])]
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:  # every longer product holds this zero too
+                break
+            f = h[i][k] * t % p
+            nxt[: i + 1] = [x - f * c for x, c in zip(nxt, polys[i])]
+        polys.append([c % p for c in nxt])
+    return polys[n][:-1]
 
 
 def char_poly(a: IntMatrix) -> CharPoly:
-    """Characteristic polynomial via the Faddeev-LeVerrier recurrence.
+    """Characteristic polynomial by Hessenberg reduction mod primes and CRT.
 
-    All divisions in the recurrence are exact over the integers, so the
-    coefficients come out exact at any size.
+    Each k x k principal minor is at most the product of its rows' Euclidean
+    norms (Hadamard), so every coefficient is at most
+    B = prod(1 + ceil(|r_i|)); residues are combined until the modulus
+    exceeds 2B and then lifted symmetrically, which makes the result exact.
+    One further prime checks it.
     """
     if not a.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    n = a.rows
-    if n == 0:
-        return CharPoly((1,))
-    coeffs_desc = [1]
-    m = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        t = am.trace()
-        q, r = divmod(-t, k)
-        if r:
-            raise ArithmeticError("Faddeev-LeVerrier division was not exact")
-        coeffs_desc.append(q)
-        entries = list(am.entries)
-        for i in range(0, n * n, n + 1):  # the diagonal: m = am + q*I
-            entries[i] += q
-        m = IntMatrix(n, n, tuple(entries))
-    # m is now a*N_{n-1} + c_0*I which must vanish identically
-    if any(m.entries):
-        raise ArithmeticError("Faddeev-LeVerrier closure check failed")
-    return CharPoly(tuple(reversed(coeffs_desc)))
+    rows = [a.row(i) for i in range(a.rows)]
+    bound = 1
+    for row in rows:
+        norm_sq = sum(x * x for x in row)
+        bound *= 2 + math.isqrt(norm_sq - 1) if norm_sq else 1  # 1 + ceil(|row|)
+    primes = _primes()
+    coeffs = [0] * a.rows
+    modulus = 1
+    while modulus <= 2 * bound:
+        p = next(primes)
+        inv = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p)
+            for c, r in zip(coeffs, _char_poly_mod(rows, p))
+        ]
+        modulus *= p
+    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
+    check = next(primes)
+    if [c % check for c in coeffs] != _char_poly_mod(rows, check):
+        raise ArithmeticError("characteristic polynomial check prime disagrees")
+    return CharPoly(tuple(coeffs) + (1,))
 
 
 # -- integer polynomial helpers (ascending coefficient tuples) --------------

@@ -14,7 +14,7 @@ from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import Free, FreeAbelian, Heisenberg, KindMismatchError
 from endogrow.growth import rate_probe
-from endogrow.intmat import IntMatrix
+from endogrow.intmat import IntMatrix, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -169,7 +169,7 @@ def test_generator_power_matches_repeated_products():
         a = IntMatrix.from_rows(HYPERBOLIC if n >= 0 else HYPERBOLIC_INVERSE)
         expected = IntMatrix.identity(2)
         for _ in range(abs(n)):
-            expected = expected * a
+            expected = mat_mul(expected, a)
         assert group.generator_power(0, n) == expected
 
 

@@ -145,7 +145,9 @@ def semidirect_endos(draw):
     else:
         action, quotient, mode = HYPERBOLIC, 1, bfs(5)
     group = semidirect(FreeAbelian(2), FreeAbelian(1), [action], mode)
-    base = mat_pow(IntMatrix.from_rows(action), draw(st.integers(0, 3))).scale(draw(small))
+    power = mat_pow(IntMatrix.from_rows(action), draw(st.integers(0, 3)))
+    k = draw(small)
+    base = IntMatrix(2, 2, tuple(k * x for x in power.entries))
     return SemidirectEndo(group, base.transpose(), IntMatrix.from_rows([[quotient]]))
 
 

@@ -3,13 +3,16 @@ forms, and the root-solver-backed spectral radius."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from endogrow import intmat
 from endogrow.intmat import (
+    _PRIMES,
     DimensionError,
     IntMatrix,
     RootConvergenceError,
@@ -21,10 +24,14 @@ from endogrow.intmat import (
     max_finite_order,
     smith_normal_form,
     solve_int,
+    _primes,
     spectral_radius,
 )
 
+from charpoly_reference import faddeev_char_poly
+
 SQRT2 = math.sqrt(2.0)
+P1 = _PRIMES[0]
 
 
 def M(rows):
@@ -156,7 +163,102 @@ class TestCharPoly:
     def test_cayley_hamilton_exact(self, a):
         p = char_poly(a)
         assert p.coefficients[-1] == 1
-        assert not any(p.evaluate_matrix(a).entries)
+        # p(a) by Horner's rule: acc <- acc * a + c * I, the zero matrix iff
+        # Cayley-Hamilton holds
+        n = a.rows
+        acc = IntMatrix.zero(n, n)
+        for c in reversed(p.coefficients):
+            entries = list(mat_mul(acc, a).entries)
+            for i in range(0, n * n, n + 1):
+                entries[i] += c
+            acc = IntMatrix(n, n, tuple(entries))
+        assert not any(acc.entries)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        st.integers(0, 24).flatmap(
+            lambda n: st.lists(
+                st.integers(-(10**6), 10**6) | st.just(0), min_size=n * n, max_size=n * n
+            ).map(lambda entries: IntMatrix(n, n, tuple(entries)))
+        )
+    )
+    def test_matches_faddeev_leverrier(self, a):
+        assert char_poly(a) == faddeev_char_poly(a)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            pytest.param([], id="n=0"),
+            pytest.param([[7]], id="n=1"),
+            pytest.param([[0] * 5 for _ in range(5)], id="zero-matrix"),
+            pytest.param([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]], id="nilpotent"),
+            pytest.param([[1, 2, 3], [P1, 4, 5], [6, 7, 8]], id="first-pivot-zero-mod-p1"),
+            pytest.param([[1, 2, 3], [P1, 4, 5], [-2 * P1, 7, 8]], id="no-pivot-mod-p1"),
+            pytest.param(
+                [[P1 * x for x in row] for row in [[3, -1, 4], [1, -5, 9], [2, 6, -5]]],
+                id="all-multiples-of-p1",
+            ),
+            pytest.param([[0, 2**10000], [1, 0]], id="past-the-literal-primes"),
+        ],
+    )
+    def test_named_cases_match_faddeev_leverrier(self, rows):
+        a = IntMatrix(len(rows), len(rows), tuple(x for row in rows for x in row))
+        assert char_poly(a) == faddeev_char_poly(a)
+
+    def test_named_case_values(self):
+        assert char_poly(IntMatrix(0, 0, ())).coefficients == (1,)
+        assert char_poly(M([[7]])).coefficients == (-7, 1)
+        assert char_poly(IntMatrix.zero(5, 5)).coefficients == (0, 0, 0, 0, 0, 1)
+        # a nilpotent matrix that is not triangular: N conjugated by a unimodular U
+        u = M([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
+        n = mat_mul(mat_mul(u, M([[0, 1, 2], [0, 0, 3], [0, 0, 0]])), inverse_unimodular(u))
+        assert char_poly(n).coefficients == (0, 0, 0, 1)
+        # the coefficient bound needs more primes than the literal tuple holds
+        assert math.prod(_PRIMES) < 2 * 2**10000
+        assert char_poly(M([[0, 2**10000], [1, 0]])).coefficients == (-(2**10000), 0, 1)
+
+    def test_literal_primes_are_the_largest_below_2_62(self):
+        # strong probable-prime tests to the first twelve prime bases are a
+        # proof below 3.3e24, so this check shares no code with intmat
+        def is_prime(q):
+            d, s = q - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+                x = pow(b, d, q)
+                if x in (1, q - 1):
+                    continue
+                for _ in range(s - 1):
+                    x = x * x % q
+                    if x == q - 1:
+                        break
+                else:
+                    return False
+            return True
+
+        assert len(set(_PRIMES)) == len(_PRIMES)
+        assert all(q < 2**62 for q in _PRIMES)
+        expected = [q for q in range(2**62 - 1, _PRIMES[-1] - 1, -2) if is_prime(q)]
+        assert list(_PRIMES) == expected
+        # past the tuple the search goes on downwards with the next primes
+        after = itertools.islice(_primes(), len(_PRIMES), len(_PRIMES) + 3)
+        below = (q for q in range(_PRIMES[-1] - 2, 0, -2) if is_prime(q))
+        assert list(after) == list(itertools.islice(below, 3))
+
+    def test_check_prime_mismatch_raises(self, monkeypatch):
+        # [[2, 1], [1, 1]] needs one CRT prime; corrupt the check prime's residues
+        calls = []
+        honest = intmat._char_poly_mod
+
+        def corrupt_second(rows, p):
+            calls.append(p)
+            residues = honest(rows, p)
+            return residues if len(calls) == 1 else [(residues[0] + 1) % p] + residues[1:]
+
+        monkeypatch.setattr(intmat, "_char_poly_mod", corrupt_second)
+        with pytest.raises(ArithmeticError):
+            char_poly(M([[2, 1], [1, 1]]))
+        assert calls == list(_PRIMES[:2])
 
 
 class TestSpectralRadius:
