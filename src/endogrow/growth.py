@@ -159,8 +159,17 @@ def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEsti
     """Lemma 5.1 power by power: a generator's image stays in its own factor,
     beside the other factor's identity of length 0, so K_m is the larger of
     the factors' K_m.  A trivial factor counts 0 after its table ends, a
-    truncated one cuts the product's table."""
-    factors = [growth_table(f, max_power) for f in endo.factors]
+    truncated one cuts the product's table, so no later factor's table is
+    built past the cut."""
+    factors = []
+    cut = max_power
+    for f in endo.factors:
+        if not cut:
+            break
+        est = growth_table(f, cut)
+        factors.append(est)
+        if est.status == "truncated":
+            cut = len(est.table)
     tables = [
         est.table + (0,) * (max_power - est.max_power) if est.status == "trivial" else est.table
         for est in factors

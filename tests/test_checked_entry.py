@@ -28,7 +28,7 @@ from endogrow.groups import (
     OutOfBallError,
     free_reduce,
 )
-from endogrow.growth import growth_table
+from endogrow.growth import GrowthEstimate, growth_table
 from endogrow.intmat import IntMatrix, mat_pow
 from endogrow.products import DirectProduct, FreeProduct, semidirect, sublattice
 
@@ -257,6 +257,25 @@ def test_word_factor_of_a_product_builds_no_words(monkeypatch):
     est = growth_table(endo, 18)
     assert calls == []
     assert est.table[-1] == 349525  # |phi^m(a)| = (2^(m+2) - (-1)^m) / 3
+
+
+def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
+    # Fibonacci words leave the radius-6 ball after 3 powers; the matrix
+    # factor beside them is built to that cut, not to m = 1000
+    group = DirectProduct(Free(2, bfs(6)), FreeAbelian(4))
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
+    endo = ProductEndo(
+        group,
+        (WordEndo(Free(2, bfs(6)), FIBONACCI), MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))),
+    )
+    calls = []
+    apply = MatrixEndo._apply
+    monkeypatch.setattr(MatrixEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
+    est = growth_table(endo, 1000)
+    assert est == GrowthEstimate(
+        (2, 4, 8), (2.0, 2.0, 2.0), 2.0, 2.0, "lengths:exact", "exact", "truncated", 1000
+    )
+    assert len(calls) == 4 * len(est.table)  # four generator images per power
 
 
 @pytest.mark.parametrize(
