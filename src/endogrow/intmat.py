@@ -282,14 +282,16 @@ def _char_poly_mod(rows, p: int) -> list[int]:
     for k in range(n):
         nxt = [0] + polys[k]
         hkk = h[k][k]
-        nxt[: k + 1] = [x - hkk * c for x, c in zip(nxt, polys[k])]
+        for d, c in enumerate(polys[k]):
+            nxt[d] -= hkk * c
         t = 1
         for i in range(k - 1, -1, -1):
             t = t * h[i + 1][i] % p
             if not t:  # every longer product holds this zero too
                 break
             f = h[i][k] * t % p
-            nxt[: i + 1] = [x - f * c for x, c in zip(nxt, polys[i])]
+            for d, c in enumerate(polys[i]):
+                nxt[d] -= f * c
         polys.append([c % p for c in nxt])
     return polys[n][:-1]
 
