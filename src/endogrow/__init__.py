@@ -63,7 +63,6 @@ from endogrow.growth import (
     extension_bounds,
     growth_table,
     nilpotent_growth_rate,
-    power_compatibility_check,
     rate_probe,
 )
 from endogrow.laws import LawCheck, LawConfig, run_law, run_suite

@@ -10,7 +10,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from endogrow.groups import EXACT, FreeAbelian, Group, LengthValue, OutOfBallError
+from endogrow.groups import (
+    EXACT,
+    FreeAbelian,
+    Group,
+    LengthValue,
+    OutOfBallError,
+    UnsupportedOperationError,
+)
 from endogrow.products import Semidirect, Sublattice
 from endogrow.specio import SpecError
 
@@ -46,11 +53,6 @@ class BallCensus:
     counts: tuple[int, ...]
     lengths: dict = field(compare=False, hash=False)
     complete: bool = True
-
-    def count_at(self, n: int) -> int:
-        if n > self.completed_radius:
-            raise OutOfBallError(f"radius {n} beyond completed radius {self.completed_radius}")
-        return self.counts[n]
 
 
 def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> BallCensus:
@@ -130,10 +132,6 @@ class DistortionProfile:
     values: tuple[int, ...]
     complete: bool
 
-    @property
-    def radius(self) -> int:
-        return len(self.values) - 1
-
 
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
     """Exact distortion measurements from a BFS census.
@@ -159,7 +157,7 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
             return None if coords is None else sum(abs(c) for c in coords)
 
     else:
-        raise ValueError("unsupported group/subgroup pair for distortion")
+        raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
 
     census = enumerate_ball(group, radius, budget)
     top = census.completed_radius

@@ -122,12 +122,6 @@ class Group(ABC):
             return ball.exact_length(self._bfs_census, g)
         return self._length(g)
 
-    def commutator(self, g, h) -> tuple:
-        """g h g^-1 h^-1 in normal form."""
-        return self.multiply(
-            self.multiply(self.multiply(g, h), self.invert(g)), self.invert(h)
-        )
-
     def symmetric_generators(self) -> tuple[tuple, ...]:
         """Generators and their inverses, deduplicated, in a fixed order."""
         out = []
@@ -194,19 +188,6 @@ class FreeAbelian(Group):
 
     def _length(self, g) -> LengthValue:
         return LengthValue(sum(abs(a) for a in g), EXACT)
-
-
-def free_reduce(letters) -> tuple[int, ...]:
-    """Cancel adjacent s s^-1 pairs; confluent, so the result is canonical."""
-    out = []
-    for x in letters:
-        if x == 0:
-            raise KindMismatchError("0 is not a letter")
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -305,18 +286,14 @@ class Heisenberg(Group):
         a, b, c = g
         return (-a, a * c - b, -c)
 
-    def quasi_length(self, g) -> int:
+    @staticmethod
+    def _quasi_length(g) -> int:
         """max(|a|, |c|, ceil(sqrt(|2b - ac|))).
 
         The centered combination 2b - ac flips sign under inversion, which
         makes this quasi-length exactly symmetric; it stays within
         multiplicative constants of the word metric.
         """
-        self.check(g)
-        return self._quasi_length(g)
-
-    @staticmethod
-    def _quasi_length(g) -> int:
         a, b, c = g
         return max(abs(a), abs(c), ceil_sqrt(abs(2 * b - a * c)))
 

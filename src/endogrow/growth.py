@@ -129,9 +129,9 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     group = endo.group
-    mode = getattr(group, "length_mode", None)
-    method = f"lengths:{mode.kind if mode is not None else 'exact'}"
-    if isinstance(endo, WordEndo) and mode.kind != "bfs" and endo.is_cancellation_free:
+    kind = _length_kind(group)
+    method = f"lengths:{kind}"
+    if isinstance(endo, WordEndo) and kind != "bfs" and endo.is_cancellation_free:
         return estimate_from_table(
             _letter_count_table(endo.letter_matrix, max_power), max_power, method, EXACT
         )
@@ -155,15 +155,22 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     return estimate_from_table(table, max_power, method, exactness)
 
 
+def _length_kind(group) -> str:
+    """The group's length mode; a group without one measures exactly."""
+    mode = getattr(group, "length_mode", None)
+    return mode.kind if mode is not None else "exact"
+
+
 def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEstimate:
     """Lemma 5.1 power by power: a generator's image stays in its own factor,
     beside the other factor's identity of length 0, so K_m is the larger of
     the factors' K_m.  A trivial factor counts 0 after its table ends, a
-    truncated one cuts the product's table, so no later factor's table is
+    truncated one cuts the product's table.  Only a bfs-measured table stops
+    early, so those factors are built first and no other factor's table is
     built past the cut."""
     factors = []
     cut = max_power
-    for f in endo.factors:
+    for f in sorted(endo.factors, key=lambda e: _length_kind(e.group) != "bfs"):
         if not cut:
             break
         est = growth_table(f, cut)
@@ -287,23 +294,6 @@ def nilpotent_growth_rate(endo: HeisenbergEndo, tol: float = 1e-12) -> Nilpotent
     return NilpotentRate((rate1, rate2), combined, max(rate1, rate2))
 
 
-def power_compatibility_check(
-    endo: Endomorphism, n: int, max_power: int = 16, tol: float = 1e-12
-) -> tuple[float, float]:
-    """(rate of endo**n, (rate of endo)**n), by the exact route when one
-    exists and by table ratio estimates otherwise."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    try:
-        base = exact_growth_rate(endo, tol)
-        powered = exact_growth_rate(endo.power(n), tol)
-        return powered, base**n
-    except UnsupportedOperationError:
-        base = growth_table(endo, max_power).ratio_estimate
-        powered = growth_table(endo.power(n), max_power).ratio_estimate
-        return powered, base**n
-
-
 @dataclass(frozen=True)
 class RateVerdict:
     """Three-valued answer to: does the orbit of this element grow at rate
@@ -370,10 +360,6 @@ class ExtensionReport:
     quotient_le_full: bool
     full_le_max: bool
 
-    @property
-    def all_hold(self) -> bool:
-        return self.quotient_le_full and self.full_le_max
-
 
 def extension_bounds(endo: Endomorphism, subgroup, tol: float = 1e-9) -> ExtensionReport:
     """Compute rate(full), rate(restricted), rate(quotient) by the exact
@@ -427,9 +413,13 @@ class DistortionRate:
 
 
 def _signed_exponent_vectors(rank: int, total: int):
-    """All integer vectors e with sum |e_i| <= total and matching parity."""
+    """All integer vectors e with sum |e_i| <= total and matching parity: the
+    exponent sums of the words of length total >= 1, of which there are none
+    in zero generators."""
     if rank > 3:
         raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
+    if rank == 0:
+        return
 
     def rec(prefix, remaining, idx):
         if idx == rank:

@@ -102,11 +102,6 @@ class IntMatrix:
             raise DimensionError("vector length mismatch")
         return tuple(sum(map(mul, vec, col)) for col in self.columns)
 
-    def trace(self) -> int:
-        if not self.is_square:
-            raise DimensionError("trace of non-square matrix")
-        return sum(self.get(i, i) for i in range(self.rows))
-
     def det(self) -> int:
         """Determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square:
@@ -199,10 +194,6 @@ class CharPoly:
 
     coefficients: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 # The 80 largest primes below 2**62, written as 2**62 - k.  char_poly searches
 # further down, within the call, only when a coefficient bound needs more.
@@ -236,13 +227,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# The odd primes below 100 multiplied together: one gcd with it rejects about
+# three in four odd candidates before Miller-Rabin runs.
+_ODD_PRIMORIAL = math.prod((
+    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
+))
+
+
 def _primes():
     """_PRIMES, then the primes below them in descending order."""
     yield from _PRIMES
     q = _PRIMES[-1]
     while True:
         q -= 2
-        if _is_prime(q):
+        if gcd(q, _ODD_PRIMORIAL) == 1 and _is_prime(q):
             yield q
 
 

@@ -56,10 +56,6 @@ class LawCheck:
     tolerance: float
     verdict: str  # "pass" | "fail" | "inapplicable"
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 class UnknownLawError(specio.SpecError):
     pass
@@ -512,8 +508,6 @@ LAWS = {
     "lemma5.6-polycyclic": (_law_polycyclic, 1e-6),
     "lemma5.8-distortion": (_law_distortion, 0.05),
 }
-
-LAW_IDS = tuple(LAWS)
 
 
 def _law(law_id: str):

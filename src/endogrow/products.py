@@ -378,15 +378,6 @@ class Sublattice:
     def contains(self, v: tuple[int, ...]) -> bool:
         return self.coordinates(v) is not None
 
-    def embed(self, coords: tuple[int, ...]) -> tuple[int, ...]:
-        return self.basis.apply_col(coords)
-
-    def intrinsic_length(self, v: tuple[int, ...]) -> LengthValue:
-        coords = self.coordinates(v)
-        if coords is None:
-            raise KindMismatchError(f"{v!r} is not in the sublattice")
-        return LengthValue(sum(abs(c) for c in coords), EXACT)
-
 
 def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
     b = basis if isinstance(basis, IntMatrix) else IntMatrix.from_rows(basis)
@@ -478,15 +469,6 @@ class AbelianQuotient(Group):
 
     def _inv(self, g):
         return self._reduce(tuple(-a for a in g))
-
-    def project(self, v: tuple[int, ...]) -> tuple:
-        """Natural projection Z^n -> quotient, in normal form."""
-        if len(v) != self.ambient_rank:
-            raise KindMismatchError("ambient vector has wrong length")
-        w = self.snf.u.apply_col(v)
-        torsion_rows, _, free_rows = self._structure
-        comps = [w[i] for i in torsion_rows] + [w[i] for i in free_rows]
-        return self._reduce(tuple(comps))
 
     def _length(self, g) -> LengthValue:
         total = 0

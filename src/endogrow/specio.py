@@ -1,7 +1,6 @@
-"""Declarative JSON instance specs: parsing with path-annotated errors, and
-serialization that round-trips every built-in descriptor.  The one reader
-of spec and suite files (load_json), and the one place spec values are
-checked before they reach a constructor."""
+"""Declarative JSON instance specs, parsed with path-annotated errors.  The
+one reader of spec and suite files (load_json), and the one place spec
+values are checked before they reach a constructor."""
 
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from endogrow.groups import (
     Group,
     Heisenberg,
     LengthMode,
-    LowerCentralLayer,
     lower_central_layer,
 )
 from endogrow.intmat import IntMatrix
@@ -247,14 +245,17 @@ def parse_instance(d, path: str = "") -> Instance:
     d = expect_dict(d, path or "instance")
     if "group" not in d:
         _fail(f"{prefix}group", "missing group")
-    group = parse_group(d["group"], f"{prefix}group")
-    options = parse_options(d.get("options"), f"{prefix}options")
-    if options.length_mode is not None:
-        group = with_length_mode(
-            group, options.length_mode, options.radius, f"{prefix}options.length_mode"
-        )
-    endo = parse_endo(d["endo"], group, f"{prefix}endo") if "endo" in d else None
-    sub = parse_subgroup(d["subgroup"], group, f"{prefix}subgroup") if "subgroup" in d else None
+    try:
+        group = parse_group(d["group"], f"{prefix}group")
+        options = parse_options(d.get("options"), f"{prefix}options")
+        if options.length_mode is not None:
+            group = with_length_mode(
+                group, options.length_mode, options.radius, f"{prefix}options.length_mode"
+            )
+        endo = parse_endo(d["endo"], group, f"{prefix}endo") if "endo" in d else None
+        sub = parse_subgroup(d["subgroup"], group, f"{prefix}subgroup") if "subgroup" in d else None
+    except RecursionError:  # products nested past the interpreter's limit
+        _fail(path or "instance", "nested too deeply")
     return Instance(group, endo, sub, options)
 
 
@@ -272,91 +273,10 @@ def load_json(filename: str, what: str):
         raise SpecError(f"{filename}: not UTF-8 text (byte {exc.start}: {exc.reason})")
     except json.JSONDecodeError as exc:
         raise SpecError(f"{filename}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})")
+    except RecursionError:
+        raise SpecError(f"{filename}: nested too deeply")
 
 
 def load_instance_file(filename: str) -> Instance:
     """Read and parse a JSON instance spec from disk."""
     return parse_instance(load_json(filename, "spec"))
-
-
-# -- serialization (round-trips with the parser) -----------------------------
-
-
-def length_mode_to_dict(mode: LengthMode) -> dict:
-    out = {"kind": mode.kind}
-    if mode.kind == "bfs":
-        out["radius"] = mode.radius
-    return out
-
-
-def group_to_dict(group: Group) -> dict:
-    if isinstance(group, (FreeAbelian, Free)):
-        return {
-            "kind": group.kind,
-            "rank": group.rank,
-            "length_mode": length_mode_to_dict(group.length_mode),
-        }
-    if isinstance(group, Heisenberg):
-        return {
-            "kind": "heisenberg",
-            "generators": group.generator_count,
-            "length_mode": length_mode_to_dict(group.length_mode),
-        }
-    if isinstance(group, (DirectProduct, FreeProduct)):
-        kind = "direct_product" if isinstance(group, DirectProduct) else "free_product"
-        return {"kind": kind, "factors": [group_to_dict(group.left), group_to_dict(group.right)]}
-    if isinstance(group, Semidirect):
-        return {
-            "kind": "semidirect",
-            "base_rank": group.base_rank,
-            "quotient_rank": group.quotient_rank,
-            "action": [a.to_rows() for a in group.action],
-            "length_mode": length_mode_to_dict(group.length_mode),
-        }
-    raise SpecError(f"cannot serialize group kind {group.kind!r}")
-
-
-def endo_to_dict(endo: Endomorphism) -> dict:
-    if isinstance(endo, MatrixEndo):
-        return {"kind": "matrix", "rows": endo.matrix.to_rows()}
-    if isinstance(endo, WordEndo):
-        return {"kind": "words", "images": [list(w) for w in endo.images]}
-    if isinstance(endo, HeisenbergEndo):
-        return {"kind": "heisenberg", "lambda": endo.lam, "gamma": endo.gam}
-    if isinstance(endo, ProductEndo):
-        return {"kind": "product", "factors": [endo_to_dict(f) for f in endo.factors]}
-    if isinstance(endo, SemidirectEndo):
-        return {
-            "kind": "semidirect",
-            "base": endo.base_matrix.to_rows(),
-            "quotient": endo.quotient_matrix.to_rows(),
-        }
-    raise SpecError(f"cannot serialize endo {type(endo).__name__}")
-
-
-def subgroup_to_dict(subgroup, group: Group) -> dict:
-    if isinstance(subgroup, Sublattice):
-        return {"kind": "sublattice", "basis": subgroup.basis.to_rows()}
-    if isinstance(subgroup, LowerCentralLayer):
-        return {"kind": "lower_central", "j": subgroup.j}
-    if subgroup == "base":
-        return {"kind": "base"}
-    raise SpecError(f"cannot serialize subgroup {subgroup!r}")
-
-
-def instance_to_dict(instance: Instance) -> dict:
-    out = {"group": group_to_dict(instance.group)}
-    if instance.endo is not None:
-        out["endo"] = endo_to_dict(instance.endo)
-    if instance.subgroup is not None:
-        out["subgroup"] = subgroup_to_dict(instance.subgroup, instance.group)
-    opts = instance.options
-    out["options"] = {
-        "max_m": opts.max_power,
-        "radius": opts.radius,
-    }
-    if opts.tolerance is not None:
-        out["options"]["tolerance"] = opts.tolerance
-    if opts.budget is not None:
-        out["options"]["budget"] = opts.budget
-    return out

@@ -22,7 +22,7 @@ def faddeev_char_poly(a: IntMatrix) -> CharPoly:
     m = IntMatrix.identity(n)
     for k in range(1, n + 1):
         am = mat_mul(a, m)
-        t = am.trace()
+        t = sum(am.entries[:: n + 1])
         q, r = divmod(-t, k)
         if r:
             raise ArithmeticError("Faddeev-LeVerrier division was not exact")

@@ -26,7 +26,6 @@ from endogrow.groups import (
     KindMismatchError,
     LengthMode,
     OutOfBallError,
-    free_reduce,
 )
 from endogrow.growth import GrowthEstimate, growth_table
 from endogrow.intmat import IntMatrix, mat_pow
@@ -43,6 +42,17 @@ def z1_times(k):
 
 ROTATION = [[0, -1], [1, 0]]
 HYPERBOLIC = [[2, 1], [1, 1]]
+
+
+def free_reduce(letters) -> tuple[int, ...]:
+    """Cancel adjacent s s^-1 pairs: the reduced word the strategies draw."""
+    out = []
+    for x in letters:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
 
 
 def reference_table(endo, max_power):
@@ -276,6 +286,22 @@ def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
         (2, 4, 8), (2.0, 2.0, 2.0), 2.0, 2.0, "lengths:exact", "exact", "truncated", 1000
     )
     assert len(calls) == 4 * len(est.table)  # four generator images per power
+
+
+def test_truncating_factor_placed_second_still_cuts_the_first(monkeypatch):
+    # the product above with its factors swapped: the bfs factor is built
+    # first, so the matrix factor still stops at the cut
+    words = WordEndo(Free(2, bfs(6)), FIBONACCI)
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
+    matrix = MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))
+    words_first = ProductEndo(DirectProduct(words.group, matrix.group), (words, matrix))
+    matrix_first = ProductEndo(DirectProduct(matrix.group, words.group), (matrix, words))
+    calls = []
+    apply = MatrixEndo._apply
+    monkeypatch.setattr(MatrixEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
+    est = growth_table(matrix_first, 1000)
+    assert len(calls) == 4 * len(est.table)
+    assert est == growth_table(words_first, 1000)
 
 
 @pytest.mark.parametrize(

@@ -244,6 +244,28 @@ class TestDistortion:
         payload = json.loads(capsys.readouterr().out)
         assert payload["profile"] == [0, 1, 2, 3, 4, 5]
 
+    def test_unsupported_subgroup_exits_2(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "heisenberg", "generators": 2},
+             "subgroup": {"kind": "lower_central", "j": 2}, "options": {"radius": 1}},
+        )
+        assert main(["distortion", spec]) == 2
+        assert capsys.readouterr().err == (
+            "unsupported for this input: unsupported group/subgroup pair for distortion\n"
+        )
+
+    def test_no_action_generators_gives_a_trivial_table(self, tmp_path, capsys):
+        # no word of positive length exists in zero generators
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "semidirect", "base_rank": 1, "quotient_rank": 0, "action": []},
+             "options": {"max_m": 4, "radius": 1}},
+        )
+        assert main(["distortion", spec, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["table"], payload["rate"]) == ([0, 0, 0, 0], 1.0)
+
 
 class TestVerify:
     def test_custom_suite_passes(self, tmp_path, capsys):
@@ -362,6 +384,7 @@ HEIS = {"kind": "heisenberg", "generators": 3}
 HYPERBOLIC = {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
               "action": [[[2, 1], [1, 1]]]}
 ESTIMATE = ["estimate"]
+BALL = ["ball"]
 SUITE = ["verify", "--suite"]
 DIRECTORY = object()  # the input path is a directory
 
@@ -440,6 +463,29 @@ def test_boundary_fault_message(tmp_path, capsys, command, content, message):
         path.write_text(content if isinstance(content, str) else json.dumps(content))
     assert main([*command, str(path)]) == 2
     assert capsys.readouterr().err == f"spec error: {message.format(file=path)}\n"
+
+
+# Built as strings: json.dumps itself stops at the recursion limit.
+NESTED_PRODUCTS = (
+    '{"group": ' + '{"kind": "direct_product", "factors": [{"kind": "free", "rank": 1}, ' * 5000
+    + '{"kind": "free", "rank": 1}' + "]}" * 5000 + "}"
+)
+NESTED_CHECKS = '{"checks": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [(BALL, NESTED_PRODUCTS), (SUITE, NESTED_CHECKS)],
+    ids=["spec-products", "suite-lists"],
+)
+def test_nesting_too_deep_exits_2(tmp_path, capsys, command, content):
+    """Whether the JSON reader or the spec parser hits the recursion limit
+    first depends on the Python version; either way the input is at fault."""
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and err.endswith(": nested too deeply\n")
 
 
 class TestErrorsAndDeterminism:

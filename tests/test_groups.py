@@ -6,7 +6,6 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from endogrow.ball import enumerate_ball
 from endogrow.groups import (
@@ -18,7 +17,6 @@ from endogrow.groups import (
     KindMismatchError,
     LengthMode,
     UnsupportedOperationError,
-    free_reduce,
     lower_central_layer,
 )
 
@@ -29,6 +27,11 @@ def random_element(group, rng, size=6):
     for _ in range(rng.randint(0, size)):
         g = group.multiply(g, rng.choice(gens))
     return g
+
+
+def commutator(group, g, h):
+    """g h g^-1 h^-1 in normal form."""
+    return group.multiply(group.multiply(group.multiply(g, h), group.invert(g)), group.invert(h))
 
 
 class TestMultiplyInvert:
@@ -102,11 +105,11 @@ class TestWordLength:
 class TestQuasiLength:
     def test_identity_zero_and_symmetry_exact(self):
         h = Heisenberg()
-        assert h.quasi_length((0, 0, 0)) == 0
+        assert h.word_length((0, 0, 0)).value == 0
         rng = random.Random(17)
         for _ in range(500):
             g = (rng.randint(-40, 40), rng.randint(-900, 900), rng.randint(-40, 40))
-            assert h.quasi_length(g) == h.quasi_length(h.invert(g))
+            assert h.word_length(g).value == h.word_length(h.invert(g)).value
 
     def test_flagged_quasi_equivalent(self):
         assert Heisenberg().word_length((1, 2, 3)).exactness == QUASI_EQUIVALENT
@@ -119,8 +122,8 @@ class TestQuasiLength:
         for _ in range(500):
             g = (rng.randint(-9, 9), rng.randint(-80, 80), rng.randint(-9, 9))
             k = (rng.randint(-9, 9), rng.randint(-80, 80), rng.randint(-9, 9))
-            lhs = h.quasi_length(h.multiply(g, k))
-            rhs = h.quasi_length(g) + h.quasi_length(k)
+            lhs = h.word_length(h.multiply(g, k)).value
+            rhs = h.word_length(g).value + h.word_length(k).value
             if lhs > rhs:
                 worst = max(worst, lhs / max(rhs, 1))
         # measured constant: stays below 2 on this sample
@@ -133,7 +136,7 @@ class TestQuasiLength:
             census = enumerate_ball(h, radius)
             c_lower, c_upper = float("inf"), 0.0
             for g, length in census.lengths.items():
-                q = h.quasi_length(g)
+                q = h.word_length(g).value
                 if q > 0:
                     c_lower = min(c_lower, length / q)
                 c_upper = max(c_upper, length / (q + 1))
@@ -152,13 +155,13 @@ class TestQuasiLength:
 class TestCommutator:
     def test_heisenberg_generators(self):
         h = Heisenberg()
-        assert h.commutator((1, 0, 0), (0, 0, 1)) == (0, 1, 0)
+        assert commutator(h, (1, 0, 0), (0, 0, 1)) == (0, 1, 0)
 
     def test_with_identity(self):
         for group in (FreeAbelian(2), Free(2), Heisenberg()):
             rng = random.Random(23)
             g = random_element(group, rng)
-            assert group.commutator(g, group.identity()) == group.identity()
+            assert commutator(group, g, group.identity()) == group.identity()
 
     def test_abelian_commutators_vanish(self):
         z2 = FreeAbelian(2)
@@ -166,7 +169,7 @@ class TestCommutator:
         for _ in range(50):
             u = random_element(z2, rng)
             v = random_element(z2, rng)
-            assert z2.commutator(u, v) == (0, 0)
+            assert commutator(z2, u, v) == (0, 0)
 
 
 class TestAssociativity:
@@ -187,20 +190,6 @@ class TestAssociativity:
         for _ in range(300):
             g = random_element(group, rng)
             assert group.multiply(g, group.invert(g)) == group.identity()
-
-
-class TestFreeReduction:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
-        st.integers(0, 100),
-        st.sampled_from([1, -1, 2, -2]),
-    )
-    def test_confluence_under_insertion(self, letters, pos, s):
-        word = free_reduce(letters)
-        cut = pos % (len(word) + 1)
-        padded = word[:cut] + (s, -s) + word[cut:]
-        assert free_reduce(padded) == word
 
 
 class TestLowerCentralSeries:

@@ -33,7 +33,6 @@ from endogrow.growth import (
     extension_bounds,
     growth_table,
     nilpotent_growth_rate,
-    power_compatibility_check,
     rate_probe,
 )
 
@@ -201,22 +200,6 @@ class TestExactRates:
         assert abs(quasi_est.ratio_estimate - bfs_est.ratio_estimate) <= 0.1
 
 
-class TestPowerCompatibility:
-    def test_abelian_exact(self):
-        powered, expected = power_compatibility_check(swap_doubling(), 2)
-        assert powered == pytest.approx(2.0, abs=1e-9)
-        assert expected == pytest.approx(2.0, abs=1e-9)
-
-    def test_identity(self):
-        powered, expected = power_compatibility_check(identity_endo(FreeAbelian(2)), 5)
-        assert powered == expected == pytest.approx(1.0)
-
-    def test_free_group_estimates(self):
-        powered, expected = power_compatibility_check(fibonacci_word_endo(), 2, max_power=12)
-        assert abs(powered - GOLDEN**2) <= 0.05
-        assert abs(expected - GOLDEN**2) <= 0.05
-
-
 class TestNilpotentRate:
     def test_two_two(self):
         rate = nilpotent_growth_rate(HeisenbergEndo(Heisenberg(), 2, 2))
@@ -286,14 +269,14 @@ class TestExtensionBounds:
         assert report.full == pytest.approx(3.0)
         assert report.restricted == pytest.approx(3.0)
         assert report.quotient == pytest.approx(0.0)
-        assert report.all_hold
+        assert report.quotient_le_full and report.full_le_max
 
     def test_trivial_subgroup_gives_equality(self):
         endo = MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]]))
         trivial = sublattice(FreeAbelian(2), [[], []])
         report = extension_bounds(endo, trivial)
         assert report.quotient == report.full
-        assert report.all_hold
+        assert report.quotient_le_full and report.full_le_max
 
     def test_heisenberg_center_strict_inequality(self):
         endo = HeisenbergEndo(Heisenberg(), 2, 2)
@@ -302,7 +285,7 @@ class TestExtensionBounds:
         assert report.full == pytest.approx(2.0)
         assert report.restricted == pytest.approx(4.0)
         assert report.quotient == pytest.approx(2.0)
-        assert report.all_hold
+        assert report.quotient_le_full and report.full_le_max
         assert report.full < max(report.restricted, report.quotient) - 0.5
 
 

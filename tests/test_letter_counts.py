@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endogrow.endos import WordEndo
-from endogrow.groups import Free, LengthMode, free_reduce
+from endogrow.groups import Free, LengthMode
 from endogrow.growth import growth_table
 
-from test_checked_entry import CANCELLING, FIBONACCI, reference_table
+from test_checked_entry import CANCELLING, FIBONACCI, free_reduce, reference_table
 
 MAX_POWER = 7
 A_TO_BA = ((2, 1), (1,))  # a -> ba, b -> a: positive, yet phi(a b^-1) = b cancels

@@ -130,11 +130,6 @@ class TestBudget:
         for w, length in census.lengths.items():
             assert length == len(w) <= census.completed_radius
 
-    def test_count_at_beyond_completed_raises(self):
-        census = enumerate_ball(Free(2), 8, budget=100)
-        with pytest.raises(OutOfBallError):
-            census.count_at(8)
-
     def test_environment_variable_overrides_default_budget(self, monkeypatch):
         monkeypatch.setenv("ENDOGROW_BUDGET", "60")
         census = enumerate_ball(Free(2), 7)

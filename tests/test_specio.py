@@ -24,6 +24,13 @@ class TestErrors:
                                         {"kind": "bogus"}]}}
             )
 
+    def test_products_nested_past_the_recursion_limit(self):
+        group = {"kind": "free", "rank": 1}
+        for _ in range(5000):
+            group = {"kind": "direct_product", "factors": [{"kind": "free", "rank": 1}, group]}
+        with pytest.raises(SpecError, match="at instance: nested too deeply"):
+            specio.parse_instance({"group": group})
+
     def test_matrix_cell_path(self):
         with pytest.raises(SpecError, match=r"endo.rows\[0\]\[1\]"):
             specio.parse_instance(
@@ -82,10 +89,3 @@ class TestOptions:
     def test_tolerance_must_be_a_non_negative_real(self, tolerance):
         with pytest.raises(SpecError, match="options.tolerance"):
             specio.parse_options({"tolerance": tolerance})
-
-    def test_tolerance_is_serialized_only_when_set(self):
-        group = {"kind": "free_abelian", "rank": 1}
-        unset = specio.instance_to_dict(specio.parse_instance({"group": group}))
-        assert "tolerance" not in unset["options"]
-        given = {"group": group, "options": {"tolerance": 0.1}}
-        assert specio.instance_to_dict(specio.parse_instance(given))["options"]["tolerance"] == 0.1
