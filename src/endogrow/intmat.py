@@ -584,100 +584,63 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     Works on any integer matrix (rectangular included).  The returned
     transforms satisfy U*A*V == D identically; the diagonal is nonnegative
     with each entry dividing the next.
+
+    The elimination runs on the block matrix [[A, I_m], [I_n, 0]], so an
+    operation on its first m rows also builds U and one on its first n
+    columns also builds V; D, U and V end as its top-left, top-right and
+    bottom-left blocks.
     """
     m, n = a.rows, a.cols
-    d = a.to_rows()
-    u = IntMatrix.identity(m).to_rows()
-    v = IntMatrix.identity(n).to_rows()
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    b = [list(a.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
+    b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
 
     def add_col(dst, src, k):
         # column dst += k * column src
-        for row in d:
-            row[dst] += k * row[src]
-        for row in v:
+        for row in b:
             row[dst] += k * row[src]
 
-    def sub_row(i, t, q):
-        # row i -= q * row t
-        d[i] = [a - q * b for a, b in zip(d[i], d[t])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[t])]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_gcd_transform(t, i):
-        # replace rows t, i by unimodular combinations making d[i][t] == 0
-        at, ai = d[t][t], d[i][t]
-        g, x, y = _ext_gcd(at, ai)
-        p, q = at // g, ai // g
-        d[t], d[i] = (
-            [x * rt + y * ri for rt, ri in zip(d[t], d[i])],
-            [-q * rt + p * ri for rt, ri in zip(d[t], d[i])],
-        )
-        u[t], u[i] = (
-            [x * rt + y * ri for rt, ri in zip(u[t], u[i])],
-            [-q * rt + p * ri for rt, ri in zip(u[t], u[i])],
-        )
-
-    def col_gcd_transform(t, j):
-        at, aj = d[t][t], d[t][j]
-        g, x, y = _ext_gcd(at, aj)
-        p, q = at // g, aj // g
-        for row in d:
-            ct, cj = row[t], row[j]
-            row[t], row[j] = x * ct + y * cj, -q * ct + p * cj
-        for row in v:
-            ct, cj = row[t], row[j]
-            row[t], row[j] = x * ct + y * cj, -q * ct + p * cj
-
-    def diagonalize_from(start):
-        t = start
+    def diagonalize_from(t):
         while t < min(m, n):
-            # smallest-magnitude nonzero pivot in the trailing submatrix
-            pivot = None
-            best = None
-            for i in range(t, m):
-                for j in range(t, n):
-                    val = d[i][j]
-                    if val and (best is None or abs(val) < best):
-                        best, pivot = abs(val), (i, j)
+            # the first smallest nonzero |entry| of the trailing block, row-major
+            cells = ((abs(b[i][j]), i, j) for i in range(t, m) for j in range(t, n) if b[i][j])
+            pivot = min(cells, default=None)
             if pivot is None:
                 break
-            pi, pj = pivot
-            if pi != t:
-                swap_rows(t, pi)
+            _, pi, pj = pivot
+            b[t], b[pi] = b[pi], b[t]
             if pj != t:
-                swap_cols(t, pj)
-            # clear column t with row subtractions (gcd steps strictly shrink
+                for row in b:
+                    row[t], row[pj] = row[pj], row[t]
+            # clear column t with row operations (gcd steps strictly shrink
             # the pivot, so this terminates), then row t with column ops
             while True:
                 for i in range(t + 1, m):
-                    if d[i][t]:
-                        q, r = divmod(d[i][t], d[t][t])
+                    if b[i][t]:
+                        q, r = divmod(b[i][t], b[t][t])
                         if r == 0:
-                            sub_row(i, t, q)
-                        else:
-                            row_gcd_transform(t, i)
+                            b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                            continue
+                        # rows t, i := unimodular combinations making b[i][t] == 0
+                        g, x, y = _ext_gcd(b[t][t], b[i][t])
+                        p, q = b[t][t] // g, b[i][t] // g
+                        b[t], b[i] = (
+                            [x * rt + y * ri for rt, ri in zip(b[t], b[i])],
+                            [-q * rt + p * ri for rt, ri in zip(b[t], b[i])],
+                        )
                 for j in range(t + 1, n):
-                    if d[t][j]:
-                        q, r = divmod(d[t][j], d[t][t])
+                    if b[t][j]:
+                        q, r = divmod(b[t][j], b[t][t])
                         if r == 0:
                             add_col(j, t, -q)
-                        else:
-                            col_gcd_transform(t, j)
-                if not any(d[i][t] for i in range(t + 1, m)) and not any(
-                    d[t][j] for j in range(t + 1, n)
+                            continue
+                        # columns t, j := unimodular combinations making b[t][j] == 0
+                        g, x, y = _ext_gcd(b[t][t], b[t][j])
+                        p, q = b[t][t] // g, b[t][j] // g
+                        for row in b:
+                            ct, cj = row[t], row[j]
+                            row[t], row[j] = x * ct + y * cj, -q * ct + p * cj
+                if not any(b[i][t] for i in range(t + 1, m)) and not any(
+                    b[t][j] for j in range(t + 1, n)
                 ):
                     break
             t += 1
@@ -686,25 +649,21 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     # enforce the divisibility chain, re-diagonalizing after each disturbance
     r = min(m, n)
     while True:
-        broken = None
-        for i in range(r - 1):
-            if not _divides(d[i][i], d[i + 1][i + 1]):
-                broken = i
-                break
+        broken = next((i for i in range(r - 1) if not _divides(b[i][i], b[i + 1][i + 1])), None)
         if broken is None:
             break
         add_col(broken, broken + 1, 1)
         diagonalize_from(broken)
     for i in range(r):
-        if d[i][i] < 0:
-            negate_row(i)
+        if b[i][i] < 0:
+            b[i] = [-x for x in b[i]]
 
-    dm = IntMatrix.from_rows(d) if m else IntMatrix.zero(0, n)
-    um = IntMatrix.from_rows(u) if m else IntMatrix.identity(0)
-    vm = IntMatrix.from_rows(v) if n else IntMatrix.identity(0)
-    if mat_mul(mat_mul(um, a), vm).entries != dm.entries:
+    d = IntMatrix(m, n, tuple(x for row in b[:m] for x in row[:n]))
+    u = IntMatrix(m, m, tuple(x for row in b[:m] for x in row[n:]))
+    v = IntMatrix(n, n, tuple(x for row in b[m:] for x in row[:n]))
+    if mat_mul(mat_mul(u, a), v).entries != d.entries:
         raise ArithmeticError("Smith normal form transform check failed")
-    return SmithForm(dm, um, vm)
+    return SmithForm(d, u, v)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

@@ -3,6 +3,7 @@ forms, and the root-solver-backed spectral radius."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -36,6 +37,32 @@ P1 = _PRIMES[0]
 
 def M(rows):
     return IntMatrix.from_rows(rows)
+
+
+def smith_corpus():
+    """Seeded matrices for pinning the Smith transforms: empty shapes, small
+    rectangular ones, rank-deficient products, and the sizes of the
+    benchmark's spectral workload."""
+    rng = random.Random("smith transforms")
+
+    def rand(m, n, bound):
+        return IntMatrix(m, n, tuple(rng.randint(-bound, bound) for _ in range(m * n)))
+
+    yield from (IntMatrix.zero(m, n) for m, n in [(0, 0), (0, 3), (3, 0), (2, 2)])
+    for _ in range(120):
+        yield rand(rng.randint(0, 7), rng.randint(0, 7), rng.choice([1, 9, 1000]))
+    for _ in range(30):
+        m, n = rng.randint(1, 8), rng.randint(1, 8)
+        r = rng.randint(1, min(m, n))
+        yield mat_mul(rand(m, r, 4), rand(r, n, 4))
+    for n in (4, 8, 12, 16, 20, 24):
+        for bound in (1, 3, 5):
+            yield rand(n, n, bound)
+
+
+# SHA-256 of the shapes and hex entries of d, u and v over smith_corpus(),
+# recorded with the two-matrix elimination that the block-matrix one replaced
+SMITH_CORPUS_SHA256 = "199f36d1eca2b94cbe986e5bddda8081e2976283c0918e2058b0b9156d4b5027"
 
 
 def small_matrices(max_dim=4, lo=-5, hi=5):
@@ -349,6 +376,16 @@ class TestSmithNormalForm:
 
     def test_rank_deficient(self):
         assert smith_normal_form(M([[2, 0], [0, 0]])).diagonal == (2, 0)
+
+    def test_transforms_are_pinned(self):
+        # quotient coordinates and lengths read U, so the exact D, U and V
+        # are pinned, not only the diagonal
+        digest = hashlib.sha256()
+        for a in smith_corpus():
+            s = smith_normal_form(a)
+            for x in (s.d, s.u, s.v):
+                digest.update(f"{x.rows}x{x.cols}:{','.join(map(hex, x.entries))};".encode())
+        assert digest.hexdigest() == SMITH_CORPUS_SHA256
 
     @settings(max_examples=80, deadline=None)
     @given(
