@@ -8,6 +8,7 @@ import random
 import pytest
 
 from endogrow.endos import (
+    Endomorphism,
     HeisenbergEndo,
     InvarianceError,
     MatrixEndo,
@@ -20,7 +21,7 @@ from endogrow.endos import (
     induce_on_quotient,
     restrict,
 )
-from endogrow.groups import Free, FreeAbelian, Heisenberg, lower_central_layer
+from endogrow.groups import Free, FreeAbelian, Group, Heisenberg, lower_central_layer
 from endogrow.intmat import IntMatrix
 from endogrow.products import direct_product, free_product, semidirect, sublattice
 
@@ -133,6 +134,22 @@ class TestHomomorphismLaw:
             assert endo.apply(group.multiply(g, h)) == group.multiply(
                 endo.apply(g), endo.apply(h)
             )
+
+    def test_construction_multiplies_and_maps_nothing(self, monkeypatch):
+        # the factor-group and intertwining checks already decide that these
+        # maps are homomorphisms, so building one samples no products
+        def forbidden(*args):
+            raise AssertionError("construction called multiply or apply")
+
+        monkeypatch.setattr(Group, "multiply", forbidden)
+        monkeypatch.setattr(Endomorphism, "apply", forbidden)
+        words = WordEndo(Free(2), ((1, 2, -1), (2, 2)))
+        doubling = MatrixEndo(FreeAbelian(1), M([[2]]))
+        ProductEndo(free_product(Free(2), FreeAbelian(1)), (words, doubling))
+        inner = ProductEndo(direct_product(Free(2), FreeAbelian(1)), (words, doubling))
+        ProductEndo(direct_product(inner.group, FreeAbelian(1)), (inner, doubling))
+        group = semidirect(FreeAbelian(2), FreeAbelian(1), [[[0, -1], [1, 0]]])
+        SemidirectEndo(group, M([[2, 0], [0, 2]]), M([[1]]))
 
     def test_heisenberg_commutes_with_commutator(self):
         group = Heisenberg()
