@@ -161,16 +161,24 @@ def _length_kind(group) -> str:
     return mode.kind if mode is not None else "exact"
 
 
+def _may_truncate(endo: Endomorphism) -> bool:
+    """Whether the endo's table can stop early: a bfs-measured one, or a
+    product's with such a factor inside."""
+    if isinstance(endo, ProductEndo):
+        return any(map(_may_truncate, endo.factors))
+    return _length_kind(endo.group) == "bfs"
+
+
 def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEstimate:
     """Lemma 5.1 power by power: a generator's image stays in its own factor,
     beside the other factor's identity of length 0, so K_m is the larger of
     the factors' K_m.  A trivial factor counts 0 after its table ends, a
     truncated one cuts the product's table.  Only a bfs-measured table stops
-    early, so those factors are built first and no other factor's table is
-    built past the cut."""
+    early, so a factor with one inside is built first and no other factor's
+    table is built past the cut."""
     factors = []
     cut = max_power
-    for f in sorted(endo.factors, key=lambda e: _length_kind(e.group) != "bfs"):
+    for f in sorted(endo.factors, key=lambda e: not _may_truncate(e)):
         if not cut:
             break
         est = growth_table(f, cut)

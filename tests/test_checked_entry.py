@@ -288,20 +288,42 @@ def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
     assert len(calls) == 4 * len(est.table)  # four generator images per power
 
 
+def _matrix_beside(truncating, monkeypatch):
+    """The 4x4 matrix endo above beside a truncating endo, in either order:
+    both orders give one estimate, and with the matrix first its table is
+    still built only to the cut."""
+    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
+    matrix = MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))
+    truncating_first = ProductEndo(
+        DirectProduct(truncating.group, matrix.group), (truncating, matrix)
+    )
+    matrix_first = ProductEndo(DirectProduct(matrix.group, truncating.group), (matrix, truncating))
+    calls = []
+    apply = MatrixEndo._apply
+
+    def spy(endo, g):
+        if endo is matrix:
+            calls.append(g)
+        return apply(endo, g)
+
+    monkeypatch.setattr(MatrixEndo, "_apply", spy)
+    est = growth_table(matrix_first, 1000)
+    assert len(calls) == 4 * len(est.table)
+    assert est == growth_table(truncating_first, 1000)
+
+
 def test_truncating_factor_placed_second_still_cuts_the_first(monkeypatch):
     # the product above with its factors swapped: the bfs factor is built
     # first, so the matrix factor still stops at the cut
+    _matrix_beside(WordEndo(Free(2, bfs(6)), FIBONACCI), monkeypatch)
+
+
+def test_product_with_a_truncating_factor_inside_is_built_first(monkeypatch):
+    # the bfs factor one product further down still cuts the matrix factor
     words = WordEndo(Free(2, bfs(6)), FIBONACCI)
-    rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
-    matrix = MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))
-    words_first = ProductEndo(DirectProduct(words.group, matrix.group), (words, matrix))
-    matrix_first = ProductEndo(DirectProduct(matrix.group, words.group), (matrix, words))
-    calls = []
-    apply = MatrixEndo._apply
-    monkeypatch.setattr(MatrixEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
-    est = growth_table(matrix_first, 1000)
-    assert len(calls) == 4 * len(est.table)
-    assert est == growth_table(words_first, 1000)
+    _matrix_beside(
+        ProductEndo(DirectProduct(words.group, FreeAbelian(1)), (words, z1_times(1))), monkeypatch
+    )
 
 
 @pytest.mark.parametrize(
