@@ -43,18 +43,6 @@ def _emit(text: str):
     sys.stdout.flush()
 
 
-def _estimate_payload(est) -> dict:
-    return {
-        "table": list(est.table),
-        "roots": list(est.roots),
-        "inf_bound": est.inf_bound,
-        "ratio_estimate": est.ratio_estimate,
-        "method": est.method,
-        "exactness": est.exactness,
-        "status": est.status,
-    }
-
-
 def _estimate_tsv_lines(est) -> list[str]:
     lines = ["m\tK_m\troot\tinf_bound\tratio_estimate"]
     running_inf = None
@@ -81,7 +69,9 @@ def cmd_estimate(args) -> int:
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
     est = growth_table(endo, max_power)
     if args.format == "json":
-        _emit(json.dumps(_estimate_payload(est), sort_keys=True) + "\n")
+        payload = dataclasses.asdict(est)
+        del payload["requested"]
+        _emit(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
     _emit("\n".join(_estimate_tsv_lines(est)) + "\n")
     return EXIT_OK
@@ -199,16 +189,6 @@ def cmd_distortion(args) -> int:
     return EXIT_OK
 
 
-def _check_to_dict(check) -> dict:
-    return {
-        "id": check.id,
-        "instance": check.instance,
-        "values": check.values,
-        "tolerance": check.tolerance,
-        "verdict": check.verdict,
-    }
-
-
 def cmd_verify(args) -> int:
     config = LawConfig(seed=args.seed)
     if args.suite == "default":
@@ -231,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "seed": report.seed,
-            "checks": [_check_to_dict(c) for c in report.checks],
+            "checks": [dataclasses.asdict(c) for c in report.checks],
             "summary": {
                 "total": len(report.checks),
                 "pass": report.passed,
