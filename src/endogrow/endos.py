@@ -16,7 +16,7 @@ from endogrow.groups import (
     LowerCentralLayer,
     UnsupportedOperationError,
 )
-from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul
+from endogrow.intmat import IntMatrix, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -291,33 +291,34 @@ class SemidirectEndo(Endomorphism):
 
 @dataclass(frozen=True)
 class QuotientEndo(Endomorphism):
-    """An endomorphism induced on an abelian quotient, stored as the exact
-    conjugated matrix in Smith coordinates (column convention)."""
+    """Endomorphism of an abelian quotient: an integer matrix on the k
+    normal-form components (column convention), reduced after each step.
+    Construction checks the k x k shape and that d times the image of each
+    torsion generator of order d is the identity, so the map is well defined."""
 
     group: AbelianQuotient
-    smith_matrix: IntMatrix  # ambient_rank x ambient_rank, acts on w = U v
+    smith_matrix: IntMatrix  # k x k on the normal-form components
 
-    def _lift(self, g) -> tuple[int, ...]:
-        torsion_rows, _, free_rows = self.group._structure
-        w = [0] * self.group.ambient_rank
-        n_t = len(torsion_rows)
-        for idx, row in enumerate(torsion_rows):
-            w[row] = g[idx]
-        for idx, row in enumerate(free_rows):
-            w[row] = g[n_t + idx]
-        return tuple(w)
+    def __post_init__(self):
+        k = len(self.group.identity())
+        if self.smith_matrix.rows != k or self.smith_matrix.cols != k:
+            raise KindMismatchError("matrix shape does not match the quotient's components")
+        for j, d in enumerate(self.group.torsion_moduli):
+            killed = self.group._reduce(d * x for x in self.smith_matrix.column(j))
+            if killed != self.group.identity():
+                raise InvarianceError(
+                    f"component c{j + 1} has order {d} but {d} times its image is not "
+                    f"the identity; quotient map undefined"
+                )
 
     def _apply(self, g):
-        w = self.smith_matrix.apply_col(self._lift(g))
-        torsion_rows, _, free_rows = self.group._structure
-        comps = [w[i] for i in torsion_rows] + [w[i] for i in free_rows]
-        return self.group._reduce(tuple(comps))
+        return self.group._reduce(self.smith_matrix.apply_col(g))
 
     def free_block(self) -> IntMatrix:
         """The induced map on (quotient / torsion) = Z^free_rank, columns."""
-        _, _, free_rows = self.group._structure
+        t = len(self.group.torsion_moduli)
         return IntMatrix.from_rows(
-            [[self.smith_matrix.get(i, j) for j in free_rows] for i in free_rows]
+            [self.smith_matrix.row(i)[t:] for i in range(t, self.smith_matrix.rows)]
         )
 
     def compose(self, other):
@@ -386,21 +387,11 @@ def induce_on_quotient(endo: Endomorphism, subgroup):
     Heisenberg endos modulo the center give the abelianized matrix.
     """
     if isinstance(endo, MatrixEndo) and isinstance(subgroup, Sublattice):
-        if subgroup.ambient_rank != endo.group.rank:
-            raise KindMismatchError("sublattice has the wrong ambient rank")
+        restrict(endo, subgroup)  # raises InvarianceError unless invariant
         if subgroup.rank == 0:
             return endo
-        for j in range(subgroup.rank):
-            image = endo.column_matrix.apply_col(subgroup.basis.column(j))
-            if not subgroup.contains(image):
-                raise InvarianceError(
-                    f"sublattice generator h{j + 1} maps outside the sublattice; "
-                    f"quotient map undefined"
-                )
         quotient = abelian_quotient(endo.group, subgroup)
-        u = quotient.snf.u
-        smith_matrix = mat_mul(mat_mul(u, endo.column_matrix), inverse_unimodular(u))
-        return QuotientEndo(quotient, smith_matrix)
+        return QuotientEndo(quotient, quotient.component_matrix(endo.column_matrix))
     if isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer):
         if subgroup.j == 2:
             return abelianization(endo)
@@ -433,5 +424,5 @@ def identity_endo(group: Group) -> Endomorphism:
             IntMatrix.identity(group.quotient_rank),
         )
     if isinstance(group, AbelianQuotient):
-        return QuotientEndo(group, IntMatrix.identity(group.ambient_rank))
+        return QuotientEndo(group, IntMatrix.identity(len(group.identity())))
     raise UnsupportedOperationError(f"no identity endo for kind {group.kind!r}")

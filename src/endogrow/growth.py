@@ -215,20 +215,15 @@ def _torsion_orbit_rate(endo: QuotientEndo) -> float:
     """Growth contribution of the torsion part: 0 if every generator orbit
     dies, else 1 (orbits in a finite group are eventually periodic)."""
     group = endo.group
-    if not group.torsion_moduli:
-        return 0.0
-    alive = False
-    for _, gen in group.generators[: len(group.torsion_moduli)]:
+    for _, g in group.generators[: len(group.torsion_moduli)]:
         seen = set()
-        g = gen
         while g not in seen:
             seen.add(g)
             g = endo._apply(g)
         # g is the first repeated point; the orbit dies iff it is the identity
         if g != group.identity():
-            alive = True
-            break
-    return 1.0 if alive else 0.0
+            return 1.0
+    return 0.0
 
 
 def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
@@ -246,15 +241,8 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
             return 0.0
         return spectral_radius(endo.matrix, tol)
     if isinstance(endo, QuotientEndo):
-        group = endo.group
-        if group.is_trivial:
-            return 0.0
-        parts = []
-        if group.free_rank:
-            parts.append(spectral_radius(endo.free_block(), tol))
-        if group.torsion_moduli:
-            parts.append(_torsion_orbit_rate(endo))
-        return max(parts)
+        free = spectral_radius(endo.free_block(), tol) if endo.group.free_rank else 0.0
+        return max(free, _torsion_orbit_rate(endo))
     if isinstance(endo, HeisenbergEndo):
         return nilpotent_growth_rate(endo, tol).combined
     if isinstance(endo, ProductEndo):
@@ -373,25 +361,17 @@ def extension_bounds(endo: Endomorphism, subgroup, tol: float = 1e-9) -> Extensi
     """Compute rate(full), rate(restricted), rate(quotient) by the exact
     routes and evaluate quotient <= full and full <= max(restricted, quotient)
     within tol."""
-    if isinstance(endo, MatrixEndo) and isinstance(subgroup, Sublattice):
-        full = exact_growth_rate(endo)
-        restricted_rate = exact_growth_rate(restrict(endo, subgroup))
-        quotient_rate = (
-            full if subgroup.rank == 0 else exact_growth_rate(induce_on_quotient(endo, subgroup))
-        )
-    elif isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer):
-        full = nilpotent_growth_rate(endo).combined
-        restricted_rate = exact_growth_rate(restrict(endo, subgroup))
-        quotient_rate = (
-            full
-            if subgroup.j == 3
-            else exact_growth_rate(induce_on_quotient(endo, subgroup))
-        )
-    else:
+    if not (
+        (isinstance(endo, MatrixEndo) and isinstance(subgroup, Sublattice))
+        or (isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer))
+    ):
         raise UnsupportedOperationError(
             "extension bounds support matrix endos with sublattices and "
             "Heisenberg endos with lower-central layers"
         )
+    full = exact_growth_rate(endo)
+    restricted_rate = exact_growth_rate(restrict(endo, subgroup))
+    quotient_rate = exact_growth_rate(induce_on_quotient(endo, subgroup))
     return ExtensionReport(
         full=full,
         restricted=restricted_rate,

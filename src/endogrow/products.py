@@ -375,9 +375,6 @@ class Sublattice:
             raise KindMismatchError("ambient vector has wrong length")
         return solve_int(self.basis, v, self.snf)
 
-    def contains(self, v: tuple[int, ...]) -> bool:
-        return self.coordinates(v) is not None
-
 
 def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
     b = basis if isinstance(basis, IntMatrix) else IntMatrix.from_rows(basis)
@@ -387,12 +384,12 @@ def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
 @dataclass(frozen=True)
 class AbelianQuotient(Group):
     """Z^n modulo the column span of a relation matrix, presented through its
-    Smith normal form as (torsion cyclic factors) x Z^free_rank.
+    Smith normal form U R V = D as (torsion cyclic factors) x Z^free_rank.
 
-    Normal forms are tuples (torsion residues ..., free coordinates ...) in
-    the Smith coordinate system; the length is the sum of minimal absolute
-    residues on torsion factors plus the L1 norm of the free part, which is
-    the word length in the cyclic/free canonical generators.
+    Normal forms are the coordinates of w = U v on the Smith rows with d != 1:
+    residues in [0, d) for d > 1 first, then free coordinates for d = 0.  The
+    length is the sum of minimal absolute residues on torsion factors plus the
+    L1 norm of the free part, the word length in the canonical generators.
     """
 
     ambient_rank: int
@@ -407,30 +404,40 @@ class AbelianQuotient(Group):
         return smith_normal_form(self.relations)
 
     @cached_property
-    def _structure(self):
-        """(torsion_rows, moduli, free_rows): Smith rows carrying each part."""
+    def _smith_diagonal(self) -> tuple[int, ...]:
+        """D's diagonal, padded with 0s to one entry per row of U."""
         diag = self.snf.diagonal
-        torsion_rows = []
-        moduli = []
-        for i, d in enumerate(diag):
-            if d > 1:
-                torsion_rows.append(i)
-                moduli.append(d)
-        free_rows = [i for i, d in enumerate(diag) if d == 0]
-        free_rows += list(range(len(diag), self.ambient_rank))
-        return tuple(torsion_rows), tuple(moduli), tuple(free_rows)
+        return diag + (0,) * (self.ambient_rank - len(diag))
+
+    @cached_property
+    def _kept_rows(self) -> tuple[int, ...]:
+        """The Smith rows that carry a component, in component order."""
+        return tuple(i for i, d in enumerate(self._smith_diagonal) if d != 1)
+
+    @cached_property
+    def _moduli(self) -> tuple[int, ...]:
+        """One per component: d > 1 for a torsion factor, 0 for a free one."""
+        return tuple(self._smith_diagonal[i] for i in self._kept_rows)
 
     @property
     def torsion_moduli(self) -> tuple[int, ...]:
-        return self._structure[1]
+        return tuple(d for d in self._moduli if d)
 
     @property
     def free_rank(self) -> int:
-        return len(self._structure[2])
+        return self._moduli.count(0)
 
     @property
     def is_trivial(self) -> bool:
-        return not self.torsion_moduli and self.free_rank == 0
+        return not self._moduli
+
+    def component_matrix(self, column_matrix: IntMatrix) -> IntMatrix:
+        """The map a column-convention matrix A on Z^n that keeps the relations
+        induces on the components: U A U^-1 cut to the kept rows and columns."""
+        u = self.snf.u
+        full = mat_mul(mat_mul(u, column_matrix), inverse_unimodular(u))
+        rows = self._kept_rows
+        return IntMatrix.from_rows([[full.get(i, j) for j in rows] for i in rows])
 
     @property
     def kind(self) -> str:
@@ -438,44 +445,37 @@ class AbelianQuotient(Group):
 
     @property
     def generators(self):
-        out = []
-        n_t = len(self.torsion_moduli)
-        size = n_t + self.free_rank
-        for i, d in enumerate(self.torsion_moduli):
-            el = tuple(1 if j == i else 0 for j in range(size))
-            out.append((f"c{i + 1}", self._reduce(el)))
-        for i in range(self.free_rank):
-            el = tuple(1 if j == n_t + i else 0 for j in range(size))
-            out.append((f"f{i + 1}", el))
-        return tuple(out)
+        n_t, k = len(self.torsion_moduli), len(self._moduli)
+        return tuple(
+            (f"c{i + 1}" if i < n_t else f"f{i - n_t + 1}", tuple(int(j == i) for j in range(k)))
+            for i in range(k)
+        )
 
     def identity(self):
-        return (0,) * (len(self.torsion_moduli) + self.free_rank)
+        return (0,) * len(self._moduli)
 
     def check(self, g):
-        size = len(self.torsion_moduli) + self.free_rank
+        size = len(self._moduli)
         if not isinstance(g, tuple) or len(g) != size:
             raise KindMismatchError(f"quotient element must have {size} components")
+        for x, d in zip(g, self._moduli):
+            if not isinstance(x, int):
+                raise KindMismatchError(f"quotient component {x!r} is not an integer")
+            if d and not 0 <= x < d:
+                raise KindMismatchError(f"torsion residue {x} is not in [0, {d})")
 
     def _reduce(self, comps) -> tuple:
-        moduli = self.torsion_moduli
-        out = list(comps)
-        for i, d in enumerate(moduli):
-            out[i] %= d
-        return tuple(out)
+        """The normal form of an iterable of component values."""
+        return tuple(x % d if d else x for x, d in zip(comps, self._moduli))
 
     def _mul(self, g, h):
-        return self._reduce(tuple(map(add, g, h)))
+        return self._reduce(map(add, g, h))
 
     def _inv(self, g):
-        return self._reduce(tuple(-a for a in g))
+        return self._reduce(-a for a in g)
 
     def _length(self, g) -> LengthValue:
-        total = 0
-        for i, d in enumerate(self.torsion_moduli):
-            r = g[i] % d
-            total += min(r, d - r)
-        total += sum(abs(x) for x in g[len(self.torsion_moduli) :])
+        total = sum(min(x, d - x) if d else abs(x) for x, d in zip(g, self._moduli))
         return LengthValue(total, EXACT)
 
 

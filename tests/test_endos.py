@@ -21,9 +21,22 @@ from endogrow.endos import (
     induce_on_quotient,
     restrict,
 )
-from endogrow.groups import Free, FreeAbelian, Group, Heisenberg, lower_central_layer
+from endogrow.groups import (
+    Free,
+    FreeAbelian,
+    Group,
+    Heisenberg,
+    KindMismatchError,
+    lower_central_layer,
+)
 from endogrow.intmat import IntMatrix
-from endogrow.products import direct_product, free_product, semidirect, sublattice
+from endogrow.products import (
+    AbelianQuotient,
+    direct_product,
+    free_product,
+    semidirect,
+    sublattice,
+)
 
 from test_groups import commutator
 
@@ -242,6 +255,38 @@ class TestInduceOnQuotient:
         lat = sublattice(FreeAbelian(2), [[3, 0], [0, 1]])
         with pytest.raises(InvarianceError):
             induce_on_quotient(endo, lat)
+
+
+class TestQuotientEndo:
+    def test_components_drop_the_unit_smith_rows(self):
+        # Z^3 / <(3, 0, 0)>: one Z/3 and two free components, no d = 1 row
+        endo = MatrixEndo(FreeAbelian(3), M([[2, 0, 0], [1, 1, 1], [1, 1, 2]]))
+        induced = induce_on_quotient(endo, sublattice(FreeAbelian(3), [[3], [0], [0]]))
+        assert induced.smith_matrix.rows == induced.smith_matrix.cols == 3
+        # Z^2 / <(2, 0), (0, 1)> = Z/2: the d = 1 row is cut
+        endo = MatrixEndo(FreeAbelian(2), M([[3, 1], [0, 1]]))
+        induced = induce_on_quotient(endo, sublattice(FreeAbelian(2), [[2, 0], [0, 1]]))
+        assert (induced.smith_matrix.rows, induced.smith_matrix.cols) == (1, 1)
+        assert induced.apply((1,)) == (1,)
+        assert identity_endo(induced.group).smith_matrix == IntMatrix.identity(1)
+
+    def test_rejects_a_map_that_breaks_a_relation(self):
+        q = AbelianQuotient(2, M([[2], [0]]))  # Z/2 x Z
+        with pytest.raises(InvarianceError, match="c1"):
+            QuotientEndo(q, M([[1, 0], [1, 0]]))  # t -> (1, 1), of infinite order
+
+    def test_rejects_a_matrix_of_the_wrong_size(self):
+        q = AbelianQuotient(2, M([[2], [0]]))
+        with pytest.raises(KindMismatchError):
+            QuotientEndo(q, IntMatrix.identity(3))
+
+    def test_accepted_matrix_is_a_homomorphism(self):
+        q = AbelianQuotient(2, M([[2], [0]]))
+        endo = QuotientEndo(q, M([[1, 1], [0, 3]]))  # t -> t, f -> t + 3f
+        rng = random.Random(23)
+        for _ in range(100):
+            g, h = random_element(q, rng), random_element(q, rng)
+            assert endo.apply(q.multiply(g, h)) == q.multiply(endo.apply(g), endo.apply(h))
 
 
 class TestAbelianization:

@@ -8,7 +8,7 @@ import pytest
 
 from endogrow import products
 from endogrow.ball import enumerate_ball
-from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, LengthMode
+from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, KindMismatchError, LengthMode
 from endogrow.intmat import IntMatrix
 from endogrow.products import (
     AbelianQuotient,
@@ -222,14 +222,14 @@ class TestSublattice:
 
     def test_membership_and_coordinates(self):
         lat = sublattice(FreeAbelian(2), [[2, 0], [0, 3]])
-        assert lat.contains((2, 3))
+        assert lat.coordinates((2, 3)) is not None
         assert lat.coordinates((2, 3)) == (1, 1)
-        assert not lat.contains((1, 0))
+        assert lat.coordinates((1, 0)) is None
 
     def test_infinite_index_column(self):
         lat = Sublattice(2, M([[1], [0]]))
         assert lat.index is None
-        assert lat.contains((5, 0)) and not lat.contains((0, 1))
+        assert lat.coordinates((5, 0)) is not None and lat.coordinates((0, 1)) is None
 
     def test_round_trip_coordinates(self):
         lat = sublattice(FreeAbelian(3), [[2, 1, 0], [0, 1, 1], [0, 0, 3]])
@@ -262,6 +262,17 @@ class TestAbelianQuotient:
         assert q.torsion_moduli == (6,)
         assert q.word_length((5,)).value == 1
         assert q.word_length((3,)).value == 3
+
+    def test_check_rejects_what_is_not_a_normal_form(self):
+        q = AbelianQuotient(2, M([[2], [0]]))  # Z/2 x Z
+        q.check((1, -5))
+        for bad in [(3, 0), (2, 0), (-1, 0), (0, 1.5), ("1", 0)]:
+            with pytest.raises(KindMismatchError):
+                q.check(bad)
+        with pytest.raises(KindMismatchError):
+            q.word_length((3, 0))
+        with pytest.raises(KindMismatchError):
+            q.multiply((3, 0), (0, 0))
 
     def test_group_laws(self):
         q = AbelianQuotient(2, M([[4, 0], [0, 2]]))
