@@ -428,7 +428,7 @@ def _matrix_max_column_l1(m: IntMatrix) -> int:
     )
 
 
-def distortion_rate(group: Semidirect, max_power: int, tol: float = 1e-12) -> DistortionRate:
+def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     """Exact table of worst-case action stretches and its limit diagnostics.
 
     For an abelian acting group a length-m product of action generators
@@ -451,7 +451,7 @@ def distortion_rate(group: Semidirect, max_power: int, tol: float = 1e-12) -> Di
     for i in range(group.quotient_rank):
         spectral = max(
             spectral,
-            spectral_radius(group.action[i], tol),
-            spectral_radius(group._inverse_action[i], tol),
+            spectral_radius(group.action[i]),
+            spectral_radius(group._inverse_action[i]),
         )
     return DistortionRate(tuple(table), estimate, spectral, math.sqrt(spectral))
