@@ -8,7 +8,6 @@ reference every closed-form or quasi length is checked against.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from endogrow.groups import (
     EXACT,
@@ -19,6 +18,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
 )
 from endogrow.products import Semidirect, Sublattice
+from endogrow.record import record
 from endogrow.specio import SpecError
 
 DEFAULT_BUDGET = 5_000_000
@@ -40,7 +40,7 @@ def _resolve_budget(budget):
     return value
 
 
-@dataclass(frozen=True)
+@record
 class BallCensus:
     """Exact lengths for every element within completed_radius of the identity.
 
@@ -51,7 +51,7 @@ class BallCensus:
     radius: int
     completed_radius: int
     counts: tuple[int, ...]
-    lengths: dict = field(compare=False, hash=False)
+    lengths: dict
     complete: bool = True
 
 
@@ -124,7 +124,7 @@ def exact_length(census: BallCensus, g) -> LengthValue:
     return LengthValue(found, EXACT)
 
 
-@dataclass(frozen=True)
+@record
 class DistortionProfile:
     """values[n] = max intrinsic subgroup length over subgroup elements lying
     in the ambient ball of radius n (values[0] == 0)."""

@@ -7,7 +7,6 @@ Subcommands: estimate, spectral, ball, distortion, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -18,6 +17,7 @@ from endogrow.groups import KindMismatchError, OutOfBallError, UnsupportedOperat
 from endogrow.intmat import RootConvergenceError
 from endogrow.laws import LawConfig, run_suite
 from endogrow.products import Semidirect
+from endogrow.record import asdict, replace
 from endogrow.growth import distortion_rate, exact_growth_rate, growth_table
 from endogrow.specio import SpecError
 
@@ -65,11 +65,11 @@ def cmd_estimate(args) -> int:
     if args.length_mode is not None:
         radius = args.radius if args.radius is not None else instance.options.radius
         group = specio.with_length_mode(instance.group, args.length_mode, radius, "--length-mode")
-        endo = dataclasses.replace(endo, group=group)
+        endo = replace(endo, group=group)
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
     est = growth_table(endo, max_power)
     if args.format == "json":
-        payload = dataclasses.asdict(est)
+        payload = asdict(est)
         del payload["requested"]
         _emit(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
     if args.format == "json":
         payload = {
             "seed": report.seed,
-            "checks": [dataclasses.asdict(c) for c in report.checks],
+            "checks": [asdict(c) for c in report.checks],
             "summary": {
                 "total": len(report.checks),
                 "pass": report.passed,

@@ -4,7 +4,6 @@ restriction to invariant subgroups, and induced quotient maps."""
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 
 from endogrow.groups import (
@@ -25,6 +24,7 @@ from endogrow.products import (
     Sublattice,
     abelian_quotient,
 )
+from endogrow.record import record
 
 
 class InvarianceError(ValueError):
@@ -67,7 +67,7 @@ class Endomorphism(ABC):
         return identity_endo(self.group) if result is None else result
 
 
-@dataclass(frozen=True)
+@record
 class MatrixEndo(Endomorphism):
     """Endomorphism of a free abelian group given by an integer matrix whose
     ROWS are the generator images (so apply(v) = v * matrix)."""
@@ -93,7 +93,7 @@ class MatrixEndo(Endomorphism):
         return MatrixEndo(self.group, mat_mul(other.matrix, self.matrix))
 
 
-@dataclass(frozen=True)
+@record
 class WordEndo(Endomorphism):
     """Endomorphism of a free group: one reduced image word per generator."""
 
@@ -178,7 +178,7 @@ class WordEndo(Endomorphism):
         return WordEndo(self.group, tuple(self._apply(w) for w in other.images))
 
 
-@dataclass(frozen=True)
+@record
 class HeisenbergEndo(Endomorphism):
     """The two-parameter family (a, b, c) -> (m_a * a, m_a*m_c * b, m_c * c).
 
@@ -204,7 +204,7 @@ class HeisenbergEndo(Endomorphism):
         return HeisenbergEndo(self.group, self.lam * other.lam, self.gam * other.gam)
 
 
-@dataclass(frozen=True)
+@record
 class ProductEndo(Endomorphism):
     """Componentwise endomorphism of a direct or free product (each factor is
     mapped into itself, by an endo on that very factor group).  Checking the
@@ -242,7 +242,7 @@ class ProductEndo(Endomorphism):
         )
 
 
-@dataclass(frozen=True)
+@record
 class SemidirectEndo(Endomorphism):
     """Blockwise endomorphism (h, q) -> (h * base, q * quotient) of a
     semidirect product; keeps the base subgroup invariant.
@@ -289,7 +289,7 @@ class SemidirectEndo(Endomorphism):
         )
 
 
-@dataclass(frozen=True)
+@record
 class QuotientEndo(Endomorphism):
     """Endomorphism of an abelian quotient: an integer matrix on the k
     normal-form components (column convention), reduced after each step.

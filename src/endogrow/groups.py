@@ -8,10 +8,11 @@ equality of elements.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
 from operator import add
+
+from endogrow.record import record
 
 
 EXACT = "exact"
@@ -33,15 +34,21 @@ class OutOfBallError(LookupError):
     """A BFS-backed length was requested beyond the enumerated radius."""
 
 
-@dataclass(frozen=True)
+@record
 class LengthValue:
     """A word-length measurement plus how literally to read it."""
 
     value: int
     exactness: str  # EXACT or QUASI_EQUIVALENT
 
+    def __init__(self, value: int, exactness: str):
+        # written out: one is built per generator image per power
+        d = self.__dict__
+        d["value"] = value
+        d["exactness"] = exactness
 
-@dataclass(frozen=True)
+
+@record
 class LengthMode:
     """How a group measures elements: closed-form exact, a quasi-length that
     is within multiplicative constants of the word metric, or BFS lookup."""
@@ -149,7 +156,7 @@ class Group(ABC):
         return ball.enumerate_ball(self, self.length_mode.radius)
 
 
-@dataclass(frozen=True)
+@record
 class FreeAbelian(Group):
     """Z^rank with the standard basis generators; elements are int tuples."""
 
@@ -190,7 +197,7 @@ class FreeAbelian(Group):
         return LengthValue(sum(abs(a) for a in g), EXACT)
 
 
-@dataclass(frozen=True)
+@record
 class Free(Group):
     """Free group of given rank; elements are reduced words of signed
     generator indices (1-based, negative for inverses)."""
@@ -241,7 +248,7 @@ class Free(Group):
         return LengthValue(len(g), EXACT)
 
 
-@dataclass(frozen=True)
+@record
 class Heisenberg(Group):
     """Discrete Heisenberg group; elements are integer triples (a, b, c)
     multiplying as (a,b,c)(p,q,r) = (a+p, b+q+a*r, c+r).
@@ -305,7 +312,7 @@ class Heisenberg(Group):
         )
 
 
-@dataclass(frozen=True)
+@record
 class LowerCentralLayer:
     """One step of the lower central series: the subgroup layer_j together
     with the quotient layer_j / layer_{j+1}, both as concrete descriptors."""

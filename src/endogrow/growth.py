@@ -9,7 +9,6 @@ m-th roots of the recorded word lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from endogrow.endos import (
     Endomorphism,
@@ -31,6 +30,7 @@ from endogrow.groups import (
 )
 from endogrow.intmat import IntMatrix, spectral_radius
 from endogrow.products import Semidirect, Sublattice
+from endogrow.record import record
 
 DEFAULT_CONVERGENCE_TOL = 0.05
 
@@ -43,7 +43,7 @@ def _root(value: int, m: int) -> float:
     return math.exp(math.log(value) / m)
 
 
-@dataclass(frozen=True)
+@record
 class GrowthEstimate:
     """Diagnostics from iterating an endomorphism on the generators.
 
@@ -264,7 +264,7 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
     raise UnsupportedOperationError(f"no exact route for {type(endo).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class NilpotentRate:
     """Layer-by-layer growth data for a class-2 nilpotent endomorphism."""
 
@@ -290,7 +290,7 @@ def nilpotent_growth_rate(endo: HeisenbergEndo, tol: float = 1e-12) -> Nilpotent
     return NilpotentRate((rate1, rate2), combined, max(rate1, rate2))
 
 
-@dataclass(frozen=True)
+@record
 class RateVerdict:
     """Three-valued answer to: does the orbit of this element grow at rate
     at most the threshold?  Sampled limsup, never certain near the line."""
@@ -344,7 +344,7 @@ def rate_probe(
     return RateVerdict(element, threshold, verdict, margin, tuple(roots), estimate)
 
 
-@dataclass(frozen=True)
+@record
 class ExtensionReport:
     """Growth rates of an endomorphism on a group, an invariant subgroup, and
     the quotient, with the two comparison inequalities evaluated."""
@@ -382,7 +382,7 @@ def extension_bounds(endo: Endomorphism, subgroup, tol: float = 1e-9) -> Extensi
     )
 
 
-@dataclass(frozen=True)
+@record
 class DistortionRate:
     """The compression rate of the base lattice inside a semidirect product.
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import mul
+
+from endogrow.record import record
 
 
 class DimensionError(ValueError):
@@ -29,7 +30,7 @@ class RootConvergenceError(RuntimeError):
     """The simultaneous root iteration failed to reach its tolerance."""
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""
 
@@ -37,13 +38,16 @@ class IntMatrix:
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]):
+        # written out: the most often built record
+        if rows < 0 or cols < 0:
             raise DimensionError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise DimensionError(f"expected {rows * cols} entries, got {len(entries)}")
+        d = self.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["entries"] = entries
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -187,7 +191,7 @@ def max_finite_order(n: int) -> int:
     return max(max(lcms) for lcms in reach.values())
 
 
-@dataclass(frozen=True)
+@record
 class CharPoly:
     """Monic characteristic polynomial; coefficients ascending, so
     coefficients[k] multiplies x**k and coefficients[-1] == 1."""
@@ -528,7 +532,7 @@ def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
     return max(top, 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class SmithForm:
     """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0."""
 

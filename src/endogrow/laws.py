@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 
 from endogrow import specio
 from endogrow.ball import distortion_profile
@@ -34,6 +33,7 @@ from endogrow.groups import (
 )
 from endogrow.intmat import IntMatrix, spectral_radius
 from endogrow.products import Semidirect, Sublattice
+from endogrow.record import record
 from endogrow.growth import (
     distortion_rate,
     exact_growth_rate,
@@ -43,12 +43,12 @@ from endogrow.growth import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class LawConfig:
     seed: int = 20250811  # used by random instances that carry no seed of their own
 
 
-@dataclass(frozen=True)
+@record
 class LawCheck:
     id: str
     instance: str
@@ -720,7 +720,7 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
     ]
 
 
-@dataclass(frozen=True)
+@record
 class SuiteReport:
     seed: int
     checks: tuple[LawCheck, ...]

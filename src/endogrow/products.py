@@ -3,7 +3,6 @@ cyclic-by-cyclic towers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, mul
 
@@ -28,9 +27,10 @@ from endogrow.intmat import (
     smith_normal_form,
     solve_int,
 )
+from endogrow.record import record
 
 
-@dataclass(frozen=True)
+@record
 class DirectProduct(Group):
     """A x B with the union generating set; elements are pairs and the word
     length is exactly the sum of the factor lengths."""
@@ -80,7 +80,7 @@ def direct_product(left: Group, right: Group) -> DirectProduct:
 _FREE_FACTOR_KINDS = (Free, FreeAbelian)
 
 
-@dataclass(frozen=True)
+@record
 class FreeProduct(Group):
     """A * B for factors with syllable normal forms (free groups and Z).
 
@@ -168,7 +168,7 @@ def free_product(left: Group, right: Group) -> FreeProduct:
     return FreeProduct(left, right)
 
 
-@dataclass(frozen=True)
+@record
 class Semidirect(Group):
     """H x| Q for free abelian H and Q, with Q acting on H through
     commuting unimodular integer matrices (one per Q generator, acting on
@@ -332,7 +332,7 @@ def semidirect(
     return Semidirect(base.rank, quotient.rank, matrices, length_mode)
 
 
-@dataclass(frozen=True)
+@record
 class Sublattice:
     """A subgroup of Z^n spanned by the independent columns of `basis`.
 
@@ -381,7 +381,7 @@ def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
     return Sublattice(ambient.rank, b)
 
 
-@dataclass(frozen=True)
+@record
 class AbelianQuotient(Group):
     """Z^n modulo the column span of a relation matrix, presented through its
     Smith normal form U R V = D as (torsion cyclic factors) x Z^free_rank.

@@ -4,10 +4,8 @@ values are checked before they reach a constructor."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
 
 from endogrow.groups import (
     Free,
@@ -32,6 +30,7 @@ from endogrow.endos import (
     SemidirectEndo,
     WordEndo,
 )
+from endogrow.record import record, replace
 
 
 class SpecError(ValueError):
@@ -94,7 +93,7 @@ def with_length_mode(group: Group, kind: str, radius: int, path: str) -> Group:
     if not hasattr(group, "length_mode"):
         _fail(path, f"group kind {group.kind!r} does not take a length-mode override")
     mode = _build(path, LengthMode, kind, radius if kind == "bfs" else 0)
-    return dataclasses.replace(group, length_mode=mode)
+    return replace(group, length_mode=mode)
 
 
 def parse_group(d, path: str = "group") -> Group:
@@ -193,7 +192,7 @@ def parse_endo(d, group: Group, path: str = "endo") -> Endomorphism:
     _fail(f"{path}.kind", f"unknown endo kind {kind!r}")
 
 
-@dataclass(frozen=True)
+@record
 class Options:
     max_power: int = 20
     radius: int = 10
@@ -229,7 +228,7 @@ def parse_options(d, path: str = "options") -> Options:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     """A parsed spec: a group, optionally an endomorphism and a subgroup,
     plus run options."""
@@ -237,7 +236,7 @@ class Instance:
     group: Group
     endo: Endomorphism | None = None
     subgroup: object = None
-    options: Options = field(default_factory=Options)
+    options: Options = Options()  # shared: an Options never changes
 
 
 def parse_instance(d, path: str = "") -> Instance:
