@@ -184,7 +184,8 @@ class FreeAbelian(Group):
         return (0,) * self.rank
 
     def check(self, g):
-        if not isinstance(g, tuple) or len(g) != self.rank:
+        if not (isinstance(g, tuple) and len(g) == self.rank
+                and all(isinstance(a, int) for a in g)):
             raise KindMismatchError(f"not a rank-{self.rank} lattice element: {g!r}")
 
     def _mul(self, g, h):
@@ -281,7 +282,7 @@ class Heisenberg(Group):
         return (0, 0, 0)
 
     def check(self, g):
-        if not isinstance(g, tuple) or len(g) != 3:
+        if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(a, int) for a in g)):
             raise KindMismatchError(f"not a Heisenberg triple: {g!r}")
 
     def _mul(self, g, h):

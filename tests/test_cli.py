@@ -390,6 +390,17 @@ DIRECTORY = object()  # the input path is a directory
 
 
 @pytest.mark.parametrize(
+    "group, query",
+    [(Z2, "[[1],[2]]"), (HEIS, "[[1],0,0]"), (HYPERBOLIC, "[[[1],0],[0]]")],
+    ids=["free_abelian", "heisenberg", "semidirect-base"],
+)
+def test_query_with_a_non_integer_component_exits_2(tmp_path, capsys, group, query):
+    spec = write_spec(tmp_path, {"group": group})
+    assert main(["ball", spec, "--radius", "2", "--query", query]) == 2
+    assert "is not a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command, content, message",
     [
         pytest.param(ESTIMATE, {"group": {**Z1, "rank": -1}},

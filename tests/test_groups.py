@@ -73,6 +73,12 @@ class TestMultiplyInvert:
         with pytest.raises(KindMismatchError):
             Free(2).check((1, -1))  # unreduced
 
+    def test_non_integer_component_is_kind_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            FreeAbelian(2).multiply(((1,), (2,)), (0, 0))
+        with pytest.raises(KindMismatchError):
+            Heisenberg(3).word_length(("x", 0, 0))
+
 
 class TestWordLength:
     def test_lattice_l1(self):
