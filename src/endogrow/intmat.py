@@ -5,7 +5,7 @@ enters only at the very end, in the polynomial root solver that turns an
 exact characteristic polynomial into a spectral radius.
 
 The characteristic polynomial is multi-modular: modulo each prime below
-2**62 the matrix is reduced to Hessenberg form, whose characteristic
+2**60 the matrix is reduced to Hessenberg form, whose characteristic
 polynomial a recurrence gives in O(n^3) word-size operations.  The residues
 are combined by CRT until the modulus passes twice Hadamard's bound on the
 coefficients, which makes the lift exact, and one more prime checks it.
@@ -199,16 +199,16 @@ class CharPoly:
     coefficients: tuple[int, ...]
 
 
-# The 80 largest primes below 2**62, written as 2**62 - k.  char_poly searches
-# further down, within the call, only when a coefficient bound needs more.
-_PRIMES = tuple((1 << 62) - k for k in (
-    57, 87, 117, 143, 153, 167, 171, 195, 203, 273, 287, 317,
-    443, 483, 495, 575, 581, 603, 633, 663, 765, 773, 777, 791,
-    813, 831, 923, 981, 993, 1001, 1007, 1017, 1197, 1241, 1293, 1353,
-    1433, 1515, 1553, 1575, 1581, 1595, 1617, 1673, 1697, 1701, 1703, 1823,
-    1881, 1911, 1923, 2043, 2073, 2103, 2141, 2187, 2217, 2247, 2285, 2351,
-    2367, 2375, 2397, 2421, 2511, 2541, 2583, 2661, 2675, 2753, 2777, 2793,
-    2861, 2891, 2927, 3023, 3041, 3221, 3251, 3255,
+# The 80 largest primes below 2**60 (two 30-bit CPython digits), as 2**60 - k.  char_poly
+# searches further down, within the call, only when a coefficient bound needs more.
+_PRIMES = tuple((1 << 60) - k for k in (
+    93, 107, 173, 179, 257, 279, 369, 395, 399, 453, 557, 579,
+    629, 669, 695, 707, 717, 725, 753, 777, 797, 879, 933, 983,
+    999, 1127, 1137, 1187, 1199, 1293, 1319, 1329, 1449, 1473, 1503, 1505,
+    1577, 1589, 1655, 1659, 1707, 1763, 1809, 1815, 1829, 1875, 1949, 2019,
+    2043, 2063, 2127, 2147, 2165, 2189, 2235, 2259, 2285, 2385, 2457, 2463,
+    2529, 2559, 2565, 2687, 2697, 2709, 2733, 2799, 2849, 3105, 3113, 3197,
+    3243, 3245, 3269, 3273, 3369, 3429, 3449, 3483,
 ))
 
 

@@ -244,7 +244,7 @@ class TestCharPoly:
         assert math.prod(_PRIMES) < 2 * 2**10000
         assert char_poly(M([[0, 2**10000], [1, 0]])).coefficients == (-(2**10000), 0, 1)
 
-    def test_literal_primes_are_the_largest_below_2_62(self):
+    def test_literal_primes_are_the_largest_below_2_60(self):
         # strong probable-prime tests to the first twelve prime bases are a
         # proof below 3.3e24, so this check shares no code with intmat
         def is_prime(q):
@@ -264,8 +264,8 @@ class TestCharPoly:
             return True
 
         assert len(set(_PRIMES)) == len(_PRIMES)
-        assert all(q < 2**62 for q in _PRIMES)
-        expected = [q for q in range(2**62 - 1, _PRIMES[-1] - 1, -2) if is_prime(q)]
+        assert all(q < 2**60 for q in _PRIMES)
+        expected = [q for q in range(2**60 - 1, _PRIMES[-1] - 1, -2) if is_prime(q)]
         assert list(_PRIMES) == expected
         # past the tuple the search goes on downwards with the next primes
         after = itertools.islice(_primes(), len(_PRIMES), len(_PRIMES) + 3)
