@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -105,32 +106,6 @@ class IntMatrix:
         if len(vec) != self.rows:
             raise DimensionError("vector length mismatch")
         return tuple(sum(map(mul, vec, col)) for col in self.columns)
-
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise DimensionError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -534,11 +509,13 @@ def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
 
 @record
 class SmithForm:
-    """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0."""
+    """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0;
+    u_inv is U's inverse, built by the same elimination."""
 
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -592,11 +569,13 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     The elimination runs on the block matrix [[A, I_m], [I_n, 0]], so an
     operation on its first m rows also builds U and one on its first n
     columns also builds V; D, U and V end as its top-left, top-right and
-    bottom-left blocks.
+    bottom-left blocks.  Each row operation is also undone as a column
+    operation on w, the columns of I_m, which so end as those of U^-1.
     """
     m, n = a.rows, a.cols
     b = [list(a.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
     b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
+    w = [[int(i == k) for k in range(m)] for i in range(m)]
 
     def add_col(dst, src, k):
         # column dst += k * column src
@@ -612,6 +591,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 break
             _, pi, pj = pivot
             b[t], b[pi] = b[pi], b[t]
+            w[t], w[pi] = w[pi], w[t]
             if pj != t:
                 for row in b:
                     row[t], row[pj] = row[pj], row[t]
@@ -623,6 +603,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                         q, r = divmod(b[i][t], b[t][t])
                         if r == 0:
                             b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                            w[t] = [x + q * y for x, y in zip(w[t], w[i])]
                             continue
                         # rows t, i := unimodular combinations making b[i][t] == 0
                         g, x, y = _ext_gcd(b[t][t], b[i][t])
@@ -630,6 +611,10 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                         b[t], b[i] = (
                             [x * rt + y * ri for rt, ri in zip(b[t], b[i])],
                             [-q * rt + p * ri for rt, ri in zip(b[t], b[i])],
+                        )
+                        w[t], w[i] = (
+                            [p * ct + q * ci for ct, ci in zip(w[t], w[i])],
+                            [-y * ct + x * ci for ct, ci in zip(w[t], w[i])],
                         )
                 for j in range(t + 1, n):
                     if b[t][j]:
@@ -661,13 +646,19 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     for i in range(r):
         if b[i][i] < 0:
             b[i] = [-x for x in b[i]]
+            w[i] = [-x for x in w[i]]
 
     d = IntMatrix(m, n, tuple(x for row in b[:m] for x in row[:n]))
     u = IntMatrix(m, m, tuple(x for row in b[:m] for x in row[n:]))
     v = IntMatrix(n, n, tuple(x for row in b[m:] for x in row[:n]))
-    if mat_mul(mat_mul(u, a), v).entries != d.entries:
+    u_inv = IntMatrix(m, m, tuple(col[i] for i in range(m) for col in w))
+    # U U^-1 == I is checked mod one prime on a vector of further primes: U^-1 has
+    # about twice U's bits, and the full product would cost more than U A V's check
+    p, *x = islice(_primes(), m + 1)
+    y = [e % p for e in u_inv.apply_col(x)]
+    if mat_mul(mat_mul(u, a), v).entries != d.entries or [e % p for e in u.apply_col(y)] != x:
         raise ArithmeticError("Smith normal form transform check failed")
-    return SmithForm(d, u, v)
+    return SmithForm(d, u, v, u_inv)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:

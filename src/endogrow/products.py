@@ -3,6 +3,7 @@ cyclic-by-cyclic towers."""
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, reduce
 from operator import add, mul
 
@@ -189,8 +190,10 @@ class Semidirect(Group):
         for a in self.action:
             if a.rows != self.base_rank or a.cols != self.base_rank:
                 raise ValueError("action matrix has wrong shape")
-            if abs(a.det()) != 1:
-                raise ValueError("action matrix is not unimodular")
+        try:
+            self._inverse_action
+        except ValueError:
+            raise ValueError("action matrix is not unimodular") from None
         for i, a in enumerate(self.action):
             for b in self.action[i + 1 :]:
                 if mat_mul(a, b).entries != mat_mul(b, a).entries:
@@ -336,9 +339,10 @@ def semidirect(
 class Sublattice:
     """A subgroup of Z^n spanned by the independent columns of `basis`.
 
-    Intrinsically it is Z^k with L1 length in the basis coordinates; the
-    index in the ambient lattice is |det basis| when k = n, infinite
-    otherwise.
+    Intrinsically it is Z^k with L1 length in the basis coordinates.  The
+    lattice and its quotient Z^n / L share one Smith form of the basis; the
+    index in the ambient lattice is the product of its diagonal (|det basis|)
+    when k = n, infinite otherwise.
     """
 
     ambient_rank: int
@@ -351,8 +355,12 @@ class Sublattice:
             raise ValueError("basis columns are dependent")
 
     @cached_property
+    def quotient(self) -> "AbelianQuotient":
+        return AbelianQuotient(self.ambient_rank, self.basis)
+
+    @property
     def snf(self) -> SmithForm:
-        return smith_normal_form(self.basis)
+        return self.quotient.snf
 
     @property
     def rank(self) -> int:
@@ -363,7 +371,7 @@ class Sublattice:
         """Index in Z^n: |det| for full-rank square bases, else None (infinite)."""
         if self.basis.cols != self.ambient_rank:
             return None
-        return abs(self.basis.det())
+        return math.prod(self.snf.diagonal)
 
     @cached_property
     def intrinsic_group(self) -> FreeAbelian:
@@ -434,8 +442,7 @@ class AbelianQuotient(Group):
     def component_matrix(self, column_matrix: IntMatrix) -> IntMatrix:
         """The map a column-convention matrix A on Z^n that keeps the relations
         induces on the components: U A U^-1 cut to the kept rows and columns."""
-        u = self.snf.u
-        full = mat_mul(mat_mul(u, column_matrix), inverse_unimodular(u))
+        full = mat_mul(mat_mul(self.snf.u, column_matrix), self.snf.u_inv)
         rows = self._kept_rows
         return IntMatrix.from_rows([[full.get(i, j) for j in rows] for i in rows])
 
@@ -459,7 +466,7 @@ class AbelianQuotient(Group):
         if not isinstance(g, tuple) or len(g) != size:
             raise KindMismatchError(f"quotient element must have {size} components")
         for x, d in zip(g, self._moduli):
-            if not isinstance(x, int):
+            if type(x) is not int:
                 raise KindMismatchError(f"quotient component {x!r} is not an integer")
             if d and not 0 <= x < d:
                 raise KindMismatchError(f"torsion residue {x} is not in [0, {d})")
@@ -483,4 +490,4 @@ def abelian_quotient(ambient: FreeAbelian, lattice: Sublattice) -> AbelianQuotie
     """The quotient of Z^n by a sublattice, realized through Smith reduction."""
     if lattice.ambient_rank != ambient.rank:
         raise ValueError("sublattice lives in a different ambient rank")
-    return AbelianQuotient(ambient.rank, lattice.basis)
+    return lattice.quotient

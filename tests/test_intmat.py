@@ -401,9 +401,12 @@ class TestSmithNormalForm:
         s = smith_normal_form(a)
         # transform identity, exactly
         assert mat_mul(mat_mul(s.u, a), s.v) == s.d
-        # unimodular transforms
-        assert abs(s.u.det()) == 1
-        assert abs(s.v.det()) == 1
+        # unimodular transforms: U's inverse from the same elimination, and
+        # det V = +-1 as the char poly's constant term
+        ident = IntMatrix.identity(a.rows)
+        assert mat_mul(s.u, s.u_inv) == ident
+        assert mat_mul(s.u_inv, s.u) == ident
+        assert abs(char_poly(s.v).coefficients[0]) == 1
         diag = s.diagonal
         assert all(x >= 0 for x in diag)
         for x, y in zip(diag, diag[1:]):

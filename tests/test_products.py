@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from endogrow import products
+from endogrow import intmat, products
 from endogrow.ball import enumerate_ball
+from endogrow.endos import MatrixEndo, induce_on_quotient
 from endogrow.groups import EXACT, Free, FreeAbelian, Heisenberg, KindMismatchError, LengthMode
 from endogrow.intmat import IntMatrix
 from endogrow.products import (
@@ -158,8 +159,11 @@ class TestSemidirect:
             assert stepwise == (total_h, total_q)
 
     def test_rejects_non_unimodular_action(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^action matrix is not unimodular$"):
             semidirect(FreeAbelian(2), FreeAbelian(1), [[[2, 0], [0, 1]]])
+        # det -1 is unimodular
+        swap = semidirect(FreeAbelian(2), FreeAbelian(1), [[[0, 1], [1, 0]]])
+        assert swap.generator_power(0, -1) == M([[0, 1], [1, 0]])
 
     def test_rejects_non_commuting_actions(self):
         a = [[1, 1], [0, 1]]
@@ -219,6 +223,10 @@ class TestSublattice:
     def test_index_from_determinant(self):
         assert sublattice(FreeAbelian(2), [[2, 0], [0, 1]]).index == 2
         assert sublattice(FreeAbelian(2), [[1, 1], [0, 2]]).index == 2
+        # negative and permuted determinants: the index is |det|
+        assert sublattice(FreeAbelian(2), [[0, 1], [1, 0]]).index == 1
+        assert sublattice(FreeAbelian(2), [[0, 2], [3, 0]]).index == 6
+        assert sublattice(FreeAbelian(2), [[1, 1], [0, -2]]).index == 2
 
     def test_membership_and_coordinates(self):
         lat = sublattice(FreeAbelian(2), [[2, 0], [0, 3]])
@@ -242,6 +250,25 @@ class TestSublattice:
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
             Sublattice(2, M([[1, 2], [1, 2]]))
+
+    def test_quotient_shares_the_smith_form(self):
+        lat = sublattice(FreeAbelian(3), [[2, 1, 0], [0, 1, 1], [0, 0, 3]])
+        assert abelian_quotient(FreeAbelian(3), lat).snf is lat.snf
+
+    def test_one_smith_form_per_induced_quotient(self, monkeypatch):
+        calls = []
+        real = intmat.smith_normal_form
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        monkeypatch.setattr(products, "smith_normal_form", counted)
+        monkeypatch.setattr(intmat, "smith_normal_form", counted)
+        endo = MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]]))
+        induced = induce_on_quotient(endo, sublattice(FreeAbelian(2), [[2, 0], [0, 2]]))
+        assert induced.group.torsion_moduli == (2, 2)
+        assert len(calls) == 1
 
 
 class TestAbelianQuotient:
