@@ -185,7 +185,7 @@ class FreeAbelian(Group):
 
     def check(self, g):
         if not (isinstance(g, tuple) and len(g) == self.rank
-                and all(isinstance(a, int) for a in g)):
+                and all(type(a) is int for a in g)):
             raise KindMismatchError(f"not a rank-{self.rank} lattice element: {g!r}")
 
     def _mul(self, g, h):
@@ -228,7 +228,7 @@ class Free(Group):
         if not isinstance(g, tuple):
             raise KindMismatchError("free-group elements are tuples of letters")
         for x in g:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if type(x) is not int or x == 0 or abs(x) > self.rank:
                 raise KindMismatchError(f"letter {x!r} outside rank {self.rank}")
         for a, b in zip(g, g[1:]):
             if a == -b:
@@ -282,7 +282,7 @@ class Heisenberg(Group):
         return (0, 0, 0)
 
     def check(self, g):
-        if not (isinstance(g, tuple) and len(g) == 3 and all(isinstance(a, int) for a in g)):
+        if not (isinstance(g, tuple) and len(g) == 3 and all(type(a) is int for a in g)):
             raise KindMismatchError(f"not a Heisenberg triple: {g!r}")
 
     def _mul(self, g, h):

@@ -29,7 +29,7 @@ from endogrow.groups import (
 )
 from endogrow.growth import GrowthEstimate, growth_table
 from endogrow.intmat import IntMatrix, mat_pow
-from endogrow.products import DirectProduct, FreeProduct, semidirect, sublattice
+from endogrow.products import AbelianQuotient, DirectProduct, FreeProduct, semidirect, sublattice
 
 MAX_POWER = 6
 FIBONACCI = ((1, 2), (1,))
@@ -334,3 +334,19 @@ def test_product_with_a_truncating_factor_inside_is_built_first(monkeypatch):
 def test_product_endo_rejects_a_factor_on_another_group(left_endo):
     with pytest.raises(KindMismatchError, match="factor endo 0"):
         ProductEndo(DirectProduct(Free(2), FreeAbelian(1)), (left_endo, z1_times(2)))
+
+
+@pytest.mark.parametrize(
+    "group, g, h",
+    [
+        (FreeAbelian(2), (True, False), (0, 0)),
+        (Free(2), (True,), (2,)),
+        (Heisenberg(), (True, 0, 0), (0, 0, 0)),
+        (AbelianQuotient(2, IntMatrix.from_rows([[2], [0]])), (True, 0), (0, 0)),
+    ],
+    ids=["free_abelian", "free", "heisenberg", "abelian_quotient"],
+)
+def test_bool_components_are_rejected(group, g, h):
+    # bool is an int subclass, but True is not a normal-form component
+    with pytest.raises(KindMismatchError):
+        group.multiply(g, h)
