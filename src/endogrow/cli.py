@@ -69,9 +69,7 @@ def cmd_estimate(args) -> int:
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
     est = growth_table(endo, max_power)
     if args.format == "json":
-        payload = asdict(est)
-        del payload["requested"]
-        _emit(json.dumps(payload, sort_keys=True) + "\n")
+        _emit(json.dumps(asdict(est), sort_keys=True) + "\n")
         return EXIT_OK
     _emit("\n".join(_estimate_tsv_lines(est)) + "\n")
     return EXIT_OK

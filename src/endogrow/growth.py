@@ -9,6 +9,7 @@ m-th roots of the recorded word lengths.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from endogrow.endos import (
     Endomorphism,
@@ -25,6 +26,7 @@ from endogrow.groups import (
     EXACT,
     LowerCentralLayer,
     OutOfBallError,
+    QUASI_EQUIVALENT,
     UnsupportedOperationError,
     lower_central_layer,
 )
@@ -62,7 +64,6 @@ class GrowthEstimate:
     method: str
     exactness: str
     status: str  # "converged" | "truncated" | "trivial"
-    requested: int
 
     @property
     def max_power(self) -> int:
@@ -70,13 +71,14 @@ class GrowthEstimate:
 
 
 def estimate_from_table(table, requested: int, method: str, exactness: str) -> GrowthEstimate:
-    """Roots, bounds and status from an already-computed length table."""
+    """Roots, bounds and status from an already-computed length table; one
+    shorter than the `requested` number of powers is truncated."""
     table = tuple(int(k) for k in table)
     roots = tuple(_root(k, m) for m, k in enumerate(table, start=1))
     if not table or table[-1] == 0:
         # an empty table is a truncation; its 0.0s are placeholders (JSON has no inf)
         status = "trivial" if table else "truncated"
-        return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, status, requested)
+        return GrowthEstimate(table, roots, 0.0, 0.0, method, exactness, status)
     inf_bound = min(roots)
     # int / int is correctly rounded, also for lengths past the float range
     ratios = [table[m + 1] / table[m] for m in range(len(table) - 1)]
@@ -98,61 +100,32 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
         status = "converged"
     else:
         status = "truncated"
-    return GrowthEstimate(
-        table,
-        roots,
-        inf_bound,
-        ratio_estimate,
-        method,
-        exactness,
-        status,
-        requested,
-    )
+    return GrowthEstimate(table, roots, inf_bound, ratio_estimate, method, exactness, status)
 
 
 def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
-    """Iterate the endomorphism on the generators and record, for each power
-    m <= max_power, the largest word length among the generator images.
+    """Record, for each power m <= max_power, the largest word length among
+    the m-th images of the generators.
 
-    A zero entry means the power kills every generator, hence all later
-    entries vanish too: the estimate is marked trivial with rate 0.  When a
-    BFS length runs out of radius the table is truncated at the largest
-    valid power; it is empty, and still truncated, when the first images
-    already leave the ball.  The images start from the group's own
-    generators, so they go through the unchecked kernels.
-
-    A word endo whose generator iterates never cancel builds no word: its
-    lengths are the row sums of the powers of its letter matrix, the same
-    numbers the words would give.  A product endo builds no product element
-    either: its table is the power-wise max of its factors' tables.
+    The table is built one power at a time from the endo's length stream.  A
+    zero entry means the power kills every generator, hence all later entries
+    vanish too: the estimate is marked trivial with rate 0.  When a BFS length
+    runs out of radius the stream ends and the table is truncated at the
+    largest valid power; it is empty, and still truncated, when the first
+    images already leave the ball.  The exactness is quasi-equivalent as soon
+    as one entry is.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
-    group = endo.group
-    kind = _length_kind(group)
-    method = f"lengths:{kind}"
-    if isinstance(endo, WordEndo) and kind != "bfs" and endo.is_cancellation_free:
-        return estimate_from_table(
-            _letter_count_table(endo.letter_matrix, max_power), max_power, method, EXACT
-        )
-    if isinstance(endo, ProductEndo):
-        return _product_table(endo, max_power, method)
-    current = [g for _, g in group.generators]
     table = []
-    exactness = EXACT
-    for _ in range(max_power):
-        current = [endo._apply(g) for g in current]
-        try:
-            measured = [group._word_length(g) for g in current]
-        except OutOfBallError:
-            break
-        if any(lv.exactness != EXACT for lv in measured):
-            exactness = "quasi-equivalent"
-        k = max((lv.value for lv in measured), default=0)
+    exact = True
+    for k, k_exact in islice(_lengths(endo), max_power):
         table.append(k)
+        exact = exact and k_exact
         if k == 0:
             break
-    return estimate_from_table(table, max_power, method, exactness)
+    method = f"lengths:{_length_kind(endo.group)}"
+    return estimate_from_table(table, max_power, method, EXACT if exact else QUASI_EQUIVALENT)
 
 
 def _length_kind(group) -> str:
@@ -162,53 +135,64 @@ def _length_kind(group) -> str:
 
 
 def _may_truncate(endo: Endomorphism) -> bool:
-    """Whether the endo's table can stop early: a bfs-measured one, or a
+    """Whether the endo's length stream can end: a bfs-measured one, or a
     product's with such a factor inside."""
     if isinstance(endo, ProductEndo):
         return any(map(_may_truncate, endo.factors))
     return _length_kind(endo.group) == "bfs"
 
 
-def _product_table(endo: ProductEndo, max_power: int, method: str) -> GrowthEstimate:
-    """Lemma 5.1 power by power: a generator's image stays in its own factor,
+def _lengths(endo: Endomorphism):
+    """Yield (K_m, whether K_m is exact) for m = 1, 2, ..., where K_m is the
+    largest length among the m-th images of the generators.  The stream ends
+    only when a BFS length runs out of radius.
+
+    A word endo whose generator iterates never cancel builds no word: its
+    lengths are L_m = C L_{m-1} with L_0 = (1, ..., 1) and C its letter
+    matrix, the same numbers the words would give.  A product endo builds no
+    product element either: a generator's image stays in its own factor,
     beside the other factor's identity of length 0, so K_m is the larger of
-    the factors' K_m.  A trivial factor counts 0 after its table ends, a
-    truncated one cuts the product's table.  Only a bfs-measured table stops
-    early, so a factor with one inside is built first and no other factor's
-    table is built past the cut."""
-    factors = []
-    cut = max_power
-    for f in sorted(endo.factors, key=lambda e: not _may_truncate(e)):
-        if not cut:
-            break
-        est = growth_table(f, cut)
-        factors.append(est)
-        if est.status == "truncated":
-            cut = len(est.table)
-    tables = [
-        est.table + (0,) * (max_power - est.max_power) if est.status == "trivial" else est.table
-        for est in factors
-    ]
-    table = []
-    for k in map(max, *tables):
-        table.append(k)
-        if k == 0:
-            break
-    exactness = EXACT
-    if table and any(est.exactness != EXACT for est in factors):
-        exactness = "quasi-equivalent"
-    return estimate_from_table(table, max_power, method, exactness)
+    the factors' K_m (Lemma 5.1).  A factor whose stream can end is stepped
+    first, so the product ends with it and no other factor is stepped past it.
+    """
+    if isinstance(endo, ProductEndo):
+        factors = sorted(endo.factors, key=lambda e: not _may_truncate(e))
+        for pairs in zip(*map(_lengths, factors)):
+            lengths, exact = zip(*pairs)
+            yield max(lengths), all(exact)
+    elif (
+        isinstance(endo, WordEndo)
+        and _length_kind(endo.group) != "bfs"
+        and endo.is_cancellation_free
+    ):
+        letter_matrix = endo.letter_matrix
+        lengths = (1,) * letter_matrix.rows
+        while True:
+            lengths = letter_matrix.apply_col(lengths)
+            yield max(lengths), True
+    else:
+        yield from _orbit_lengths(endo, [g for _, g in endo.group.generators])
 
 
-def _letter_count_table(letter_matrix: IntMatrix, max_power: int) -> list[int]:
-    """max_i |phi^m(a_i)| for m = 1..max_power, from L_m = C L_{m-1} with
-    L_0 = (1, ..., 1); exact when no generator iterate cancels."""
-    lengths = (1,) * letter_matrix.rows
-    table = []
-    for _ in range(max_power):
-        lengths = letter_matrix.apply_col(lengths)
-        table.append(max(lengths))
-    return table
+def _orbit_lengths(endo: Endomorphism, elements):
+    """Yield (the largest length among the m-th images of the elements,
+    whether all of those lengths are exact) for m = 1, 2, ...; return when a
+    BFS length runs out of radius.  The images go through the unchecked
+    kernels, so the elements must be checked ones, such as the generators."""
+    group = endo.group
+    while True:
+        elements = [endo._apply(g) for g in elements]
+        k, exact = 0, True
+        try:
+            for g in elements:
+                lv = group._word_length(g)
+                if lv.value > k:
+                    k = lv.value
+                if lv.exactness != EXACT:
+                    exact = False
+        except OutOfBallError:
+            return
+        yield k, exact
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:
@@ -320,17 +304,9 @@ def rate_probe(
         raise ValueError("threshold must exceed 1")
     if max_power < 4:
         raise ValueError("max_power must be >= 4")
-    group = endo.group
-    group.check(element)
-    roots = []
-    g = element
-    for m in range(1, max_power + 1):
-        g = endo._apply(g)
-        try:
-            lv = group._word_length(g)
-        except OutOfBallError:
-            break
-        roots.append(_root(lv.value, m))
+    endo.group.check(element)
+    lengths = islice(_orbit_lengths(endo, [element]), max_power)
+    roots = [_root(k, m) for m, (k, _) in enumerate(lengths, start=1)]
     if not roots:
         raise UnsupportedOperationError("no orbit samples available")
     tail = roots[-max(1, len(roots) // 4) :]
@@ -347,20 +323,17 @@ def rate_probe(
 @record
 class ExtensionReport:
     """Growth rates of an endomorphism on a group, an invariant subgroup, and
-    the quotient, with the two comparison inequalities evaluated."""
+    the quotient."""
 
     full: float
     restricted: float
     quotient: float
-    tol: float
-    quotient_le_full: bool
-    full_le_max: bool
 
 
-def extension_bounds(endo: Endomorphism, subgroup, tol: float = 1e-9) -> ExtensionReport:
-    """Compute rate(full), rate(restricted), rate(quotient) by the exact
-    routes and evaluate quotient <= full and full <= max(restricted, quotient)
-    within tol."""
+def extension_bounds(endo: Endomorphism, subgroup) -> ExtensionReport:
+    """rate(full), rate(restricted) and rate(quotient) by the exact routes;
+    the laws compare them against quotient <= full <= max(restricted,
+    quotient)."""
     if not (
         (isinstance(endo, MatrixEndo) and isinstance(subgroup, Sublattice))
         or (isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer))
@@ -369,16 +342,10 @@ def extension_bounds(endo: Endomorphism, subgroup, tol: float = 1e-9) -> Extensi
             "extension bounds support matrix endos with sublattices and "
             "Heisenberg endos with lower-central layers"
         )
-    full = exact_growth_rate(endo)
-    restricted_rate = exact_growth_rate(restrict(endo, subgroup))
-    quotient_rate = exact_growth_rate(induce_on_quotient(endo, subgroup))
     return ExtensionReport(
-        full=full,
-        restricted=restricted_rate,
-        quotient=quotient_rate,
-        tol=tol,
-        quotient_le_full=quotient_rate <= full + tol,
-        full_le_max=full <= max(restricted_rate, quotient_rate) + tol,
+        full=exact_growth_rate(endo),
+        restricted=exact_growth_rate(restrict(endo, subgroup)),
+        quotient=exact_growth_rate(induce_on_quotient(endo, subgroup)),
     )
 
 

@@ -527,13 +527,17 @@ class SmithForm:
         return sum(1 for x in self.diagonal if x != 0)
 
     @cached_property
+    def padded_diagonal(self) -> tuple[int, ...]:
+        """D's diagonal, padded with zeros to one entry per row of U."""
+        return self.diagonal + (0,) * (self.u.rows - len(self.diagonal))
+
+    @cached_property
     def solve_rows(self):
-        """U's rows, the diagonal padded with zeros to U's size, and V's rows:
-        all that a solve reads, built once per Smith form."""
-        pad = (0,) * (self.u.rows - len(self.diagonal))
+        """U's rows, the padded diagonal and V's rows: all that a solve
+        reads, built once per Smith form."""
         return (
             tuple(self.u.row(i) for i in range(self.u.rows)),
-            self.diagonal + pad,
+            self.padded_diagonal,
             tuple(self.v.row(i) for i in range(self.v.rows)),
         )
 

@@ -215,11 +215,22 @@ def _random_invariant_instances(rng, count):
     return out
 
 
-def _worst_random_gap(seed, count, tol, gap):
+def _quotient_gap(full, quotient) -> float:
+    """How far rate(quotient) exceeds rate(full); Lemma 3.2 keeps it <= 0."""
+    return quotient - full
+
+
+def _extension_gap(full, restricted, quotient) -> float:
+    """How far rate(full) exceeds max(rate(restricted), rate(quotient));
+    Theorem 3.3 keeps it <= 0."""
+    return full - max(restricted, quotient)
+
+
+def _worst_random_gap(seed, count, gap):
     """The largest gap(extension report) over seeded random instances."""
     worst = -math.inf
     for endo, sub, _ in _random_invariant_instances(random.Random(seed), count):
-        worst = max(worst, gap(extension_bounds(endo, sub, tol)))
+        worst = max(worst, gap(extension_bounds(endo, sub)))
     return worst
 
 
@@ -227,19 +238,20 @@ def _law_quotient(instance, options, seed, tol):
     """rate on the quotient <= rate on the group."""
     if "random_instances" in instance:
         count = _int(instance, "random_instances", low=0)
-        worst = _worst_random_gap(seed, count, tol, lambda r: r.quotient - r.full)
+        worst = _worst_random_gap(seed, count, lambda r: _quotient_gap(r.full, r.quotient))
         return {"instances": count, "worst_quotient_minus_full": worst}, worst <= tol
     parsed = _parse(instance)
     if isinstance(parsed.endo, HeisenbergEndo) and isinstance(parsed.subgroup, LowerCentralLayer):
         quotient_rate = exact_growth_rate(induce_on_quotient(parsed.endo, parsed.subgroup))
         full = growth_table(parsed.endo, 14).ratio_estimate
         values = {"rate_quotient": quotient_rate, "rate_full_estimate": full}
-        return values, quotient_rate <= full + tol
+        return values, _quotient_gap(full, quotient_rate) <= tol
     try:
-        report = extension_bounds(parsed.endo, parsed.subgroup, tol)
+        report = extension_bounds(parsed.endo, parsed.subgroup)
     except InvarianceError as exc:
         raise Inapplicable(str(exc)) from exc
-    return {"rate_full": report.full, "rate_quotient": report.quotient}, report.quotient_le_full
+    values = {"rate_full": report.full, "rate_quotient": report.quotient}
+    return values, _quotient_gap(report.full, report.quotient) <= tol
 
 
 def _law_extension(instance, options, seed, tol):
@@ -247,7 +259,7 @@ def _law_extension(instance, options, seed, tol):
     if "random_instances" in instance:
         count = _int(instance, "random_instances", low=0)
         worst = _worst_random_gap(
-            seed, count, tol, lambda r: r.full - max(r.restricted, r.quotient)
+            seed, count, lambda r: _extension_gap(r.full, r.restricted, r.quotient)
         )
         return {"instances": count, "worst_full_minus_max": worst}, worst <= tol
     parsed = _parse(instance)
@@ -260,9 +272,9 @@ def _law_extension(instance, options, seed, tol):
             "rate_restricted": sub_rate,
             "rate_quotient": quotient_rate,
         }
-        return values, full <= max(sub_rate, quotient_rate) + tol
+        return values, _extension_gap(full, sub_rate, quotient_rate) <= tol
     try:
-        report = extension_bounds(parsed.endo, parsed.subgroup, tol)
+        report = extension_bounds(parsed.endo, parsed.subgroup)
     except InvarianceError as exc:
         raise Inapplicable(str(exc)) from exc
     values = {
@@ -270,7 +282,7 @@ def _law_extension(instance, options, seed, tol):
         "rate_restricted": report.restricted,
         "rate_quotient": report.quotient,
     }
-    return values, report.full_le_max
+    return values, _extension_gap(report.full, report.restricted, report.quotient) <= tol
 
 
 def _law_complement(instance, options, seed, tol):
@@ -284,8 +296,8 @@ def _law_complement(instance, options, seed, tol):
         endo, sub, complemented = _random_invariant_instances(rng, 1)[0]
         if not complemented:
             continue
-        report = extension_bounds(endo, sub, tol)
-        gap = abs(report.full - max(report.restricted, report.quotient))
+        report = extension_bounds(endo, sub)
+        gap = abs(_extension_gap(report.full, report.restricted, report.quotient))
         worst = max(worst, gap)
         checked += 1
     return {"instances": checked, "worst_equality_gap": worst}, worst <= tol

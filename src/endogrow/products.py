@@ -412,20 +412,14 @@ class AbelianQuotient(Group):
         return smith_normal_form(self.relations)
 
     @cached_property
-    def _smith_diagonal(self) -> tuple[int, ...]:
-        """D's diagonal, padded with 0s to one entry per row of U."""
-        diag = self.snf.diagonal
-        return diag + (0,) * (self.ambient_rank - len(diag))
-
-    @cached_property
     def _kept_rows(self) -> tuple[int, ...]:
         """The Smith rows that carry a component, in component order."""
-        return tuple(i for i, d in enumerate(self._smith_diagonal) if d != 1)
+        return tuple(i for i, d in enumerate(self.snf.padded_diagonal) if d != 1)
 
     @cached_property
     def _moduli(self) -> tuple[int, ...]:
         """One per component: d > 1 for a torsion factor, 0 for a free one."""
-        return tuple(self._smith_diagonal[i] for i in self._kept_rows)
+        return tuple(self.snf.padded_diagonal[i] for i in self._kept_rows)
 
     @property
     def torsion_moduli(self) -> tuple[int, ...]:

@@ -154,7 +154,7 @@ def test_criterion_07_subgroup_quotient_sandwich():
     worst_equality = 0.0
     complemented_seen = 0
     for endo, sub, complemented in _random_invariant_instances(rng, 20):
-        bounds = extension_bounds(endo, sub, 1e-6)
+        bounds = extension_bounds(endo, sub)
         worst_sandwich = max(
             worst_sandwich,
             bounds.quotient - bounds.full,

@@ -1,7 +1,7 @@
 """Elements are checked once, at the public entry.  `growth_table` steps
 through the unchecked kernels, so its table must equal one built through
 the public, checked `apply` and `word_length`, and it must make no `check`
-call per power.  A product endo's table comes from its factors' tables, so
+call per power.  A product endo's table comes from its factors' lengths, so
 it must equal the table of the product images, and a factor endo must act
 on the product's own factor group."""
 
@@ -186,10 +186,12 @@ ENDOS = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(ENDOS)
-def test_growth_table_equals_the_table_built_through_public_operations(endo):
+@given(ENDOS, st.integers(1, MAX_POWER))
+def test_growth_table_equals_the_table_built_through_public_operations(endo, m):
     est = growth_table(endo, MAX_POWER)
     assert (est.table, est.exactness) == reference_table(endo, MAX_POWER)
+    # a shorter table is a prefix: the powers are taken one at a time
+    assert growth_table(endo, m).table == est.table[:m]
 
 
 @pytest.mark.parametrize(
@@ -283,7 +285,7 @@ def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
     monkeypatch.setattr(MatrixEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
     est = growth_table(endo, 1000)
     assert est == GrowthEstimate(
-        (2, 4, 8), (2.0, 2.0, 2.0), 2.0, 2.0, "lengths:exact", "exact", "truncated", 1000
+        (2, 4, 8), (2.0, 2.0, 2.0), 2.0, 2.0, "lengths:exact", "exact", "truncated"
     )
     assert len(calls) == 4 * len(est.table)  # four generator images per power
 

@@ -245,6 +245,11 @@ class TestRateProbe:
                     higher = rate_probe(endo, element, threshold + margin + 0.2, margin=margin)
                     assert higher.verdict == "in"
 
+    def test_rank_one_generator_samples_the_growth_table(self):
+        endo = MatrixEndo(FreeAbelian(1), M([[3]]))
+        verdict = rate_probe(endo, (1,), 2.5, max_power=12)
+        assert verdict.roots == growth_table(endo, 12).roots
+
     def test_products_of_in_elements_never_out(self):
         endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
         group = endo.group
@@ -269,14 +274,16 @@ class TestExtensionBounds:
         assert report.full == pytest.approx(3.0)
         assert report.restricted == pytest.approx(3.0)
         assert report.quotient == pytest.approx(0.0)
-        assert report.quotient_le_full and report.full_le_max
+        assert report.quotient <= report.full + 1e-9
+        assert report.full <= max(report.restricted, report.quotient) + 1e-9
 
     def test_trivial_subgroup_gives_equality(self):
         endo = MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]]))
         trivial = sublattice(FreeAbelian(2), [[], []])
         report = extension_bounds(endo, trivial)
         assert report.quotient == report.full
-        assert report.quotient_le_full and report.full_le_max
+        assert report.quotient <= report.full + 1e-9
+        assert report.full <= max(report.restricted, report.quotient) + 1e-9
 
     def test_heisenberg_center_strict_inequality(self):
         endo = HeisenbergEndo(Heisenberg(), 2, 2)
@@ -285,7 +292,8 @@ class TestExtensionBounds:
         assert report.full == pytest.approx(2.0)
         assert report.restricted == pytest.approx(4.0)
         assert report.quotient == pytest.approx(2.0)
-        assert report.quotient_le_full and report.full_le_max
+        assert report.quotient <= report.full + 1e-9
+        assert report.full <= max(report.restricted, report.quotient) + 1e-9
         assert report.full < max(report.restricted, report.quotient) - 0.5
 
 

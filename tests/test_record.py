@@ -32,7 +32,7 @@ SWAP = MatrixEndo(FreeAbelian(2), M([[0, 2], [1, 0]]))
          "GrowthEstimate(table=(2, 2, 4, 4), roots=(2.0, 1.414213562373095, "
          "1.5874010519681994, 1.414213562373095), inf_bound=1.414213562373095, "
          "ratio_estimate=1.0, method='lengths:exact', exactness='exact', "
-         "status='truncated', requested=4)"),
+         "status='truncated')"),
         (LengthValue(3, EXACT), "LengthValue(value=3, exactness='exact')"),
     ],
 )
@@ -118,5 +118,5 @@ def test_asdict_is_flat_and_in_field_order():
     assert asdict(group) == {"rank": 2, "length_mode": LengthMode()}
     assert list(asdict(growth_table(SWAP, 4))) == [
         "table", "roots", "inf_bound", "ratio_estimate", "method", "exactness",
-        "status", "requested",
+        "status",
     ]
