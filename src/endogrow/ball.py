@@ -114,14 +114,19 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     )
 
 
-def exact_length(census: BallCensus, g) -> LengthValue:
-    """Exact geodesic length of an enumerated element."""
+def census_length(census: BallCensus, g) -> int:
+    """The geodesic length of an enumerated element."""
     found = census.lengths.get(g)
     if found is None:
         raise OutOfBallError(
             f"element {g!r} not within the enumerated radius {census.completed_radius}"
         )
-    return LengthValue(found, EXACT)
+    return found
+
+
+def exact_length(census: BallCensus, g) -> LengthValue:
+    """Exact geodesic length of an enumerated element."""
+    return LengthValue(census_length(census, g), EXACT)
 
 
 @record

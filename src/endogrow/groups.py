@@ -41,12 +41,6 @@ class LengthValue:
     value: int
     exactness: str  # EXACT or QUASI_EQUIVALENT
 
-    def __init__(self, value: int, exactness: str):
-        # written out: one is built per generator image per power
-        d = self.__dict__
-        d["value"] = value
-        d["exactness"] = exactness
-
 
 @record
 class LengthMode:
@@ -103,8 +97,22 @@ class Group(ABC):
         """The inverse of a normal form, which the caller has checked."""
 
     @abstractmethod
-    def _length(self, g) -> LengthValue:
+    def _length(self, g) -> int:
         """The kind's own length of a checked normal form (not in bfs mode)."""
+
+    @property
+    def length_kind(self) -> str:
+        """The kind of the group's length mode; a group without one measures
+        exactly."""
+        mode = getattr(self, "length_mode", None)
+        return mode.kind if mode is not None else "exact"
+
+    @property
+    def exactness(self) -> str:
+        """How literally every length the group measures reads: EXACT for a
+        word length, QUASI_EQUIVALENT for one within multiplicative constants
+        of it.  It is the metric's, the same for every element."""
+        return EXACT
 
     def multiply(self, g, h) -> tuple:
         self.check(g)
@@ -117,16 +125,15 @@ class Group(ABC):
 
     def word_length(self, g) -> LengthValue:
         self.check(g)
-        return self._word_length(g)
+        return LengthValue(self._word_length(g), self.exactness)
 
-    def _word_length(self, g) -> LengthValue:
-        """word_length of a checked normal form: a bfs-mode group reads its
+    def _word_length(self, g) -> int:
+        """The length of a checked normal form: a bfs-mode group reads its
         census, any other group measures with its kind's _length."""
-        mode = getattr(self, "length_mode", None)
-        if mode is not None and mode.kind == "bfs":
+        if self.length_kind == "bfs":
             from endogrow import ball  # groups -> ball -> products -> groups
 
-            return ball.exact_length(self._bfs_census, g)
+            return ball.census_length(self._bfs_census, g)
         return self._length(g)
 
     def symmetric_generators(self) -> tuple[tuple, ...]:
@@ -194,8 +201,8 @@ class FreeAbelian(Group):
     def _inv(self, g):
         return tuple(-a for a in g)
 
-    def _length(self, g) -> LengthValue:
-        return LengthValue(sum(abs(a) for a in g), EXACT)
+    def _length(self, g) -> int:
+        return sum(abs(a) for a in g)
 
 
 @record
@@ -245,8 +252,8 @@ class Free(Group):
     def _inv(self, g):
         return tuple(-x for x in reversed(g))
 
-    def _length(self, g) -> LengthValue:
-        return LengthValue(len(g), EXACT)
+    def _length(self, g) -> int:
+        return len(g)
 
 
 @record
@@ -305,9 +312,13 @@ class Heisenberg(Group):
         a, b, c = g
         return max(abs(a), abs(c), ceil_sqrt(abs(2 * b - a * c)))
 
-    def _length(self, g) -> LengthValue:
+    @property
+    def exactness(self) -> str:
+        return QUASI_EQUIVALENT if self.length_kind == "quasi" else EXACT
+
+    def _length(self, g) -> int:
         if self.length_mode.kind == "quasi":
-            return LengthValue(self._quasi_length(g), QUASI_EQUIVALENT)
+            return self._quasi_length(g)
         raise UnsupportedOperationError(
             "Heisenberg has no closed-form exact length; use quasi or bfs mode"
         )

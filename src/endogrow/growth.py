@@ -26,7 +26,6 @@ from endogrow.groups import (
     EXACT,
     LowerCentralLayer,
     OutOfBallError,
-    QUASI_EQUIVALENT,
     UnsupportedOperationError,
     lower_central_layer,
 )
@@ -112,26 +111,20 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     vanish too: the estimate is marked trivial with rate 0.  When a BFS length
     runs out of radius the stream ends and the table is truncated at the
     largest valid power; it is empty, and still truncated, when the first
-    images already leave the ball.  The exactness is quasi-equivalent as soon
-    as one entry is.
+    images already leave the ball.  The exactness is the group's, since it
+    belongs to the metric and not to the element measured; an empty table
+    measured nothing and is exact.
     """
     if max_power < 1:
         raise ValueError("max_power must be >= 1")
     table = []
-    exact = True
-    for k, k_exact in islice(_lengths(endo), max_power):
+    for k in islice(_lengths(endo), max_power):
         table.append(k)
-        exact = exact and k_exact
         if k == 0:
             break
-    method = f"lengths:{_length_kind(endo.group)}"
-    return estimate_from_table(table, max_power, method, EXACT if exact else QUASI_EQUIVALENT)
-
-
-def _length_kind(group) -> str:
-    """The group's length mode; a group without one measures exactly."""
-    mode = getattr(group, "length_mode", None)
-    return mode.kind if mode is not None else "exact"
+    group = endo.group
+    exactness = group.exactness if table else EXACT
+    return estimate_from_table(table, max_power, f"lengths:{group.length_kind}", exactness)
 
 
 def _may_truncate(endo: Endomorphism) -> bool:
@@ -139,13 +132,13 @@ def _may_truncate(endo: Endomorphism) -> bool:
     product's with such a factor inside."""
     if isinstance(endo, ProductEndo):
         return any(map(_may_truncate, endo.factors))
-    return _length_kind(endo.group) == "bfs"
+    return endo.group.length_kind == "bfs"
 
 
 def _lengths(endo: Endomorphism):
-    """Yield (K_m, whether K_m is exact) for m = 1, 2, ..., where K_m is the
-    largest length among the m-th images of the generators.  The stream ends
-    only when a BFS length runs out of radius.
+    """Yield K_m for m = 1, 2, ..., the largest length among the m-th images
+    of the generators.  The stream ends only when a BFS length runs out of
+    radius.
 
     A word endo whose generator iterates never cancel builds no word: its
     lengths are L_m = C L_{m-1} with L_0 = (1, ..., 1) and C its letter
@@ -157,42 +150,34 @@ def _lengths(endo: Endomorphism):
     """
     if isinstance(endo, ProductEndo):
         factors = sorted(endo.factors, key=lambda e: not _may_truncate(e))
-        for pairs in zip(*map(_lengths, factors)):
-            lengths, exact = zip(*pairs)
-            yield max(lengths), all(exact)
+        yield from map(max, zip(*map(_lengths, factors)))
     elif (
         isinstance(endo, WordEndo)
-        and _length_kind(endo.group) != "bfs"
+        and endo.group.length_kind != "bfs"
         and endo.is_cancellation_free
     ):
         letter_matrix = endo.letter_matrix
         lengths = (1,) * letter_matrix.rows
         while True:
             lengths = letter_matrix.apply_col(lengths)
-            yield max(lengths), True
+            yield max(lengths)
     else:
         yield from _orbit_lengths(endo, [g for _, g in endo.group.generators])
 
 
 def _orbit_lengths(endo: Endomorphism, elements):
-    """Yield (the largest length among the m-th images of the elements,
-    whether all of those lengths are exact) for m = 1, 2, ...; return when a
-    BFS length runs out of radius.  The images go through the unchecked
-    kernels, so the elements must be checked ones, such as the generators."""
+    """Yield the largest length among the m-th images of the elements for
+    m = 1, 2, ... (0 for no elements); return when a BFS length runs out of
+    radius.  The images go through the unchecked kernels, so the elements
+    must be checked ones, such as the generators."""
     group = endo.group
     while True:
         elements = [endo._apply(g) for g in elements]
-        k, exact = 0, True
         try:
-            for g in elements:
-                lv = group._word_length(g)
-                if lv.value > k:
-                    k = lv.value
-                if lv.exactness != EXACT:
-                    exact = False
+            k = max(map(group._word_length, elements), default=0)
         except OutOfBallError:
             return
-        yield k, exact
+        yield k
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:
@@ -306,7 +291,7 @@ def rate_probe(
         raise ValueError("max_power must be >= 4")
     endo.group.check(element)
     lengths = islice(_orbit_lengths(endo, [element]), max_power)
-    roots = [_root(k, m) for m, (k, _) in enumerate(lengths, start=1)]
+    roots = [_root(k, m) for m, k in enumerate(lengths, start=1)]
     if not roots:
         raise UnsupportedOperationError("no orbit samples available")
     tail = roots[-max(1, len(roots) // 4) :]

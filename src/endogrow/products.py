@@ -15,7 +15,6 @@ from endogrow.groups import (
     Group,
     KindMismatchError,
     LengthMode,
-    LengthValue,
     UnsupportedOperationError,
 )
 from endogrow.intmat import (
@@ -67,11 +66,14 @@ class DirectProduct(Group):
     def _inv(self, g):
         return (self.left._inv(g[0]), self.right._inv(g[1]))
 
-    def _length(self, g) -> LengthValue:
-        a = self.left._word_length(g[0])
-        b = self.right._word_length(g[1])
-        exactness = EXACT if a.exactness == b.exactness == EXACT else QUASI_EQUIVALENT
-        return LengthValue(a.value + b.value, exactness)
+    @property
+    def exactness(self) -> str:
+        if self.left.exactness == self.right.exactness == EXACT:
+            return EXACT
+        return QUASI_EQUIVALENT
+
+    def _length(self, g) -> int:
+        return self.left._word_length(g[0]) + self.right._word_length(g[1])
 
 
 def direct_product(left: Group, right: Group) -> DirectProduct:
@@ -154,15 +156,8 @@ class FreeProduct(Group):
     def _inv(self, g):
         return tuple((i, self.factor(i)._inv(s)) for i, s in reversed(g))
 
-    def _length(self, g) -> LengthValue:
-        total = 0
-        exactness = EXACT
-        for i, s in g:
-            lv = self.factor(i)._word_length(s)
-            total += lv.value
-            if lv.exactness != EXACT:
-                exactness = QUASI_EQUIVALENT
-        return LengthValue(total, exactness)
+    def _length(self, g) -> int:
+        return sum(self.factor(i)._word_length(s) for i, s in g)
 
 
 def free_product(left: Group, right: Group) -> FreeProduct:
@@ -313,16 +308,20 @@ class Semidirect(Group):
         moved = self.action_of(q_inv).apply_col(g[0])
         return (tuple(-x for x in moved), q_inv)
 
-    def _length(self, g) -> LengthValue:
+    @property
+    def exactness(self) -> str:
+        if self.length_kind == "quasi" and not self.action_is_trivial:
+            return QUASI_EQUIVALENT
+        return EXACT
+
+    def _length(self, g) -> int:
         if self.length_mode.kind == "quasi":
             if not self.action_is_finite_order:
                 raise UnsupportedOperationError(
                     "additive quasi-length is only honest for finite-order actions; "
                     "use bfs mode"
                 )
-            value = sum(abs(x) for x in g[0]) + sum(abs(x) for x in g[1])
-            exactness = EXACT if self.action_is_trivial else QUASI_EQUIVALENT
-            return LengthValue(value, exactness)
+            return sum(abs(x) for x in g[0]) + sum(abs(x) for x in g[1])
         raise UnsupportedOperationError("semidirect products have no exact length mode")
 
 
@@ -475,9 +474,8 @@ class AbelianQuotient(Group):
     def _inv(self, g):
         return self._reduce(-a for a in g)
 
-    def _length(self, g) -> LengthValue:
-        total = sum(min(x, d - x) if d else abs(x) for x, d in zip(g, self._moduli))
-        return LengthValue(total, EXACT)
+    def _length(self, g) -> int:
+        return sum(min(x, d - x) if d else abs(x) for x, d in zip(g, self._moduli))
 
 
 def abelian_quotient(ambient: FreeAbelian, lattice: Sublattice) -> AbelianQuotient:

@@ -25,6 +25,7 @@ from endogrow.groups import (
     Heisenberg,
     KindMismatchError,
     LengthMode,
+    LengthValue,
     OutOfBallError,
 )
 from endogrow.growth import GrowthEstimate, growth_table
@@ -256,6 +257,34 @@ def test_growth_table_check_calls_do_not_grow_with_the_power(monkeypatch):
         growth_table(fibonacci, m)
         counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2]
+
+
+@pytest.mark.parametrize(
+    "endo",
+    [
+        HeisenbergEndo(Heisenberg(3), 2, 3),
+        SemidirectEndo(
+            semidirect(FreeAbelian(2), FreeAbelian(1), [ROTATION]),
+            IntMatrix.from_rows([[2, 0], [0, 2]]),
+            IntMatrix.from_rows([[5]]),
+        ),
+        induce_on_quotient(
+            MatrixEndo(FreeAbelian(2), IntMatrix.from_rows(HYPERBOLIC)),
+            sublattice(FreeAbelian(2), [[3, 0], [0, 3]]),
+        ),
+    ],
+    ids=["heisenberg", "semidirect", "quotient"],
+)
+def test_growth_table_builds_no_length_value(endo, monkeypatch):
+    # a length is an int inside the table loop; the exactness is read once,
+    # from the group
+    built = []
+    init = LengthValue.__init__
+    monkeypatch.setattr(
+        LengthValue, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
+    )
+    est = growth_table(endo, 12)
+    assert est.table and built == []
 
 
 def test_word_factor_of_a_product_builds_no_words(monkeypatch):

@@ -19,6 +19,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
+from endogrow.products import DirectProduct, FreeProduct, semidirect, sublattice
 
 
 def random_element(group, rng, size=6):
@@ -106,6 +107,31 @@ class TestWordLength:
                 assert group.word_length(group.invert(g)).value == lg
                 product = group.word_length(group.multiply(g, h)).value
                 assert product <= lg + group.word_length(h).value
+
+
+@pytest.mark.parametrize(
+    "group, expected",
+    [
+        pytest.param(FreeAbelian(2), EXACT, id="Z^2"),
+        pytest.param(Free(2), EXACT, id="F_2"),
+        pytest.param(sublattice(FreeAbelian(2), [[2], [0]]).quotient, EXACT, id="quotient"),
+        pytest.param(Heisenberg(), QUASI_EQUIVALENT, id="heisenberg-quasi"),
+        pytest.param(Heisenberg(2, LengthMode("bfs", 4)), EXACT, id="heisenberg-bfs"),
+        pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[1, 0], [0, 1]]]), EXACT,
+                     id="semidirect-quasi-trivial"),
+        pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[0, -1], [1, 0]]]),
+                     QUASI_EQUIVALENT, id="semidirect-quasi-rotation"),
+        pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[2, 1], [1, 1]]],
+                                LengthMode("bfs", 4)), EXACT, id="semidirect-bfs"),
+        pytest.param(DirectProduct(Heisenberg(), FreeAbelian(1)), QUASI_EQUIVALENT,
+                     id="heisenberg-x-Z"),
+        pytest.param(DirectProduct(FreeAbelian(1), FreeAbelian(1)), EXACT, id="Z-x-Z"),
+        pytest.param(FreeProduct(Free(2), FreeAbelian(1)), EXACT, id="free-product"),
+    ],
+)
+def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
+    for _, generator in group.generators:
+        assert group.exactness == group.word_length(generator).exactness == expected
 
 
 class TestQuasiLength:
