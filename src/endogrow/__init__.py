@@ -57,13 +57,11 @@ from endogrow.growth import (
     DistortionRate,
     GrowthEstimate,
     NilpotentRate,
-    RateVerdict,
     distortion_rate,
     exact_growth_rate,
     extension_bounds,
     growth_table,
     nilpotent_growth_rate,
-    rate_probe,
 )
 from endogrow.laws import LawCheck, LawConfig, run_law, run_suite
 

@@ -162,22 +162,17 @@ def _lengths(endo: Endomorphism):
             lengths = letter_matrix.apply_col(lengths)
             yield max(lengths)
     else:
-        yield from _orbit_lengths(endo, [g for _, g in endo.group.generators])
-
-
-def _orbit_lengths(endo: Endomorphism, elements):
-    """Yield the largest length among the m-th images of the elements for
-    m = 1, 2, ... (0 for no elements); return when a BFS length runs out of
-    radius.  The images go through the unchecked kernels, so the elements
-    must be checked ones, such as the generators."""
-    group = endo.group
-    while True:
-        elements = [endo._apply(g) for g in elements]
-        try:
-            k = max(map(group._word_length, elements), default=0)
-        except OutOfBallError:
-            return
-        yield k
+        # the images go through the unchecked kernels, which is sound because
+        # they start from the generators
+        group = endo.group
+        images = [g for _, g in group.generators]
+        while True:
+            images = [endo._apply(g) for g in images]
+            try:
+                k = max(map(group._word_length, images), default=0)
+            except OutOfBallError:
+                return
+            yield k
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:
@@ -257,52 +252,6 @@ def nilpotent_growth_rate(endo: HeisenbergEndo, tol: float = 1e-12) -> Nilpotent
     rate2 = exact_growth_rate(center, tol)
     combined = max(rate1, math.sqrt(rate2))
     return NilpotentRate((rate1, rate2), combined, max(rate1, rate2))
-
-
-@record
-class RateVerdict:
-    """Three-valued answer to: does the orbit of this element grow at rate
-    at most the threshold?  Sampled limsup, never certain near the line."""
-
-    element: tuple
-    threshold: float
-    verdict: str  # "in" | "out" | "unknown"
-    margin: float
-    roots: tuple[float, ...]
-    estimate: float
-
-
-def rate_probe(
-    endo: Endomorphism,
-    element,
-    threshold: float,
-    max_power: int = 40,
-    margin: float = 0.05,
-) -> RateVerdict:
-    """Sample |endo^m(element)|^(1/m) and classify against the threshold.
-
-    The estimate is the max root over the trailing quarter of the sampled
-    range (a limsup proxy).  Within `margin` of the threshold the verdict
-    is honestly "unknown".
-    """
-    if threshold <= 1:
-        raise ValueError("threshold must exceed 1")
-    if max_power < 4:
-        raise ValueError("max_power must be >= 4")
-    endo.group.check(element)
-    lengths = islice(_orbit_lengths(endo, [element]), max_power)
-    roots = [_root(k, m) for m, k in enumerate(lengths, start=1)]
-    if not roots:
-        raise UnsupportedOperationError("no orbit samples available")
-    tail = roots[-max(1, len(roots) // 4) :]
-    estimate = max(tail)
-    if estimate <= threshold - margin:
-        verdict = "in"
-    elif estimate >= threshold + margin:
-        verdict = "out"
-    else:
-        verdict = "unknown"
-    return RateVerdict(element, threshold, verdict, margin, tuple(roots), estimate)
 
 
 @record

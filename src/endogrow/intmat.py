@@ -495,16 +495,12 @@ def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     p = list(char_poly(a).coefficients)
-    n_zero = 0
     while p and p[0] == 0:
         p.pop(0)
-        n_zero += 1
     if len(p) <= 1:
         return 0.0
-    sf = _poly_square_free(p)
-    roots = aberth_roots(sf, tol=tol)
-    top = max(abs(z) for z in roots)
-    return max(top, 0.0)
+    roots = aberth_roots(_poly_square_free(p), tol=tol)
+    return max(abs(z) for z in roots)
 
 
 @record

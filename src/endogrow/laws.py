@@ -433,14 +433,13 @@ def _law_semidirect(instance, options, seed, tol):
     quotient_rate = spectral_radius(endo.quotient_matrix)
     formula = max(base_rate, quotient_rate)
     est = growth_table(endo, 16)
-    sandwich = quotient_rate <= formula + 1e-9
     values = {
         "rate_base": base_rate,
         "rate_quotient": quotient_rate,
         "formula": formula,
         "ratio_estimate": est.ratio_estimate,
     }
-    return values, sandwich and abs(est.ratio_estimate - formula) <= tol
+    return values, abs(est.ratio_estimate - formula) <= tol
 
 
 def _law_polycyclic(instance, options, seed, tol):

@@ -13,7 +13,6 @@ from endogrow.ball import enumerate_ball
 from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import Free, FreeAbelian, Heisenberg, KindMismatchError
-from endogrow.growth import rate_probe
 from endogrow.intmat import IntMatrix, mat_mul
 from endogrow.products import (
     AbelianQuotient,
@@ -152,8 +151,6 @@ def test_endo_public_entries_reject_foreign_elements(name):
     endo, foreign = ENDOS[name](), ENDO_FOREIGN[name]
     with pytest.raises(KindMismatchError):
         endo.apply(foreign)
-    with pytest.raises(KindMismatchError):
-        rate_probe(endo, foreign, 2.0, max_power=4)
 
 
 def test_semidirect_action_moves_column_vectors():

@@ -33,7 +33,6 @@ from endogrow.growth import (
     extension_bounds,
     growth_table,
     nilpotent_growth_rate,
-    rate_probe,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -215,55 +214,6 @@ class TestNilpotentRate:
         rate = nilpotent_growth_rate(HeisenbergEndo(Heisenberg(), 1, 3))
         assert rate.layer_rates == pytest.approx((3.0, 3.0))
         assert rate.combined == pytest.approx(3.0)
-
-
-class TestRateProbe:
-    def test_slow_direction_is_in(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        verdict = rate_probe(endo, (1, 0), 2.5)
-        assert verdict.verdict == "in"
-
-    def test_identity_element_is_in(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        assert rate_probe(endo, (0, 0), 1.5).verdict == "in"
-
-    def test_fast_direction_is_out(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        assert rate_probe(endo, (0, 1), 2.5).verdict == "out"
-
-    def test_boundary_is_honestly_unknown(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        assert rate_probe(endo, (0, 1), 3.01).verdict == "unknown"
-
-    def test_in_verdicts_are_upward_monotone(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        margin = 0.05
-        for element in ((1, 0), (3, 0), (0, 1)):
-            for threshold in (1.5, 2.1, 2.5, 3.5):
-                verdict = rate_probe(endo, element, threshold, margin=margin)
-                if verdict.verdict == "in":
-                    higher = rate_probe(endo, element, threshold + margin + 0.2, margin=margin)
-                    assert higher.verdict == "in"
-
-    def test_rank_one_generator_samples_the_growth_table(self):
-        endo = MatrixEndo(FreeAbelian(1), M([[3]]))
-        verdict = rate_probe(endo, (1,), 2.5, max_power=12)
-        assert verdict.roots == growth_table(endo, 12).roots
-
-    def test_products_of_in_elements_never_out(self):
-        endo = MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))
-        group = endo.group
-        threshold = 2.5
-        ins = [
-            g
-            for g in ((1, 0), (-1, 0), (2, 0), (0, 0))
-            if rate_probe(endo, g, threshold).verdict == "in"
-        ]
-        for g in ins:
-            for h in ins:
-                product = group.multiply(g, h)
-                verdict = rate_probe(endo, product, threshold + 0.05)
-                assert verdict.verdict != "out"
 
 
 class TestExtensionBounds:
