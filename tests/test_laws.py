@@ -28,6 +28,19 @@ class TestRunLaw:
         assert check.verdict == "pass"
         assert check.values["rate_exact"] == pytest.approx(2**0.5, abs=1e-9)
 
+    def test_random_abelian_instances_pass_on_every_seed(self):
+        # the table's first 30 roots can sit far above the rate on a matrix
+        # with a large transient; the Fekete bound at power 1024 cannot
+        failing = [
+            seed
+            for seed in range(60)
+            if run_law(
+                "thm4.1-abelian",
+                {"random_instances": 20, "seed": seed, "options": {"tolerance": 0.1}},
+            ).verdict != "pass"
+        ]
+        assert failing == []
+
     def test_identity_power_law(self):
         check = run_law(
             "thm2.2.3-power",
