@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except UnsupportedOperationError as exc:
         sys.stderr.write(f"unsupported for this input: {exc}\n")
         return EXIT_SPEC_ERROR
-    except (RootConvergenceError, OutOfBallError) as exc:
+    except (RootConvergenceError, OutOfBallError, OverflowError) as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
         return EXIT_COMPUTATION_ERROR
 

@@ -428,7 +428,10 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[com
     if not fc[-1]:
         raise RootConvergenceError("coefficients span more than the floating-point range")
     if n == 1:
-        return (complex(-fc[0] / fc[1]),)
+        root = complex(-fc[0] / fc[1])
+        if not cmath.isfinite(root):
+            raise RootConvergenceError("the root lies outside the floating-point range")
+        return (root,)
     dfc = [k * fc[k] for k in range(1, n + 1)]
     # start on Fujiwara's bound, which holds every root and is at most 2n
     # times the largest modulus, so z**n stays finite where the roots do

@@ -27,7 +27,19 @@ SWAP_SPEC = {
 }
 
 
+# its growth rate 10^400 has no float
+HUGE_RATE_SPEC = {
+    "group": {"kind": "free_abelian", "rank": 1},
+    "endo": {"kind": "matrix", "rows": [[10**400]]},
+}
+
+
 class TestEstimate:
+    def test_root_outside_the_float_range_is_computation_failure(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, HUGE_RATE_SPEC)
+        assert main(["estimate", spec]) == 3
+        assert capsys.readouterr().err.startswith("computation failed:")
+
     def test_reports_inf_bound_on_final_line(self, tmp_path, capsys):
         spec = write_spec(tmp_path, SWAP_SPEC)
         assert main(["estimate", spec]) == 0
@@ -147,13 +159,17 @@ class TestSpectral:
         assert json.loads(capsys.readouterr().out)["growth_rate"] == 2.0**260
 
     def test_root_outside_the_float_range_is_computation_failure(self, tmp_path, capsys):
-        spec = write_spec(
-            tmp_path,
-            {"group": {"kind": "free_abelian", "rank": 2},
-             "endo": {"kind": "matrix", "rows": [[0, 2**1100], [1, 0]]}},
-        )
-        assert main(["spectral", spec]) == 3
-        assert capsys.readouterr().err.startswith("computation failed:")
+        for rank, rows in ((2, [[0, 2**1100], [1, 0]]), (1, [[10**400]])):
+            spec = write_spec(
+                tmp_path,
+                {"group": {"kind": "free_abelian", "rank": rank},
+                 "endo": {"kind": "matrix", "rows": rows}},
+            )
+            for fmt in ("tsv", "json"):
+                assert main(["spectral", spec, "--format", fmt]) == 3
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("computation failed:")
 
     @pytest.mark.parametrize(
         "fmt, expected",
@@ -268,6 +284,12 @@ class TestDistortion:
 
 
 class TestVerify:
+    def test_check_outside_the_float_range_is_computation_failure(self, tmp_path, capsys):
+        suite = {"checks": [{"id": "thm2.2.1-fekete", "instance": HUGE_RATE_SPEC}]}
+        path = write_spec(tmp_path, suite, "suite.json")
+        assert main(["verify", "--suite", path]) == 3
+        assert capsys.readouterr().err.startswith("computation failed:")
+
     def test_custom_suite_passes(self, tmp_path, capsys):
         suite = {
             "seed": 20250811,
