@@ -3,15 +3,22 @@ in both formats, and seed 10 (test_exit_codes pins that a failing check
 exits 1).
 `endogrow estimate`, in both formats, on word endos: two positive ones, which
 take the letter-count route, and a cancelling one, which builds its words;
-and on a direct product of a positive word endo with a matrix endo."""
+and on a direct product of a positive word endo with a matrix endo.
+`endogrow ball` and `endogrow distortion`, in both formats, on one small spec
+per group kind, with `--query` lengths and one budget-cut census; the census
+of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
+from endogrow.ball import enumerate_ball
 from endogrow.cli import main
+from endogrow.intmat import IntMatrix
+from endogrow.products import AbelianQuotient
 
 DATA = Path(__file__).parent / "data"
 
@@ -35,3 +42,38 @@ def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
     spec = DATA / f"estimate_{name}.spec.json"
     assert main(["estimate", str(spec), "--format", fmt]) == 0
     assert capsys.readouterr().out == (DATA / f"estimate_{name}.{suffix}").read_text(encoding="utf-8")
+
+
+# golden name -> (subcommand, spec name, arguments)
+CENSUS_CASES = {
+    "ball_free": ("ball", "ball_free", ["--radius", "5", "--query", "[1,2,-1]", "--query", "[2,2,2,2,1]", "--query", "[]"]),
+    "ball_free_product": ("ball", "ball_free_product", [
+        "--radius", "5", "--query", "[[0,[1,2]],[1,[3]]]", "--query", "[[1,[-2]],[0,[-1]]]"]),
+    "ball_z3": ("ball", "ball_z3", ["--radius", "6", "--query", "[1,-2,0]", "--query", "[0,0,6]"]),
+    "ball_heisenberg": ("ball", "ball_heisenberg", ["--radius", "6", "--query", "[1,2,-1]", "--query", "[0,4,0]"]),
+    "ball_direct_product": ("ball", "ball_direct_product", [
+        "--radius", "5", "--query", "[[1,2],[-1]]", "--query", "[[],[3]]"]),
+    "ball_semidirect": ("ball", "ball_semidirect", [
+        "--radius", "6", "--query", "[[1,1],[1]]", "--query", "[[8,5],[2]]", "--query", "[[5,3],[0]]"]),
+    "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--budget", "200", "--query", "[1,2]"]),
+    "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
+    "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
+}
+
+
+@pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+def test_census_output_matches_golden(capsys, name, fmt, suffix):
+    command, spec, args = CENSUS_CASES[name]
+    assert main([command, str(DATA / f"{spec}.spec.json"), *args, "--format", fmt]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
+
+
+def quotient_census_json():
+    census = enumerate_ball(AbelianQuotient(2, IntMatrix.from_rows([[6, 0], [0, 0]])), 5)
+    payload = {"counts": census.counts, "lengths": [[g, n] for g, n in census.lengths.items()]}
+    return json.dumps(payload) + "\n"
+
+
+def test_quotient_census_matches_golden():
+    assert quotient_census_json() == (DATA / "ball_quotient.json").read_text(encoding="utf-8")
