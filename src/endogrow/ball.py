@@ -3,6 +3,13 @@
 Lengths recorded here are exact geodesic distances by construction; the
 census is deterministic (generator order, then discovery order) and is the
 reference every closed-form or quasi length is checked against.
+
+The BFS runs over the codes of a group's `_ball_coding`.  Free groups, free
+products, Z^n, the Heisenberg group, semidirect products and direct products
+of coded factors code each normal form as an int in a box fixed by the
+radius, so a step is int arithmetic and the census is a dict of ints; an
+abelian quotient (and a direct product with it) keeps its tuple normal forms.
+A census decodes its `lengths` on each access; lookups encode the element.
 """
 
 from __future__ import annotations
@@ -46,13 +53,23 @@ class BallCensus:
 
     counts[n] is the cumulative ball size |B(n)|.  If the element budget ran
     out, complete is False and only fully enumerated radii are reported.
+    codes maps each element's code to its length, in discovery order; encode
+    and decode are the group's coding for the census radius.
     """
 
     radius: int
     completed_radius: int
     counts: tuple[int, ...]
-    lengths: dict
+    codes: dict
+    encode: object
+    decode: object
     complete: bool = True
+
+    @property
+    def lengths(self) -> dict:
+        """Element -> length in discovery order, decoded anew on each access."""
+        decode = self.decode
+        return {decode(code): n for code, n in self.codes.items()}
 
 
 def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> BallCensus:
@@ -65,13 +82,12 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     budget = _resolve_budget(budget)
-    identity = group.identity()
-    gens = group.symmetric_generators()
-    for s in (identity, *gens):
+    for s in (group.identity(), *group.symmetric_generators()):
         group.check(s)
     # every element found is a product of checked ones, so the BFS steps
-    # through the unchecked kernel and checks none of them
-    mul = group._bfs_mul()
+    # through the unchecked coding and checks none of them
+    coding = group._ball_coding(radius)
+    identity, gens, step = coding.identity, coding.generators, coding.step
     lengths = {identity: 0}
     counts = [1]
     frontier = [identity]
@@ -82,7 +98,7 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         overflow = False
         for g in frontier:
             for s in gens:
-                x = mul(g, s)
+                x = step(g, s)
                 if x not in lengths:
                     lengths[x] = n
                     next_frontier.append(x)
@@ -109,14 +125,17 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         radius=radius,
         completed_radius=completed,
         counts=tuple(counts[: completed + 1]),
-        lengths=lengths,
+        codes=lengths,
+        encode=coding.encode,
+        decode=coding.decode,
         complete=complete,
     )
 
 
 def census_length(census: BallCensus, g) -> int:
-    """The geodesic length of an enumerated element."""
-    found = census.lengths.get(g)
+    """The geodesic length of an enumerated element.  An element outside the
+    coding's box encodes to None, which no census holds."""
+    found = census.codes.get(census.encode(g))
     if found is None:
         raise OutOfBallError(
             f"element {g!r} not within the enumerated radius {census.completed_radius}"
@@ -144,31 +163,30 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     Supported embeddings: the base lattice of a semidirect product, and a
     sublattice of a free abelian ambient group.
     """
-    # intrinsic(g) is g's intrinsic subgroup length, or None for a non-member
+    # intrinsic(code) is the intrinsic subgroup length of the element with
+    # that census code, or None for a non-member
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
-        quotient_identity = group.quotient.identity()
-
-        def intrinsic(g):
-            # a base element's intrinsic length is the L1 norm of its base part
-            h, q = g
-            return sum(map(abs, h)) if q == quotient_identity else None
+        # a base element's intrinsic length is the L1 norm of its base part
+        intrinsic = group._base_norm(radius)
+        census = enumerate_ball(group, radius, budget)
 
     elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != group.rank:
             raise ValueError("sublattice ambient rank mismatch")
+        census = enumerate_ball(group, radius, budget)
+        decode = census.decode
 
-        def intrinsic(g):
-            coords = subgroup.coordinates(g)
+        def intrinsic(code):
+            coords = subgroup.coordinates(decode(code))
             return None if coords is None else sum(abs(c) for c in coords)
 
     else:
         raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
 
-    census = enumerate_ball(group, radius, budget)
     top = census.completed_radius
     best_at = [0] * (top + 1)
-    for element, n in census.lengths.items():
-        value = intrinsic(element)
+    for code, n in census.codes.items():
+        value = intrinsic(code)
         if value is not None and value > best_at[n]:
             best_at[n] = value
     values = [0] * (top + 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import cached_property
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 from endogrow.record import record
 
@@ -55,6 +55,66 @@ class LengthMode:
             raise ValueError(f"unknown length mode {self.kind!r}")
         if self.kind == "bfs" and self.radius <= 0:
             raise ValueError("bfs length mode needs a positive radius")
+
+
+@record
+class BallCoding:
+    """How a BFS census codes a kind's normal forms.
+
+    The census starts at `identity` and reaches x * s as step(x, c) for each
+    code c in `generators`, one per symmetric generator s, in that order.
+    encode maps a checked element to its code, or to None when the element
+    lies outside the box the coding was built for; decode inverts encode.
+    `size` bounds every code in the box (codes are 0 <= code < size), or is
+    None for a kind whose codes are its tuple normal forms.  encode and
+    decode outlive the run in its census, so they hold no reference to a
+    group.
+    """
+
+    identity: object
+    generators: tuple
+    step: object
+    encode: object
+    decode: object
+    size: int | None = None
+
+
+def _same(g):
+    return g
+
+
+class _Box:
+    """Mixed-radix int codes of int vectors with |v[i]| <= bounds[i]:
+    coordinate i is the digit v[i] + bounds[i] of weight weights[i], and
+    coordinate 0 is the lowest digit."""
+
+    __slots__ = ("bounds", "radices", "weights", "offset", "size")
+
+    def __init__(self, bounds):
+        self.bounds = tuple(bounds)
+        self.radices = tuple(2 * b + 1 for b in self.bounds)
+        weights = [1]
+        for radix in self.radices:
+            weights.append(weights[-1] * radix)
+        self.size = weights.pop()
+        self.weights = tuple(weights)
+        self.offset = self.delta(self.bounds)
+
+    def delta(self, v) -> int:
+        """What adding the vector v adds to a code, while both stay in the box."""
+        return sum(map(mul, v, self.weights))
+
+    def encode(self, v):
+        if any(abs(x) > b for x, b in zip(v, self.bounds)):
+            return None  # a digit out of range would carry into the next one
+        return self.offset + self.delta(v)
+
+    def decode(self, code) -> tuple:
+        out = []
+        for radix, bound in zip(self.radices, self.bounds):
+            code, digit = divmod(code, radix)
+            out.append(digit - bound)
+        return tuple(out)
 
 
 def ceil_sqrt(n: int) -> int:
@@ -147,12 +207,12 @@ class Group(ABC):
                     out.append(el)
         return tuple(out)
 
-    def _bfs_mul(self):
-        """The unchecked product g * s one BFS run steps with.  The run
-        calls it only with s a symmetric generator, so a kind may cache
-        per-run work keyed on them; such a kind returns a closure that holds
-        the cache, so the cache is freed with the run."""
-        return self._mul
+    def _ball_coding(self, radius: int) -> BallCoding:
+        """The coding a census of the given radius steps through.  A kind
+        that codes its normal forms as ints overrides this; here the codes
+        are the normal forms themselves and a step is the unchecked
+        product."""
+        return BallCoding(self.identity(), self.symmetric_generators(), self._mul, _same, _same)
 
     @cached_property
     def _bfs_census(self):
@@ -204,6 +264,12 @@ class FreeAbelian(Group):
     def _length(self, g) -> int:
         return sum(abs(a) for a in g)
 
+    def _ball_coding(self, radius):
+        # every coordinate of an element of the ball lies in [-radius, radius]
+        box = _Box((radius,) * self.rank)
+        steps = tuple(map(box.delta, self.symmetric_generators()))
+        return BallCoding(box.offset, steps, add, box.encode, box.decode, box.size)
+
 
 @record
 class Free(Group):
@@ -254,6 +320,9 @@ class Free(Group):
 
     def _length(self, g) -> int:
         return len(g)
+
+    def _ball_coding(self, radius):
+        return _word_coding(self.rank, radius)
 
 
 @record
@@ -316,12 +385,65 @@ class Heisenberg(Group):
     def exactness(self) -> str:
         return QUASI_EQUIVALENT if self.length_kind == "quasi" else EXACT
 
+    def _ball_coding(self, radius):
+        # digits a, c, b from the lowest; within the ball |a|, |c| <= radius,
+        # and the n-th step moves b by at most max(1, n - 1), so |b| <= radius**2
+        box = _Box((radius, radius, radius * radius))
+        a_radix, b_weight = box.radices[0], box.weights[2]
+
+        def step(code, s):
+            # (a, b, c)(p, q, r) = (a + p, b + q + a r, c + r): a fixed part
+            # and r times b's weight for each unit of a, read from the lowest digit
+            fixed, twist = s
+            return code + fixed + twist * (code % a_radix - radius)
+
+        steps = tuple((box.delta((p, r, q)), r * b_weight) for p, q, r in self.symmetric_generators())
+
+        def encode(g):
+            return box.encode((g[0], g[2], g[1]))
+
+        def decode(code):
+            a, c, b = box.decode(code)
+            return (a, b, c)
+
+        return BallCoding(box.offset, steps, step, encode, decode, box.size)
+
     def _length(self, g) -> int:
         if self.length_mode.kind == "quasi":
             return self._quasi_length(g)
         raise UnsupportedOperationError(
             "Heisenberg has no closed-form exact length; use quasi or bfs mode"
         )
+
+
+def _word_coding(rank: int, radius: int) -> BallCoding:
+    """Reduced words over the letters +-1..+-rank as ints in base 2 rank + 1,
+    the last letter lowest.  Letter x is the digit x mod base, so a letter
+    and its inverse have digits that sum to the base, and 0 is no letter.
+    The generators are 1, -1, 2, -2, ..., the order of the symmetric
+    generators of Free(rank)."""
+    base = 2 * rank + 1
+
+    def step(code, digit):
+        return code // base if code % base + digit == base else code * base + digit
+
+    def encode(word):
+        if len(word) > radius:
+            return None
+        code = 0
+        for x in word:
+            code = code * base + x % base
+        return code
+
+    def decode(code):
+        word = []
+        while code:
+            code, digit = divmod(code, base)
+            word.append(digit if digit <= rank else digit - base)
+        return tuple(reversed(word))
+
+    letters = tuple(x for i in range(1, rank + 1) for x in (i, base - i))
+    return BallCoding(0, letters, step, encode, decode, base**radius)
 
 
 @record

@@ -10,12 +10,15 @@ from operator import add, mul
 from endogrow.groups import (
     EXACT,
     QUASI_EQUIVALENT,
+    BallCoding,
     Free,
     FreeAbelian,
     Group,
     KindMismatchError,
     LengthMode,
     UnsupportedOperationError,
+    _Box,
+    _word_coding,
 )
 from endogrow.intmat import (
     IntMatrix,
@@ -74,6 +77,38 @@ class DirectProduct(Group):
 
     def _length(self, g) -> int:
         return self.left._word_length(g[0]) + self.right._word_length(g[1])
+
+    def _ball_coding(self, radius):
+        left, right = self.left._ball_coding(radius), self.right._ball_coding(radius)
+        if left.size is None or right.size is None:
+            return Group._ball_coding(self, radius)
+        # code = left code * size + right code; the symmetric generators are
+        # the left factor's, then the right factor's, each on its own side.
+        # The closures take the factor codings' functions, not the codings,
+        # so that a census keeps no factor's step and its caches alive
+        size = right.size
+        left_step, right_step = left.step, right.step
+        left_encode, right_encode = left.encode, right.encode
+        left_decode, right_decode = left.decode, right.decode
+
+        def step(code, s):
+            side, c = s
+            low = code % size
+            if side:
+                return code - low + right_step(low, c)
+            return left_step(code // size, c) * size + low
+
+        def encode(g):
+            a, b = left_encode(g[0]), right_encode(g[1])
+            return None if a is None or b is None else a * size + b
+
+        def decode(code):
+            return (left_decode(code // size), right_decode(code % size))
+
+        steps = tuple((0, c) for c in left.generators) + tuple((1, c) for c in right.generators)
+        return BallCoding(
+            left.identity * size + right.identity, steps, step, encode, decode, left.size * size
+        )
 
 
 def direct_product(left: Group, right: Group) -> DirectProduct:
@@ -158,6 +193,40 @@ class FreeProduct(Group):
 
     def _length(self, g) -> int:
         return sum(self.factor(i)._word_length(s) for i, s in g)
+
+    def _ball_coding(self, radius):
+        # a product of free groups and copies of Z is the free group on the
+        # union of their letters: the right factor's letter j is left rank + j
+        shift = self.left.rank
+        cyclic = tuple(isinstance(f, FreeAbelian) for f in (self.left, self.right))
+        words = _word_coding(shift + self.right.rank, radius)
+        word_encode, word_decode = words.encode, words.decode
+
+        def letter(i, x):
+            return x if not i else x + shift if x > 0 else x - shift
+
+        def encode(g):
+            word = []
+            for i, s in g:
+                if cyclic[i]:
+                    word += [letter(i, 1 if s[0] > 0 else -1)] * abs(s[0])
+                else:
+                    word += [letter(i, x) for x in s]
+            return word_encode(word)
+
+        def decode(code):
+            syllables = []
+            for x in word_decode(code):
+                i = int(abs(x) > shift)
+                if i:
+                    x = x - shift if x > 0 else x + shift
+                if syllables and syllables[-1][0] == i:
+                    syllables[-1][1].append(x)
+                else:
+                    syllables.append((i, [x]))
+            return tuple((i, (sum(xs),) if cyclic[i] else tuple(xs)) for i, xs in syllables)
+
+        return BallCoding(0, words.generators, words.step, encode, decode, words.size)
 
 
 def free_product(left: Group, right: Group) -> FreeProduct:
@@ -276,37 +345,66 @@ class Semidirect(Group):
             gq = tuple(map(add, gq, hq))
         return (gh, gq)
 
-    def _bfs_mul(self):
-        # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each q this run reaches,
-        # keep the rows of A(q) and, per generator s, the parts it adds
-        # (A(q) s_H and s_Q, each None when zero)
-        images_at = {}
-
-        def step(g, s):
-            h, q = g
-            at = images_at.get(q)
-            if at is None:
-                at = images_at[q] = ({}, self.action_of(q).to_rows())
-            images, rows = at
-            parts = images.get(s)
-            if parts is None:
-                sh, sq = s
-                parts = images[s] = (
-                    tuple(sum(map(mul, row, sh)) for row in rows) if any(sh) else None,
-                    sq if any(sq) else None,
-                )
-            dh, dq = parts
-            return (
-                h if dh is None else tuple(map(add, h, dh)),
-                q if dq is None else tuple(map(add, q, dq)),
-            )
-
-        return step
-
     def _inv(self, g):
-        q_inv = tuple(-x for x in g[1])
-        moved = self.action_of(q_inv).apply_col(g[0])
-        return (tuple(-x for x in moved), q_inv)
+        h, q = g
+        q_inv = tuple(-x for x in q)
+        if any(q) and any(h):
+            h = self.action_of(q_inv).apply_col(h)
+        return (tuple(-x for x in h), q_inv)
+
+    def _boxes(self, radius):
+        """The boxes of the base and quotient parts of a ball's elements.
+        Each step moves the base part by a column of A(q) with |q| < radius,
+        whose L1 norm is at most M**radius for M the largest column L1 norm
+        of an action generator or its inverse."""
+        norm = max(
+            (sum(map(abs, col)) for a in self.action + self._inverse_action for col in a.columns),
+            default=1,
+        )
+        span = radius * norm**radius
+        return _Box((span,) * self.base_rank), _Box((radius,) * self.quotient_rank)
+
+    def _ball_coding(self, radius):
+        # code = quotient code * base size + base code; g s = (g_H + A(g_Q) s_H,
+        # g_Q + s_Q), so for each quotient code this run reaches, keep what
+        # each generator adds to a code
+        base, quotient = self._boxes(radius)
+        size = base.size
+        gens = self.symmetric_generators()
+        adds_at = {}
+
+        def step(code, j):
+            q_code = code // size
+            adds = adds_at.get(q_code)
+            if adds is None:
+                rows = self.action_of(quotient.decode(q_code)).to_rows()
+                adds = adds_at[q_code] = tuple(
+                    base.delta([sum(map(mul, row, sh)) for row in rows]) + quotient.delta(sq) * size
+                    for sh, sq in gens
+                )
+            return code + adds[j]
+
+        def encode(g):
+            h, q = base.encode(g[0]), quotient.encode(g[1])
+            return None if h is None or q is None else q * size + h
+
+        def decode(code):
+            return (base.decode(code % size), quotient.decode(code // size))
+
+        identity = quotient.offset * size + base.offset
+        return BallCoding(identity, tuple(range(len(gens))), step, encode, decode, quotient.size * size)
+
+    def _base_norm(self, radius):
+        """For a code of the census of the given radius, the L1 norm of its
+        base part when its quotient part is the identity, else None."""
+        base, quotient = self._boxes(radius)
+        low = quotient.offset * base.size
+        high = low + base.size
+
+        def norm(code):
+            return sum(map(abs, base.decode(code - low))) if low <= code < high else None
+
+        return norm
 
     @property
     def exactness(self) -> str:

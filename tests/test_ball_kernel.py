@@ -1,25 +1,41 @@
-"""The BFS steps through each group's unchecked product kernel: its census
-must equal a plain BFS over the public, checked `multiply`; the public
-operations of every group and endo kind still reject foreign elements; and
-the CLI rejects bad radii, budgets and query literals with exit code 2."""
+"""The BFS steps through each group's unchecked coding: its census must
+equal a plain BFS over the public, checked `multiply`, a budget must cut it
+to a prefix, and a lookup must never read another element's length through
+a code that carried out of its box; the public operations of every group
+and endo kind still reject foreign elements; and the CLI rejects bad radii,
+budgets and query literals with exit code 2 and a query outside the ball
+with exit code 3."""
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
+from functools import cache, reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from endogrow.ball import enumerate_ball
+from endogrow.ball import census_length, enumerate_ball
 from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
-from endogrow.groups import Free, FreeAbelian, Heisenberg, KindMismatchError
+from endogrow.groups import (
+    Free,
+    FreeAbelian,
+    Heisenberg,
+    KindMismatchError,
+    LengthMode,
+    OutOfBallError,
+)
 from endogrow.intmat import IntMatrix, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
     FreeProduct,
+    Semidirect,
     semidirect,
 )
+from test_checked_entry import free_reduce
 
 HYPERBOLIC = [[2, 1], [1, 1]]
 HYPERBOLIC_INVERSE = [[1, -1], [-1, 2]]
@@ -91,14 +107,192 @@ def test_census_equals_reference_bfs(name):
     assert list(census.lengths.items()) == list(lengths.items())
 
 
-def test_budget_cut_semidirect_census_is_a_prefix():
-    group = semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC])
-    full = enumerate_ball(group, 8, budget=10**7)
-    cut = enumerate_ball(group, 8, budget=full.counts[5] + 10)
+CODED = sorted(name for name in GROUPS if not name.startswith("quotient"))
+
+
+@pytest.mark.parametrize("name", CODED)
+def test_budget_cut_census_is_a_prefix(name, monkeypatch):
+    group, radius = GROUPS[name]
+    full = enumerate_ball(group, radius, budget=10**7)
+    cut_at = radius - 2
+    budget = full.counts[cut_at] + 10
+    # the run must stop at the first element over the budget: count the
+    # steps it takes, against the (element, generator) pairs a plain BFS
+    # tries until it finds element number budget + 1
+    steps = []
+    coding = type(group)._ball_coding
+
+    def counted(self, radius):
+        c = coding(self, radius)
+        return type(c)(c.identity, c.generators, lambda g, s: steps.append(1) or c.step(g, s),
+                       c.encode, c.decode, c.size)
+
+    monkeypatch.setattr(type(group), "_ball_coding", counted)
+    cut = enumerate_ball(group, radius, budget=budget)
     assert not cut.complete
-    assert cut.completed_radius == 5
-    assert cut.counts == full.counts[:6]
-    assert list(cut.lengths.items()) == list(full.lengths.items())[: full.counts[5]]
+    assert cut.completed_radius == cut_at
+    assert cut.counts == full.counts[: cut_at + 1]
+    assert list(cut.lengths.items()) == list(full.lengths.items())[: full.counts[cut_at]]
+    assert len(steps) == pairs_until_element(group, budget + 1)
+
+
+def pairs_until_element(group, count):
+    """How many products g * s a plain BFS forms until it has seen count
+    distinct elements."""
+    seen = {group.identity()}
+    frontier = [group.identity()]
+    pairs = 0
+    while frontier:
+        next_frontier = []
+        for g in frontier:
+            for s in group.symmetric_generators():
+                pairs += 1
+                x = group.multiply(g, s)
+                if x not in seen:
+                    seen.add(x)
+                    next_frontier.append(x)
+                    if len(seen) == count:
+                        return pairs
+        frontier = next_frontier
+    raise AssertionError("the group has fewer elements than that")
+
+
+def test_semidirect_census_builds_each_action_once_per_quotient_part(monkeypatch):
+    group, radius = GROUPS["semidirect_rank2_quotient_hyperbolic"]
+    built = []
+    action_of = Semidirect.action_of
+
+    def counted(self, q):
+        built.append(q)
+        return action_of(self, q)
+
+    monkeypatch.setattr(Semidirect, "action_of", counted)
+    census = enumerate_ball(group, radius)
+    reached = {q for _, q in census.lengths}
+    assert len(built) == len(set(built))
+    assert set(built) <= reached
+
+
+# -- a lookup reads only the element's own length ------------------------------
+
+
+@cache
+def reference_and_census(name):
+    group, radius = GROUPS[name]
+    return reference_bfs(group, radius)[0], enumerate_ball(group, radius)
+
+
+@pytest.mark.parametrize("name", CODED)
+def test_elements_one_step_past_the_radius_are_out_of_the_ball(name):
+    group, radius = GROUPS[name]
+    _, census = reference_and_census(name)
+    outside = [g for g, n in reference_bfs(group, radius + 1)[0].items() if n == radius + 1]
+    assert outside
+    for g in outside:
+        with pytest.raises(OutOfBallError):
+            census_length(census, g)
+
+
+# elements past the box of the radius-r census, whose digits would carry:
+# coordinates past r, a free word of length r + 1, and a right factor past
+# its box, which would carry into the left factor's code
+CARRIES = {
+    "z3": [(7, 0, 0), (0, -7, 0), (0, 0, 7), (13, 0, 0), (-7, 1, 0)],
+    "free2": [(1, 2, 1, 2, 1, 2, 1), (-2,) * 7],
+    "free3": [(3, 1, 2, 3, 1)],
+    "heisenberg3": [(7, 0, 0), (-7, 0, 0), (0, 0, 13), (0, 37, 0), (0, -37, 0), (13, 0, 0)],
+    "direct_free_z": [((), (11,)), ((), (-11,)), ((1,), (11,)), ((1, 2, 1, 2, 1, 2), (0,))],
+    "free_product_z_z": [((0, (13,)),), ((1, (7,)),), ((0, (2,)), (1, (-5,)))],
+    "semidirect_hyperbolic": [((0, 0), (7,)), ((0, 0), (13,)), ((10**6, 0), (0,))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIES))
+def test_codes_never_carry_into_another_element(name):
+    _, census = reference_and_census(name)
+    group, _ = GROUPS[name]
+    for g in CARRIES[name]:
+        group.check(g)
+        assert census.encode(g) is None
+        with pytest.raises(OutOfBallError):
+            census_length(census, g)
+
+
+def coordinate(radius):
+    # inside the ball, just past its radius, and far past any box
+    return st.one_of(st.integers(-radius - 2, radius + 2), st.integers(-10**6, 10**6))
+
+
+def lattice(rank, radius):
+    return st.tuples(*[coordinate(radius)] * rank)
+
+
+def word(rank, radius):
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    return st.lists(letters, max_size=radius + 3).map(free_reduce)
+
+
+def elements(group, radius):
+    """Checked elements of the group, inside and outside the ball."""
+    if isinstance(group, FreeAbelian):
+        return lattice(group.rank, radius)
+    if isinstance(group, Free):
+        return word(group.rank, radius)
+    if isinstance(group, Heisenberg):
+        return st.tuples(coordinate(radius), coordinate(radius * radius), coordinate(radius))
+    if isinstance(group, DirectProduct):
+        return st.tuples(elements(group.left, radius), elements(group.right, radius))
+    if isinstance(group, FreeProduct):
+        syllable = st.sampled_from((0, 1)).flatmap(
+            lambda i: elements(group.factor(i), radius)
+            .filter(lambda s: s != group.factor(i).identity())
+            .map(lambda s: ((i, s),))
+        )
+        return st.lists(syllable, max_size=radius + 3).map(
+            lambda parts: reduce(group.multiply, parts, group.identity())
+        )
+    return st.tuples(lattice(group.base_rank, radius), lattice(group.quotient_rank, radius))
+
+
+@pytest.mark.parametrize("name", CODED)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_census_length_is_the_reference_length_or_out_of_ball(name, data):
+    group, radius = GROUPS[name]
+    reference, census = reference_and_census(name)
+    if data.draw(st.booleans(), label="from the ball"):
+        g = data.draw(st.sampled_from(list(reference)), label="element")
+    else:
+        g = data.draw(elements(group, radius), label="element")
+    group.check(g)
+    if g in reference:
+        assert census_length(census, g) == reference[g]
+    else:
+        with pytest.raises(OutOfBallError):
+            census_length(census, g)
+
+
+BFS_MODE_GROUPS = {
+    "free_abelian": lambda mode: FreeAbelian(2, mode),
+    "free": lambda mode: Free(2, mode),
+    "heisenberg": lambda mode: Heisenberg(3, mode),
+    "semidirect": lambda mode: semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC], mode),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BFS_MODE_GROUPS))
+def test_bfs_mode_census_holds_no_reference_to_its_group(kind):
+    # a coding closure kept in the census that held the group would make a
+    # cycle group -> census -> closure -> group
+    group = BFS_MODE_GROUPS[kind](LengthMode("bfs", 4))
+    group.word_length(group.generators[0][1])
+    ref = weakref.ref(group._bfs_census)
+    gc.disable()
+    try:
+        del group
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 FOREIGN = {
@@ -246,3 +440,25 @@ class TestBoundary:
         err = capsys.readouterr().err
         assert err.startswith("spec error: at query:")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group, query",
+    [
+        ({"kind": "free_abelian", "rank": 3}, "[5,0,0]"),
+        ({"kind": "free_abelian", "rank": 3}, "[3,0,0]"),
+        ({"kind": "free", "rank": 2}, "[1,2,1]"),
+        ({"kind": "heisenberg"}, "[0,5,0]"),
+        ({"kind": "direct_product", "factors": [{"kind": "free", "rank": 2},
+                                                {"kind": "free_abelian", "rank": 1}]}, "[[],[5]]"),
+        ({"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
+          "action": [HYPERBOLIC]}, "[[0,0],[5]]"),
+    ],
+)
+def test_query_outside_the_ball_exits_3(tmp_path, capsys, group, query):
+    # [5,0,0] in Z^3 at radius 2 would carry into the code of [0,1,0]
+    spec = write_spec(tmp_path, {"group": group})
+    assert main(["ball", spec, "--radius", "2", "--query", query]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("computation failed:")
