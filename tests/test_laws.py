@@ -169,6 +169,49 @@ def test_instance_tolerance_overrides_the_law_default():
     assert check.verdict == "fail"
 
 
+# Section 3 on fixed matrix endos with invariant sublattices; the golden
+# catalog holds only random and Heisenberg instances of these laws
+_HYPERBOLIC_SCALAR = {
+    "group": _Z2,
+    "endo": {"kind": "matrix", "rows": [[2, 1], [1, 1]]},
+    "subgroup": {"kind": "sublattice", "basis": [[3, 0], [0, 3]]},
+}
+_BLOCK_TRIANGULAR = {
+    "group": {"kind": "free_abelian", "rank": 3},
+    "endo": {"kind": "matrix", "rows": [[2, 1, 0], [1, 1, 0], [1, 0, 3]]},
+    "subgroup": {"kind": "sublattice", "basis": [[1, 0], [0, 1], [0, 0]]},
+}
+_GOLDEN = 2.618033988749895  # the spectral radius of [[2, 1], [1, 1]]
+# the complement law draws its own instances from the seed, whatever it is given
+_COMPLEMENT = {"instances": 20, "worst_equality_gap": 1.3322676295501878e-15}
+
+
+@pytest.mark.parametrize(
+    "law_id, instance, verdict, values",
+    [
+        ("thm3.1-finite-index", _HYPERBOLIC_SCALAR, "pass",
+         {"index": 9, "rate_full": _GOLDEN, "rate_restricted": _GOLDEN}),
+        ("lemma3.2-quotient", _HYPERBOLIC_SCALAR, "pass",
+         {"rate_full": _GOLDEN, "rate_quotient": 1.0}),
+        ("thm3.3-extension", _HYPERBOLIC_SCALAR, "pass",
+         {"rate_full": _GOLDEN, "rate_restricted": _GOLDEN, "rate_quotient": 1.0}),
+        ("cor3.4-complement", _HYPERBOLIC_SCALAR, "pass", _COMPLEMENT),
+        ("thm3.1-finite-index", _BLOCK_TRIANGULAR, "inapplicable",
+         {"reason": "subgroup is not finite index"}),
+        ("lemma3.2-quotient", _BLOCK_TRIANGULAR, "pass",
+         {"rate_full": 3.0, "rate_quotient": 3.0}),
+        ("thm3.3-extension", _BLOCK_TRIANGULAR, "pass",
+         {"rate_full": 3.0, "rate_restricted": _GOLDEN, "rate_quotient": 3.0}),
+        ("cor3.4-complement", _BLOCK_TRIANGULAR, "pass", _COMPLEMENT),
+    ],
+)
+def test_section3_laws_on_fixed_sublattice_instances(law_id, instance, verdict, values):
+    check = run_law(law_id, instance)
+    assert check.verdict == verdict
+    assert check.values == values
+    assert list(check.values) == list(values)
+
+
 class TestSuite:
     def test_default_catalog_all_pass_none_inapplicable(self):
         report = run_suite(LawConfig(seed=SEED))
