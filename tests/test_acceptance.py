@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+from itertools import islice
 
 from endogrow.ball import distortion_profile, enumerate_ball
 from endogrow.cli import main
@@ -153,7 +154,7 @@ def test_criterion_07_subgroup_quotient_sandwich():
     worst_sandwich = -math.inf
     worst_equality = 0.0
     complemented_seen = 0
-    for endo, sub, complemented in _random_invariant_instances(rng, 20):
+    for endo, sub, complemented in islice(_random_invariant_instances(rng), 20):
         bounds = extension_bounds(endo, sub)
         worst_sandwich = max(
             worst_sandwich,
