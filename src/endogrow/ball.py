@@ -6,10 +6,14 @@ reference every closed-form or quasi length is checked against.
 
 The BFS runs over the codes of a group's `_ball_coding`.  Free groups, free
 products, Z^n, the Heisenberg group, semidirect products and direct products
-of coded factors code each normal form as an int in a box fixed by the
-radius, so a step is int arithmetic and the census is a dict of ints; an
-abelian quotient (and a direct product with it) keeps its tuple normal forms.
-A census decodes its `lengths` on each access; lookups encode the element.
+of coded factors code each normal form as an int in a box fixed by a radius,
+so a step is int arithmetic and the census is a dict of ints; an abelian
+quotient (and a direct product with it) keeps its tuple normal forms.  A
+census codes for the largest radius whose box fits in 256 bits, and only
+when the BFS completes that radius with budget left does it code for twice
+the radius and re-key what it found; so its cost follows the budget, not the
+requested radius.  A census decodes its `lengths` on each access; lookups
+encode the element.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from endogrow.specio import SpecError
 
 DEFAULT_BUDGET = 5_000_000
 BUDGET_ENV_VAR = "ENDOGROW_BUDGET"
+_BOX_LIMIT = 1 << 256  # codes below it are at most 256 bits
 
 
 def _resolve_budget(budget):
@@ -54,11 +59,13 @@ class BallCensus:
     counts[n] is the cumulative ball size |B(n)|.  If the element budget ran
     out, complete is False and only fully enumerated radii are reported.
     codes maps each element's code to its length, in discovery order; encode
-    and decode are the group's coding for the census radius.
+    and decode are the group's coding for coded_radius, the last radius the
+    census coded for.
     """
 
     radius: int
     completed_radius: int
+    coded_radius: int
     counts: tuple[int, ...]
     codes: dict
     encode: object
@@ -70,6 +77,24 @@ class BallCensus:
         """Element -> length in discovery order, decoded anew on each access."""
         decode = self.decode
         return {decode(code): n for code, n in self.codes.items()}
+
+
+def _first_coding(group: Group, radius: int):
+    """(coding, r) for the largest r <= radius, and at least min(radius, 1),
+    whose box fits in 256 bits: doubling r from 1 until a box is too large,
+    then bisecting.  The tuple coding has no box and is built for radius."""
+    fits, past = min(radius, 1), radius + 1  # past: the least r known too large
+    coding = group._ball_coding(fits)
+    if coding.size is None:
+        return coding, radius
+    while past - fits > 1:
+        trial = min(2 * fits, radius) if past > radius else (fits + past) // 2
+        wider = group._ball_coding(trial)
+        if wider.size > _BOX_LIMIT:
+            past = trial
+        else:
+            coding, fits = wider, trial
+    return coding, fits
 
 
 def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> BallCensus:
@@ -86,11 +111,11 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
         group.check(s)
     # every element found is a product of checked ones, so the BFS steps
     # through the unchecked coding and checks none of them
-    coding = group._ball_coding(radius)
-    identity, gens, step = coding.identity, coding.generators, coding.step
-    lengths = {identity: 0}
+    coding, coded = _first_coding(group, radius)
+    gens, step = coding.generators, coding.step
+    lengths = {coding.identity: 0}
     counts = [1]
-    frontier = [identity]
+    frontier = [coding.identity]
     completed = 0
     complete = True
     for n in range(1, radius + 1):
@@ -121,9 +146,22 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
             counts.extend(counts[-1] for _ in range(radius - n))
             completed = radius
             break
+        if n == coded < radius:
+            # the next step would leave the box
+            if len(lengths) == budget:
+                # a coded group with a non-empty sphere is infinite, so its
+                # next sphere would overflow the budget
+                complete = False
+                break
+            coded = min(2 * n, radius)
+            decode, coding = coding.decode, group._ball_coding(coded)
+            encode, gens, step = coding.encode, coding.generators, coding.step
+            lengths = {encode(decode(x)): k for x, k in lengths.items()}
+            frontier = list(lengths)[-len(frontier) :]
     return BallCensus(
         radius=radius,
         completed_radius=completed,
+        coded_radius=coded,
         counts=tuple(counts[: completed + 1]),
         codes=lengths,
         encode=coding.encode,
@@ -167,8 +205,8 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     # that census code, or None for a non-member
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
         # a base element's intrinsic length is the L1 norm of its base part
-        intrinsic = group._base_norm(radius)
         census = enumerate_ball(group, radius, budget)
+        intrinsic = group._base_norm(census.coded_radius)
 
     elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != group.rank:

@@ -206,6 +206,9 @@ class FreeProduct(Group):
             return x if not i else x + shift if x > 0 else x - shift
 
         def encode(g):
+            # a Z syllable s is |s| letters: measure before writing them
+            if sum(abs(s[0]) if cyclic[i] else len(s) for i, s in g) > radius:
+                return None
             word = []
             for i, s in g:
                 if cyclic[i]:
@@ -525,10 +528,6 @@ class AbelianQuotient(Group):
     @property
     def free_rank(self) -> int:
         return self._moduli.count(0)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self._moduli
 
     def component_matrix(self, column_matrix: IntMatrix) -> IntMatrix:
         """The map a column-convention matrix A on Z^n that keeps the relations

@@ -1,7 +1,8 @@
 """The BFS steps through each group's unchecked coding: its census must
 equal a plain BFS over the public, checked `multiply`, a budget must cut it
-to a prefix, and a lookup must never read another element's length through
-a code that carried out of its box; the public operations of every group
+to a prefix whatever the radius asked for, a census that outgrows its box
+must recode what it found, and a lookup must never read another element's
+length through a code that carried out of its box; the public operations of every group
 and endo kind still reject foreign elements; and the CLI rejects bad radii,
 budgets and query literals with exit code 2 and a query outside the ball
 with exit code 3."""
@@ -16,7 +17,8 @@ from functools import cache, reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endogrow.ball import census_length, enumerate_ball
+from endogrow import ball
+from endogrow.ball import census_length, distortion_profile, enumerate_ball
 from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import (
@@ -171,6 +173,65 @@ def test_semidirect_census_builds_each_action_once_per_quotient_part(monkeypatch
     reached = {q for _, q in census.lengths}
     assert len(built) == len(set(built))
     assert set(built) <= reached
+
+
+# -- the budget bounds every census -------------------------------------------
+
+
+@pytest.mark.parametrize("name", CODED)
+def test_budget_bounds_a_census_of_any_radius(name):
+    # a census codes for the radius it reaches, not for the radius asked for
+    group, _ = GROUPS[name]
+    far = enumerate_ball(group, 10**7, budget=1000)
+    near = enumerate_ball(group, far.completed_radius + 1, budget=1000)
+    assert not far.complete
+    assert (far.counts, far.completed_radius) == (near.counts, near.completed_radius)
+    assert far.complete == near.complete
+    assert list(far.lengths.items()) == list(near.lengths.items())
+
+
+SEMIDIRECT = [name for name in CODED if name.startswith("semidirect")]
+
+
+@pytest.mark.parametrize("name", SEMIDIRECT)
+def test_budget_bounds_a_base_distortion_profile_of_any_radius(name):
+    group, _ = GROUPS[name]
+    far = distortion_profile(group, "base", 10**7, budget=1000)
+    near = distortion_profile(group, "base", len(far.values), budget=1000)
+    assert far == near
+    assert not far.complete
+
+
+def test_census_recodes_when_it_outgrows_its_box():
+    # Z^120's box is 190 bits at radius 1 and 279 bits at radius 2
+    group = FreeAbelian(120)
+    census = enumerate_ball(group, 2)
+    lengths, counts = reference_bfs(group, 2)
+    assert census.coded_radius == 2
+    assert census.counts == counts
+    assert list(census.lengths.items()) == list(lengths.items())
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_census_recoded_from_a_small_box_equals_reference_bfs(name, monkeypatch):
+    # a 6-bit box limit codes every census for radius 1 or 2 at first, so
+    # each coded kind recodes once or more on its way to the radius
+    group, radius = GROUPS[name]
+    reference, census = reference_and_census(name)
+    semidirect = isinstance(group, Semidirect)
+    profile = distortion_profile(group, "base", radius) if semidirect else None
+    monkeypatch.setattr(ball, "_BOX_LIMIT", 1 << 6)
+    recoded = enumerate_ball(group, radius)
+    assert recoded.counts == census.counts
+    assert list(recoded.lengths.items()) == list(reference.items())
+    for g, n in reference_bfs(group, radius + 1)[0].items():
+        if n <= radius:
+            assert census_length(recoded, g) == n
+        else:
+            with pytest.raises(OutOfBallError):
+                census_length(recoded, g)
+    if semidirect:
+        assert distortion_profile(group, "base", radius) == profile
 
 
 # -- a lookup reads only the element's own length ------------------------------
@@ -453,6 +514,10 @@ class TestBoundary:
                                                 {"kind": "free_abelian", "rank": 1}]}, "[[],[5]]"),
         ({"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
           "action": [HYPERBOLIC]}, "[[0,0],[5]]"),
+        # a Z syllable is measured before its letters are written out
+        ({"kind": "free_product", "factors": [{"kind": "free", "rank": 2},
+                                              {"kind": "free_abelian", "rank": 1}]},
+         "[[1,[1000000000000]]]"),
     ],
 )
 def test_query_outside_the_ball_exits_3(tmp_path, capsys, group, query):
