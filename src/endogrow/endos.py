@@ -48,9 +48,15 @@ class Endomorphism(ABC):
     def _apply(self, g):
         """The image of a normal form, which the caller has checked."""
 
-    @abstractmethod
     def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other."""
+        """self after other, an endo of the same kind on the same group."""
+        if not isinstance(other, type(self)) or other.group != self.group:
+            raise KindMismatchError(f"can only compose {type(self).__name__}s on the same group")
+        return self._compose(other)
+
+    @abstractmethod
+    def _compose(self, other):
+        """self after other, which the caller has checked."""
 
     def power(self, n: int) -> "Endomorphism":
         """self composed n times, by binary powering."""
@@ -87,9 +93,7 @@ class MatrixEndo(Endomorphism):
     def _apply(self, g):
         return self.matrix.apply_row(g)
 
-    def compose(self, other):
-        if not isinstance(other, MatrixEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose matrix endos on the same group")
+    def _compose(self, other):
         return MatrixEndo(self.group, mat_mul(other.matrix, self.matrix))
 
 
@@ -172,9 +176,7 @@ class WordEndo(Endomorphism):
                     out.append(x)
         return tuple(out)
 
-    def compose(self, other):
-        if not isinstance(other, WordEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose word endos on the same group")
+    def _compose(self, other):
         return WordEndo(self.group, tuple(self._apply(w) for w in other.images))
 
 
@@ -198,9 +200,7 @@ class HeisenbergEndo(Endomorphism):
         a, b, c = g
         return (self.lam * a, self.lam * self.gam * b, self.gam * c)
 
-    def compose(self, other):
-        if not isinstance(other, HeisenbergEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose Heisenberg endos on the same group")
+    def _compose(self, other):
         return HeisenbergEndo(self.group, self.lam * other.lam, self.gam * other.gam)
 
 
@@ -233,9 +233,7 @@ class ProductEndo(Endomorphism):
             out = self.group._mul(out, ((i, image),))
         return out
 
-    def compose(self, other):
-        if not isinstance(other, ProductEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose product endos on the same group")
+    def _compose(self, other):
         return ProductEndo(
             self.group,
             (self.factors[0].compose(other.factors[0]), self.factors[1].compose(other.factors[1])),
@@ -279,9 +277,7 @@ class SemidirectEndo(Endomorphism):
     def _apply(self, g):
         return (self.base_matrix.apply_row(g[0]), self.quotient_matrix.apply_row(g[1]))
 
-    def compose(self, other):
-        if not isinstance(other, SemidirectEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose semidirect endos on the same group")
+    def _compose(self, other):
         return SemidirectEndo(
             self.group,
             mat_mul(other.base_matrix, self.base_matrix),
@@ -321,9 +317,7 @@ class QuotientEndo(Endomorphism):
             [self.smith_matrix.row(i)[t:] for i in range(t, self.smith_matrix.rows)]
         )
 
-    def compose(self, other):
-        if not isinstance(other, QuotientEndo) or other.group != self.group:
-            raise KindMismatchError("can only compose quotient endos on the same group")
+    def _compose(self, other):
         return QuotientEndo(self.group, mat_mul(self.smith_matrix, other.smith_matrix))
 
 

@@ -64,10 +64,6 @@ class GrowthEstimate:
     exactness: str
     status: str  # "converged" | "truncated" | "trivial"
 
-    @property
-    def max_power(self) -> int:
-        return len(self.table)
-
 
 def estimate_from_table(table, requested: int, method: str, exactness: str) -> GrowthEstimate:
     """Roots, bounds and status from an already-computed length table; one

@@ -108,6 +108,24 @@ class TestComposePower:
             for _, g in group.generators:
                 assert lhs.apply(g) == rhs.apply(g)
 
+    @pytest.mark.parametrize(
+        "endo, other",
+        [
+            (MatrixEndo(FreeAbelian(2), M([[1, 2], [0, 1]])), HeisenbergEndo(Heisenberg(), 2, 3)),
+            (MatrixEndo(FreeAbelian(2), M([[1, 2], [0, 1]])), MatrixEndo(FreeAbelian(1), M([[2]]))),
+            (WordEndo(Free(2), ((1, 2), (1,))), WordEndo(Free(1), ((1, 1),))),
+            (HeisenbergEndo(Heisenberg(), 2, 3), HeisenbergEndo(Heisenberg(2), 2, 3)),
+            (identity_endo(AbelianQuotient(1, M([[6]]))), identity_endo(AbelianQuotient(1, M([[4]])))),
+            (identity_endo(direct_product(Free(1), Free(1))),
+             identity_endo(free_product(Free(1), Free(1)))),
+        ],
+    )
+    def test_compose_needs_the_same_kind_on_the_same_group(self, endo, other):
+        with pytest.raises(KindMismatchError):
+            endo.compose(other)
+        with pytest.raises(KindMismatchError):
+            other.compose(endo)
+
 
 class TestHomomorphismLaw:
     @pytest.mark.parametrize(
