@@ -9,11 +9,11 @@ products, Z^n, the Heisenberg group, semidirect products and direct products
 of coded factors code each normal form as an int in a box fixed by a radius,
 so a step is int arithmetic and the census is a dict of ints; an abelian
 quotient (and a direct product with it) keeps its tuple normal forms.  A
-census codes for the largest radius whose box fits in 256 bits, and only
-when the BFS completes that radius with budget left does it code for twice
-the radius and re-key what it found; so its cost follows the budget, not the
-requested radius.  A census decodes its `lengths` on each access; lookups
-encode the element.
+census first codes for the largest radius, up to the one asked for, whose
+box fits in 256 bits.  Only when the BFS completes that radius with budget
+left does it code for twice the radius and re-key what it found, so its cost
+follows the budget and not the radius asked for.  A census decodes its
+`lengths` on each access; lookups encode the element.
 """
 
 from __future__ import annotations

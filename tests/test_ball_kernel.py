@@ -210,6 +210,10 @@ def test_census_recodes_when_it_outgrows_its_box():
     assert census.coded_radius == 2
     assert census.counts == counts
     assert list(census.lengths.items()) == list(lengths.items())
+    # a census that fills its budget at the box's edge stops there: the
+    # next sphere would overflow it, so it is not worth recoding for
+    cut = enumerate_ball(group, 2, budget=counts[1])
+    assert (cut.counts, cut.complete, cut.coded_radius) == (counts[:2], False, 1)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
