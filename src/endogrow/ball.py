@@ -4,16 +4,14 @@ Lengths recorded here are exact geodesic distances by construction; the
 census is deterministic (generator order, then discovery order) and is the
 reference every closed-form or quasi length is checked against.
 
-The BFS runs over the codes of a group's `_ball_coding`.  Free groups, free
-products, Z^n, the Heisenberg group, semidirect products and direct products
-of coded factors code each normal form as an int in a box fixed by a radius,
-so a step is int arithmetic and the census is a dict of ints; an abelian
-quotient (and a direct product with it) keeps its tuple normal forms.  A
-census first codes for the largest radius, up to the one asked for, whose
-box fits in 256 bits.  Only when the BFS completes that radius with budget
-left does it code for twice the radius and re-key what it found, so its cost
-follows the budget and not the radius asked for.  A census decodes its
-`lengths` on each access; lookups encode the element.
+The BFS runs over the codes of a group's `_ball_coding`.  Every kind codes
+each normal form as an int in a box fixed by a radius, so a step is int
+arithmetic and the census is a dict of ints.  A census first codes for a
+radius doubled from 1, up to the one asked for, while its box fits in 256
+bits.  Only when the BFS completes that radius with budget left does it code
+for twice the radius and re-key what it found, so its cost follows the
+budget and not the radius asked for.  A census decodes its `lengths` on
+each access; lookups encode the element.
 """
 
 from __future__ import annotations
@@ -80,21 +78,17 @@ class BallCensus:
 
 
 def _first_coding(group: Group, radius: int):
-    """(coding, r) for the largest r <= radius, and at least min(radius, 1),
-    whose box fits in 256 bits: doubling r from 1 until a box is too large,
-    then bisecting.  The tuple coding has no box and is built for radius."""
-    fits, past = min(radius, 1), radius + 1  # past: the least r known too large
-    coding = group._ball_coding(fits)
-    if coding.size is None:
-        return coding, radius
-    while past - fits > 1:
-        trial = min(2 * fits, radius) if past > radius else (fits + past) // 2
+    """(coding, r) for r = min(radius, 1), doubled up to radius while the
+    box of the doubled radius still fits in 256 bits."""
+    coded = min(radius, 1)
+    coding = group._ball_coding(coded)
+    while coded < radius:
+        trial = min(2 * coded, radius)
         wider = group._ball_coding(trial)
         if wider.size > _BOX_LIMIT:
-            past = trial
-        else:
-            coding, fits = wider, trial
-    return coding, fits
+            break
+        coding, coded = wider, trial
+    return coding, coded
 
 
 def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> BallCensus:
@@ -113,9 +107,9 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     # through the unchecked coding and checks none of them
     coding, coded = _first_coding(group, radius)
     gens, step = coding.generators, coding.step
-    lengths = {coding.identity: 0}
+    lengths = {coding.encode(group.identity()): 0}
     counts = [1]
-    frontier = [coding.identity]
+    frontier = list(lengths)
     completed = 0
     complete = True
     for n in range(1, radius + 1):

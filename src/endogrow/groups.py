@@ -61,59 +61,53 @@ class LengthMode:
 class BallCoding:
     """How a BFS census codes a kind's normal forms.
 
-    The census starts at `identity` and reaches x * s as step(x, c) for each
-    code c in `generators`, one per symmetric generator s, in that order.
-    encode maps a checked element to its code, or to None when the element
-    lies outside the box the coding was built for; decode inverts encode.
-    `size` bounds every code in the box (codes are 0 <= code < size), or is
-    None for a kind whose codes are its tuple normal forms.  encode and
-    decode outlive the run in its census, so they hold no reference to a
+    encode maps a checked element to its int code, or to None when the
+    element lies outside the box the coding was built for; decode inverts
+    encode, and every code in the box satisfies 0 <= code < size.  The census
+    starts at the identity's code and reaches x * s as step(x, c) for each c
+    in `generators`, one per symmetric generator s, in that order.  encode
+    and decode outlive the run in its census, so they hold no reference to a
     group.
     """
 
-    identity: object
     generators: tuple
     step: object
     encode: object
     decode: object
-    size: int | None = None
-
-
-def _same(g):
-    return g
+    size: int
 
 
 class _Box:
-    """Mixed-radix int codes of int vectors with |v[i]| <= bounds[i]:
-    coordinate i is the digit v[i] + bounds[i] of weight weights[i], and
+    """Mixed-radix int codes of int vectors with lows[i] <= v[i] <= highs[i]:
+    coordinate i is the digit v[i] - lows[i] of weight weights[i], and
     coordinate 0 is the lowest digit."""
 
-    __slots__ = ("bounds", "radices", "weights", "offset", "size")
+    __slots__ = ("lows", "highs", "radices", "weights", "offset", "size")
 
-    def __init__(self, bounds):
-        self.bounds = tuple(bounds)
-        self.radices = tuple(2 * b + 1 for b in self.bounds)
+    def __init__(self, lows, highs):
+        self.lows, self.highs = tuple(lows), tuple(highs)
+        self.radices = tuple(high - low + 1 for low, high in zip(self.lows, self.highs))
         weights = [1]
         for radix in self.radices:
             weights.append(weights[-1] * radix)
         self.size = weights.pop()
         self.weights = tuple(weights)
-        self.offset = self.delta(self.bounds)
+        self.offset = -self.delta(self.lows)
 
     def delta(self, v) -> int:
         """What adding the vector v adds to a code, while both stay in the box."""
         return sum(map(mul, v, self.weights))
 
     def encode(self, v):
-        if any(abs(x) > b for x, b in zip(v, self.bounds)):
+        if any(not low <= x <= high for low, x, high in zip(self.lows, v, self.highs)):
             return None  # a digit out of range would carry into the next one
         return self.offset + self.delta(v)
 
     def decode(self, code) -> tuple:
         out = []
-        for radix, bound in zip(self.radices, self.bounds):
+        for radix, low in zip(self.radices, self.lows):
             code, digit = divmod(code, radix)
-            out.append(digit - bound)
+            out.append(digit + low)
         return tuple(out)
 
 
@@ -207,12 +201,9 @@ class Group(ABC):
                     out.append(el)
         return tuple(out)
 
+    @abstractmethod
     def _ball_coding(self, radius: int) -> BallCoding:
-        """The coding a census of the given radius steps through.  A kind
-        that codes its normal forms as ints overrides this; here the codes
-        are the normal forms themselves and a step is the unchecked
-        product."""
-        return BallCoding(self.identity(), self.symmetric_generators(), self._mul, _same, _same)
+        """The int coding a census of the given radius steps through."""
 
     @cached_property
     def _bfs_census(self):
@@ -266,9 +257,9 @@ class FreeAbelian(Group):
 
     def _ball_coding(self, radius):
         # every coordinate of an element of the ball lies in [-radius, radius]
-        box = _Box((radius,) * self.rank)
+        box = _Box((-radius,) * self.rank, (radius,) * self.rank)
         steps = tuple(map(box.delta, self.symmetric_generators()))
-        return BallCoding(box.offset, steps, add, box.encode, box.decode, box.size)
+        return BallCoding(steps, add, box.encode, box.decode, box.size)
 
 
 @record
@@ -388,7 +379,7 @@ class Heisenberg(Group):
     def _ball_coding(self, radius):
         # digits a, c, b from the lowest; within the ball |a|, |c| <= radius,
         # and the n-th step moves b by at most max(1, n - 1), so |b| <= radius**2
-        box = _Box((radius, radius, radius * radius))
+        box = _Box((-radius, -radius, -radius * radius), (radius, radius, radius * radius))
         a_radix, b_weight = box.radices[0], box.weights[2]
 
         def step(code, s):
@@ -406,7 +397,7 @@ class Heisenberg(Group):
             a, c, b = box.decode(code)
             return (a, b, c)
 
-        return BallCoding(box.offset, steps, step, encode, decode, box.size)
+        return BallCoding(steps, step, encode, decode, box.size)
 
     def _length(self, g) -> int:
         if self.length_mode.kind == "quasi":
@@ -443,7 +434,7 @@ def _word_coding(rank: int, radius: int) -> BallCoding:
         return tuple(reversed(word))
 
     letters = tuple(x for i in range(1, rank + 1) for x in (i, base - i))
-    return BallCoding(0, letters, step, encode, decode, base**radius)
+    return BallCoding(letters, step, encode, decode, base**radius)
 
 
 @record

@@ -29,7 +29,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
-from endogrow.intmat import IntMatrix, spectral_radius
+from endogrow.intmat import spectral_radius
 from endogrow.products import Semidirect, Sublattice
 from endogrow.record import record
 
@@ -89,12 +89,7 @@ def estimate_from_table(table, requested: int, method: str, exactness: str) -> G
         window = []
         ratio_estimate = roots[-1]
         settled = False
-    if len(table) < requested:
-        status = "truncated"
-    elif settled:
-        status = "converged"
-    else:
-        status = "truncated"
+    status = "converged" if settled and len(table) >= requested else "truncated"
     return GrowthEstimate(table, roots, inf_bound, ratio_estimate, method, exactness, status)
 
 
@@ -319,12 +314,6 @@ def _signed_exponent_vectors(rank: int, total: int):
     yield from rec([], total, 0)
 
 
-def _matrix_max_column_l1(m: IntMatrix) -> int:
-    return max(
-        sum(abs(m.get(i, j)) for i in range(m.rows)) for j in range(m.cols)
-    )
-
-
 def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     """Exact table of worst-case action stretches and its limit diagnostics.
 
@@ -339,7 +328,7 @@ def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     for m in range(1, max_power + 1):
         best = 0
         for e in _signed_exponent_vectors(group.quotient_rank, m):
-            stretched = _matrix_max_column_l1(group.action_of(e))
+            stretched = max(sum(map(abs, col)) for col in group.action_of(e).columns)
             if stretched > best:
                 best = stretched
         table.append(best)

@@ -57,7 +57,11 @@ class IntMatrix:
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise DimensionError("ragged rows")
-        return IntMatrix(m, n, tuple(int(x) for r in rows for x in r))
+        entries = tuple(x for r in rows for x in r)
+        for x in entries:
+            if type(x) is not int:
+                raise ValueError(f"matrix entry {x!r} is not an int")
+        return IntMatrix(m, n, entries)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

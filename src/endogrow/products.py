@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, reduce
-from operator import add, mul
+from operator import add, mul, neg
 
 from endogrow.groups import (
     EXACT,
@@ -80,8 +80,6 @@ class DirectProduct(Group):
 
     def _ball_coding(self, radius):
         left, right = self.left._ball_coding(radius), self.right._ball_coding(radius)
-        if left.size is None or right.size is None:
-            return Group._ball_coding(self, radius)
         # code = left code * size + right code; the symmetric generators are
         # the left factor's, then the right factor's, each on its own side.
         # The closures take the factor codings' functions, not the codings,
@@ -106,9 +104,7 @@ class DirectProduct(Group):
             return (left_decode(code // size), right_decode(code % size))
 
         steps = tuple((0, c) for c in left.generators) + tuple((1, c) for c in right.generators)
-        return BallCoding(
-            left.identity * size + right.identity, steps, step, encode, decode, left.size * size
-        )
+        return BallCoding(steps, step, encode, decode, left.size * size)
 
 
 def direct_product(left: Group, right: Group) -> DirectProduct:
@@ -229,7 +225,7 @@ class FreeProduct(Group):
                     syllables.append((i, [x]))
             return tuple((i, (sum(xs),) if cyclic[i] else tuple(xs)) for i, xs in syllables)
 
-        return BallCoding(0, words.generators, words.step, encode, decode, words.size)
+        return BallCoding(words.generators, words.step, encode, decode, words.size)
 
 
 def free_product(left: Group, right: Group) -> FreeProduct:
@@ -365,7 +361,8 @@ class Semidirect(Group):
             default=1,
         )
         span = radius * norm**radius
-        return _Box((span,) * self.base_rank), _Box((radius,) * self.quotient_rank)
+        base, quotient = (span,) * self.base_rank, (radius,) * self.quotient_rank
+        return _Box(map(neg, base), base), _Box(map(neg, quotient), quotient)
 
     def _ball_coding(self, radius):
         # code = quotient code * base size + base code; g s = (g_H + A(g_Q) s_H,
@@ -394,8 +391,7 @@ class Semidirect(Group):
         def decode(code):
             return (base.decode(code % size), quotient.decode(code // size))
 
-        identity = quotient.offset * size + base.offset
-        return BallCoding(identity, tuple(range(len(gens))), step, encode, decode, quotient.size * size)
+        return BallCoding(tuple(range(len(gens))), step, encode, decode, quotient.size * size)
 
     def _base_norm(self, radius):
         """For a code of the census of the given radius, the L1 norm of its
@@ -573,6 +569,29 @@ class AbelianQuotient(Group):
 
     def _length(self, g) -> int:
         return sum(min(x, d - x) if d else abs(x) for x, d in zip(g, self._moduli))
+
+    def _ball_coding(self, radius):
+        # a torsion residue is its own digit, of radix d; a free coordinate
+        # in [-radius, radius] is a digit of radix 2 radius + 1.  A step adds
+        # +-1 to one digit modulo its radix (a torsion inverse's component
+        # d - 1 is -1 mod d); inside the ball only a torsion digit wraps
+        box = _Box(
+            [0 if d else -radius for d in self._moduli],
+            [d - 1 if d else radius for d in self._moduli],
+        )
+
+        def step(code, s):
+            weight, radix, delta = s
+            digit = code // weight % radix
+            return code + ((digit + delta) % radix - digit) * weight
+
+        steps = tuple(
+            (box.weights[i], box.radices[i], x)
+            for g in self.symmetric_generators()
+            for i, x in enumerate(g)
+            if x
+        )
+        return BallCoding(steps, step, box.encode, box.decode, box.size)
 
 
 def abelian_quotient(ambient: FreeAbelian, lattice: Sublattice) -> AbelianQuotient:

@@ -97,6 +97,10 @@ GROUPS = {
     ),
     "quotient_z6_z": (AbelianQuotient(2, IntMatrix.from_rows([[6], [0]])), 6),
     "quotient_z2_z3": (AbelianQuotient(2, IntMatrix.from_rows([[2, 0], [0, 3]])), 6),
+    "direct_quotient_free": (
+        DirectProduct(AbelianQuotient(2, IntMatrix.from_rows([[6], [0]])), Free(2)),
+        4,
+    ),
 }
 
 
@@ -110,7 +114,18 @@ def test_census_equals_reference_bfs(name):
     assert list(census.lengths.items()) == list(lengths.items())
 
 
-CODED = sorted(name for name in GROUPS if not name.startswith("quotient"))
+# every infinite kind: the finite Z/6 completes its census within any budget
+CODED = sorted(name for name in GROUPS if name != "quotient_z2_z3")
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_every_kind_codes_its_census_as_ints(name):
+    group, radius = GROUPS[name]
+    census = enumerate_ball(group, radius)
+    size = group._ball_coding(census.coded_radius).size
+    assert census.codes
+    for code in census.codes:
+        assert type(code) is int and 0 <= code < size
 
 
 @pytest.mark.parametrize("name", CODED)
@@ -269,6 +284,7 @@ CARRIES = {
     "direct_free_z": [((), (11,)), ((), (-11,)), ((1,), (11,)), ((1, 2, 1, 2, 1, 2), (0,))],
     "free_product_z_z": [((0, (13,)),), ((1, (7,)),), ((0, (2,)), (1, (-5,)))],
     "semidirect_hyperbolic": [((0, 0), (7,)), ((0, 0), (13,)), ((10**6, 0), (0,))],
+    "quotient_z6_z": [(0, 7), (5, -13)],
 }
 
 
@@ -316,6 +332,9 @@ def elements(group, radius):
         return st.lists(syllable, max_size=radius + 3).map(
             lambda parts: reduce(group.multiply, parts, group.identity())
         )
+    if isinstance(group, AbelianQuotient):
+        residues = [st.integers(0, d - 1) for d in group.torsion_moduli]
+        return st.tuples(*residues, *[coordinate(radius)] * group.free_rank)
     return st.tuples(lattice(group.base_rank, radius), lattice(group.quotient_rank, radius))
 
 

@@ -99,6 +99,14 @@ product_pairs = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4
 )
 
 
+class TestFromRows:
+    @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1"])
+    def test_rejects_an_entry_that_is_not_an_int(self, entry):
+        # int(x) would truncate 1.7 to 1 and read True as 1
+        with pytest.raises(ValueError, match="not an int"):
+            IntMatrix.from_rows([[2, 0], [0, entry]])
+
+
 class TestMatMul:
     def test_doubling_swap_squares_to_twice_identity(self):
         a = M([[0, 2], [1, 0]])
