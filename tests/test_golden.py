@@ -5,8 +5,8 @@ exits 1).
 take the letter-count route, and a cancelling one, which builds its words;
 and on a direct product of a positive word endo with a matrix endo.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
-per group kind, with `--query` lengths and one budget-cut census; the census
-of an abelian quotient, which no spec builds, through the library."""
+per group kind, with `--query` lengths, one budget-cut census and a
+rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ CENSUS_CASES = {
     "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--budget", "200", "--query", "[1,2]"]),
     "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
+    "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
 
 
