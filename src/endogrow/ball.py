@@ -37,7 +37,9 @@ _BOX_LIMIT = 1 << 256  # codes below it are at most 256 bits
 
 def _resolve_budget(budget):
     if budget is not None:
-        return int(budget)
+        if type(budget) is not int or budget < 1:
+            raise ValueError(f"budget must be an int >= 1, got {budget!r}")
+        return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
         return DEFAULT_BUDGET
@@ -193,33 +195,31 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     """Exact distortion measurements from a BFS census.
 
     Supported embeddings: the base lattice of a semidirect product, and a
-    sublattice of a free abelian ambient group.
+    sublattice of a free abelian ambient group.  The embedding's helper
+    reads each member and its intrinsic length from the census codes (the
+    base block of the semidirect coding, or a sublattice's Smith rows), so
+    no element is decoded to a tuple.
     """
-    # intrinsic(code) is the intrinsic subgroup length of the element with
-    # that census code, or None for a non-member
+    # members yields (ambient length, intrinsic length) for each census
+    # element in the subgroup, read from its code
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
         # a base element's intrinsic length is the L1 norm of its base part
         census = enumerate_ball(group, radius, budget)
-        intrinsic = group._base_norm(census.coded_radius)
+        members = group._base_members(census.codes, census.coded_radius)
 
     elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != group.rank:
             raise ValueError("sublattice ambient rank mismatch")
         census = enumerate_ball(group, radius, budget)
-        decode = census.decode
-
-        def intrinsic(code):
-            coords = subgroup.coordinates(decode(code))
-            return None if coords is None else sum(abs(c) for c in coords)
+        members = subgroup._members(census.codes, group._box(census.coded_radius))
 
     else:
         raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
 
     top = census.completed_radius
     best_at = [0] * (top + 1)
-    for code, n in census.codes.items():
-        value = intrinsic(code)
-        if value is not None and value > best_at[n]:
+    for n, value in members:
+        if value > best_at[n]:
             best_at[n] = value
     values = [0] * (top + 1)
     running = 0

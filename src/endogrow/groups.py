@@ -10,7 +10,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import cached_property
 from math import isqrt
-from operator import add, mul
+from operator import add, mul, sub
 
 from endogrow.record import record
 
@@ -109,6 +109,13 @@ class _Box:
             code, digit = divmod(code, radix)
             out.append(digit + low)
         return tuple(out)
+
+    def digit_form(self, row):
+        """(coefficients, constant) with row . decode(code) equal to constant
+        + sum(c * (code // w) for c, w in zip(coefficients, weights)), since
+        digit i is code // weights[i] - radices[i] * (code // weights[i + 1])."""
+        coefficients = tuple(map(sub, row, map(mul, (0, *row), (0, *self.radices))))
+        return coefficients, sum(map(mul, row, self.lows))
 
 
 def ceil_sqrt(n: int) -> int:
@@ -255,9 +262,12 @@ class FreeAbelian(Group):
     def _length(self, g) -> int:
         return sum(abs(a) for a in g)
 
-    def _ball_coding(self, radius):
+    def _box(self, radius):
         # every coordinate of an element of the ball lies in [-radius, radius]
-        box = _Box((-radius,) * self.rank, (radius,) * self.rank)
+        return _Box((-radius,) * self.rank, (radius,) * self.rank)
+
+    def _ball_coding(self, radius):
+        box = self._box(radius)
         steps = tuple(map(box.delta, self.symmetric_generators()))
         return BallCoding(steps, add, box.encode, box.decode, box.size)
 

@@ -4,8 +4,9 @@ cyclic-by-cyclic towers."""
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
-from operator import add, mul, neg
+from functools import cached_property, partial, reduce
+from itertools import compress, repeat
+from operator import add, floordiv, mod, mul, neg, not_, or_
 
 from endogrow.groups import (
     EXACT,
@@ -393,17 +394,15 @@ class Semidirect(Group):
 
         return BallCoding(tuple(range(len(gens))), step, encode, decode, quotient.size * size)
 
-    def _base_norm(self, radius):
-        """For a code of the census of the given radius, the L1 norm of its
-        base part when its quotient part is the identity, else None."""
+    def _base_members(self, codes, radius):
+        """(length, L1 norm of the base part) for each code -> length of a
+        census of the given radius whose quotient part is the identity."""
         base, quotient = self._boxes(radius)
         low = quotient.offset * base.size
         high = low + base.size
-
-        def norm(code):
-            return sum(map(abs, base.decode(code - low))) if low <= code < high else None
-
-        return norm
+        for code, n in codes.items():
+            if low <= code < high:
+                yield n, sum(map(abs, base.decode(code - low)))
 
     @property
     def exactness(self) -> str:
@@ -479,6 +478,39 @@ class Sublattice:
             raise KindMismatchError("ambient vector has wrong length")
         return solve_int(self.basis, v, self.snf)
 
+    def _members(self, codes, box):
+        """(length, intrinsic length) for each code -> length of a Z^n census
+        coded in `box` whose vector v lies in the lattice, read from the
+        code's digits.  With y = U v, v is a member iff d_j divides y_j on
+        every Smith row (y_j = 0 where d_j = 0), so rows with d_j = 1 are
+        never tested, and the others are tested on all codes at C level.
+        Only members compute their coordinates V (y / d)."""
+        u_rows, diagonal, v_rows = self.snf.solve_rows
+
+        def values(row):
+            # row . v for every code, through maps only
+            coefficients, constant = box.digit_form(row)
+            terms = (
+                map(mul, map(floordiv, codes, repeat(w)), repeat(c))
+                for c, w in zip(coefficients, box.weights)
+                if c
+            )
+            return reduce(partial(map, add), terms, repeat(constant))
+
+        tested = (
+            map(mod, values(row), repeat(d)) if d else values(row)
+            for row, d in zip(u_rows, diagonal)
+            if d != 1
+        )
+        misses = reduce(partial(map, or_), tested, repeat(0))
+        # V (y / d) = V diag(top / d) U v / top, with top the largest nonzero
+        # d_j, which every other one divides
+        top = diagonal[self.rank - 1] if self.rank else 1
+        scaled = [[u * (top // d) for u in row] for row, d in zip(u_rows, diagonal[: self.rank])]
+        forms = [box.digit_form([sum(map(mul, row, col)) for col in zip(*scaled)]) for row in v_rows]
+        for code, n in compress(codes.items(), map(not_, misses)):
+            quotients = [code // w for w in box.weights]
+            yield n, sum(abs(k + sum(map(mul, c, quotients))) for c, k in forms) // top
 
 def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
     b = basis if isinstance(basis, IntMatrix) else IntMatrix.from_rows(basis)

@@ -13,12 +13,13 @@ import gc
 import json
 import weakref
 from functools import cache, reduce
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from endogrow import ball
-from endogrow.ball import census_length, distortion_profile, enumerate_ball
+from endogrow.ball import DistortionProfile, census_length, distortion_profile, enumerate_ball
 from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import (
@@ -35,7 +36,9 @@ from endogrow.products import (
     DirectProduct,
     FreeProduct,
     Semidirect,
+    Sublattice,
     semidirect,
+    sublattice,
 )
 from endogrow.record import replace
 from test_checked_entry import free_reduce
@@ -215,6 +218,51 @@ def test_budget_bounds_a_base_distortion_profile_of_any_radius(name):
     near = distortion_profile(group, "base", len(far.values), budget=1000)
     assert far == near
     assert not far.complete
+
+
+@st.composite
+def sublattices(draw):
+    """A sublattice of Z^2 or Z^3, full rank or not, on a basis with entries
+    in [-4, 4] and independent columns."""
+    n = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(1, n))
+    column = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    columns = draw(st.lists(column, min_size=k, max_size=k))
+    try:
+        return Sublattice(n, IntMatrix.from_rows([list(row) for row in zip(*columns)]))
+    except ValueError:
+        assume(False)
+
+
+def reference_members(census, lattice):
+    """(length, intrinsic length) of the census's lattice members, through
+    the decoded vectors and `Sublattice.coordinates`."""
+    for v, n in census.lengths.items():
+        coords = lattice.coordinates(v)
+        if coords is not None:
+            yield n, sum(map(abs, coords))
+
+
+def reference_profile(group, lattice, radius, budget):
+    census = enumerate_ball(group, radius, budget)
+    best_at = [0] * (census.completed_radius + 1)
+    for n, value in reference_members(census, lattice):
+        best_at[n] = max(best_at[n], value)
+    complete = census.complete and census.completed_radius == radius
+    return DistortionProfile(tuple(accumulate(best_at, max)), complete)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice=sublattices(), radius=st.integers(0, 12))
+def test_sublattice_members_read_from_codes_match_coordinates(lattice, radius):
+    group = FreeAbelian(lattice.ambient_rank)
+    census = enumerate_ball(group, radius)
+    members = lattice._members(census.codes, group._box(census.coded_radius))
+    assert list(members) == list(reference_members(census, lattice))
+    for r, budget in ((radius, 50), (10**7, 1000)):
+        assert distortion_profile(group, lattice, r, budget) == reference_profile(
+            group, lattice, r, budget
+        )
 
 
 def test_census_recodes_when_it_outgrows_its_box():
@@ -481,6 +529,15 @@ class TestBudget:
         with pytest.raises(SystemExit) as exc:
             main([command, spec, "--budget", budget])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("budget", [2.7, 0, -5, True, "12"])
+    def test_library_budget_is_an_int_at_least_one(self, budget):
+        # neither truncated nor coerced, as the CLI and spec boundaries check it
+        group = FreeAbelian(2)
+        with pytest.raises(ValueError, match="budget"):
+            enumerate_ball(group, 3, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            distortion_profile(group, sublattice(group, [[2, 0], [0, 1]]), 3, budget=budget)
 
     def test_spec_budget_below_one_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": 0}})
