@@ -2,10 +2,12 @@
 equal a plain BFS over the public, checked `multiply`, a budget must cut it
 to a prefix whatever the radius asked for, a census that outgrows its box
 must recode what it found, and a lookup must never read another element's
-length through a code that carried out of its box; the public operations of every group
-and endo kind still reject foreign elements; and the CLI rejects bad radii,
-budgets and query literals with exit code 2 and a query outside the ball
-with exit code 3."""
+length through a code that carried out of its box; a sublattice's members
+and intrinsic lengths read from the census codes must equal those of the
+decoded vectors' coordinates; a library budget must be an int >= 1; the
+public operations of every group and endo kind still reject foreign
+elements; and the CLI rejects bad radii, budgets and query literals with
+exit code 2 and a query outside the ball with exit code 3."""
 
 from __future__ import annotations
 
