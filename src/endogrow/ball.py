@@ -100,8 +100,8 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     recorded length is its true geodesic length.  Exceeding the budget
     yields a partial census flagged incomplete (completed radii stay exact).
     """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if type(radius) is not int or radius < 0:
+        raise ValueError(f"radius must be an int >= 0, got {radius!r}")
     budget = _resolve_budget(budget)
     for s in (group.identity(), *group.symmetric_generators()):
         group.check(s)

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from functools import cached_property
+from itertools import repeat
+from operator import add, mul
 
 from endogrow.groups import (
     Free,
@@ -47,6 +49,10 @@ class Endomorphism(ABC):
     @abstractmethod
     def _apply(self, g):
         """The image of a normal form, which the caller has checked."""
+
+    def _next_images(self, images):
+        """The generators' images one power on, given theirs in generator order."""
+        return list(map(self._apply, images))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other, an endo of the same kind on the same group."""
@@ -92,6 +98,23 @@ class MatrixEndo(Endomorphism):
 
     def _apply(self, g):
         return self.matrix.apply_row(g)
+
+    @cached_property
+    def _row_terms(self):
+        """Row i's nonzero entries of the matrix A, as (k, A[i][k]) pairs."""
+        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.matrix.to_rows())
+
+    def _next_images(self, images):
+        # the m-th images are the rows of A^m, and row i of A^(m+1) = A A^m
+        # sums A[i][k] * row k of A^m over the nonzero A[i][k] only
+        out = []
+        for terms in self._row_terms:
+            acc = None
+            for k, c in terms:
+                row = images[k] if c == 1 else map(mul, images[k], repeat(c))
+                acc = row if acc is None else map(add, acc, row)
+            out.append(tuple(acc) if terms else (0,) * len(images))
+        return out
 
     def _compose(self, other):
         return MatrixEndo(self.group, mat_mul(other.matrix, self.matrix))

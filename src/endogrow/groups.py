@@ -53,6 +53,8 @@ class LengthMode:
     def __post_init__(self):
         if self.kind not in ("exact", "quasi", "bfs"):
             raise ValueError(f"unknown length mode {self.kind!r}")
+        if type(self.radius) is not int:
+            raise ValueError(f"length mode radius must be an int, got {self.radius!r}")
         if self.kind == "bfs" and self.radius <= 0:
             raise ValueError("bfs length mode needs a positive radius")
 
@@ -260,7 +262,7 @@ class FreeAbelian(Group):
         return tuple(-a for a in g)
 
     def _length(self, g) -> int:
-        return sum(abs(a) for a in g)
+        return sum(map(abs, g))
 
     def _box(self, radius):
         # every coordinate of an element of the ball lies in [-radius, radius]

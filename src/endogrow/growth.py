@@ -106,8 +106,8 @@ def growth_table(endo: Endomorphism, max_power: int) -> GrowthEstimate:
     belongs to the metric and not to the element measured; an empty table
     measured nothing and is exact.
     """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
+    if type(max_power) is not int or max_power < 1:
+        raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
     table = []
     for k in islice(_lengths(endo), max_power):
         table.append(k)
@@ -138,6 +138,10 @@ def _lengths(endo: Endomorphism):
     beside the other factor's identity of length 0, so K_m is the larger of
     the factors' K_m (Lemma 5.1).  A factor whose stream can end is stepped
     first, so the product ends with it and no other factor is stepped past it.
+
+    Every other endo runs the one orbit loop: `_next_images` steps the
+    images one power on (a matrix endo by linearity, over A's nonzero
+    entries) and the group measures them, so a bfs length can cut it.
     """
     if isinstance(endo, ProductEndo):
         factors = sorted(endo.factors, key=lambda e: not _may_truncate(e))
@@ -158,7 +162,7 @@ def _lengths(endo: Endomorphism):
         group = endo.group
         images = [g for _, g in group.generators]
         while True:
-            images = [endo._apply(g) for g in images]
+            images = endo._next_images(images)
             try:
                 k = max(map(group._word_length, images), default=0)
             except OutOfBallError:
@@ -322,8 +326,8 @@ def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     parity, so the exact max over words reduces to a finite max over
     exponent vectors.
     """
-    if max_power < 1:
-        raise ValueError("max_power must be >= 1")
+    if type(max_power) is not int or max_power < 1:
+        raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
     table = []
     for m in range(1, max_power + 1):
         best = 0

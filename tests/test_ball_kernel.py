@@ -541,6 +541,12 @@ class TestBudget:
         with pytest.raises(ValueError, match="budget"):
             distortion_profile(group, sublattice(group, [[2, 0], [0, 1]]), 3, budget=budget)
 
+    @pytest.mark.parametrize("radius", [True, 2.5, "3", -1])
+    def test_library_radius_is_a_nonnegative_int(self, radius):
+        # neither read as radius 1 nor left to fail inside the BFS
+        with pytest.raises(ValueError, match="radius must be an int >= 0"):
+            enumerate_ball(FreeAbelian(2), radius)
+
     def test_spec_budget_below_one_exits_2(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": 0}})
         assert main(["ball", spec]) == 2

@@ -310,13 +310,15 @@ def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
         (WordEndo(Free(2, bfs(6)), FIBONACCI), MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))),
     )
     calls = []
-    apply = MatrixEndo._apply
-    monkeypatch.setattr(MatrixEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
+    step = MatrixEndo._next_images
+    monkeypatch.setattr(
+        MatrixEndo, "_next_images", lambda endo, images: calls.append(images) or step(endo, images)
+    )
     est = growth_table(endo, 1000)
     assert est == GrowthEstimate(
         (2, 4, 8), (2.0, 2.0, 2.0), 2.0, 2.0, "lengths:exact", "exact", "truncated"
     )
-    assert len(calls) == 4 * len(est.table)  # four generator images per power
+    assert len(calls) == len(est.table)  # one step per power
 
 
 def _matrix_beside(truncating, monkeypatch):
@@ -330,16 +332,16 @@ def _matrix_beside(truncating, monkeypatch):
     )
     matrix_first = ProductEndo(DirectProduct(matrix.group, truncating.group), (matrix, truncating))
     calls = []
-    apply = MatrixEndo._apply
+    step = MatrixEndo._next_images
 
-    def spy(endo, g):
+    def spy(endo, images):
         if endo is matrix:
-            calls.append(g)
-        return apply(endo, g)
+            calls.append(images)
+        return step(endo, images)
 
-    monkeypatch.setattr(MatrixEndo, "_apply", spy)
+    monkeypatch.setattr(MatrixEndo, "_next_images", spy)
     est = growth_table(matrix_first, 1000)
-    assert len(calls) == 4 * len(est.table)
+    assert len(calls) == len(est.table)
     assert est == growth_table(truncating_first, 1000)
 
 

@@ -134,6 +134,13 @@ def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
         assert group.exactness == group.word_length(generator).exactness == expected
 
 
+@pytest.mark.parametrize("radius", [True, 2.5, "3", -1])
+def test_bfs_length_mode_radius_is_a_positive_int(radius):
+    # checked at construction, not at the first length measured
+    with pytest.raises(ValueError, match="radius"):
+        LengthMode("bfs", radius)
+
+
 class TestQuasiLength:
     def test_identity_zero_and_symmetry_exact(self):
         h = Heisenberg()

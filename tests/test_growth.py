@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endogrow import ball, growth
 from endogrow.endos import (
@@ -25,7 +26,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
-from endogrow.intmat import IntMatrix, spectral_radius
+from endogrow.intmat import IntMatrix, mat_pow, spectral_radius
 from endogrow.products import direct_product, semidirect, sublattice
 from endogrow.growth import (
     distortion_rate,
@@ -116,6 +117,58 @@ class TestGrowthTable:
         est = growth_table(MatrixEndo(group, M([[2, 0], [0, 2]])), 10)
         assert est.table == (2, 4, 8)
         assert runs == [(group, 8)]
+
+    @pytest.mark.parametrize("max_power", [True, 2.5, "3", -1])
+    def test_library_max_power_is_an_int_at_least_one(self, max_power):
+        # neither coerced nor left to fail inside the loop
+        with pytest.raises(ValueError, match="max_power must be an int >= 1"):
+            growth_table(swap_doubling(), max_power)
+        group = semidirect(FreeAbelian(2), FreeAbelian(1), [[[2, 1], [1, 1]]])
+        with pytest.raises(ValueError, match="max_power must be an int >= 1"):
+            distortion_rate(group, max_power)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 6), max_power=st.integers(1, 25))
+    def test_matrix_table_is_the_max_row_norm_of_each_power(self, data, n, max_power):
+        # the matrix step sums only A's nonzero entries; zero rows and
+        # columns are drawn on purpose
+        zero_rows = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        zero_cols = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+        rows = [
+            [0 if i in zero_rows or j in zero_cols else data.draw(st.integers(-3, 3))
+             for j in range(n)]
+            for i in range(n)
+        ]
+        a = M(rows)
+        expected = []
+        for k in range(1, max_power + 1):
+            power = mat_pow(a, k)
+            expected.append(max((sum(map(abs, power.row(i))) for i in range(n)), default=0))
+            if expected[-1] == 0:
+                break  # a power that kills every generator ends the table
+        assert growth_table(MatrixEndo(FreeAbelian(n), a), max_power).table == tuple(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                         min_size=2, max_size=2),
+           max_power=st.integers(1, 25))
+    @example(rows=[[2, 1], [1, 1]], max_power=25)
+    def test_bfs_matrix_table_reads_the_census_until_it_runs_out(self, rows, max_power):
+        # the matrix step in a bfs-mode lattice: the table of the images by
+        # _apply, looked up in the census, cut where an image leaves the ball
+        group = FreeAbelian(2, LengthMode("bfs", 6))
+        endo = MatrixEndo(group, M(rows))
+        lengths = ball.enumerate_ball(FreeAbelian(2), 6).lengths
+        images = [g for _, g in group.generators]
+        expected = []
+        for _ in range(max_power):
+            images = [endo._apply(g) for g in images]
+            if any(g not in lengths for g in images):
+                break
+            expected.append(max(lengths[g] for g in images))
+            if expected[-1] == 0:
+                break
+        assert growth_table(endo, max_power).table == tuple(expected)
 
     def test_fekete_submultiplicativity_exact(self):
         for endo, mp in ((swap_doubling(), 12), (fibonacci_word_endo(), 12)):
