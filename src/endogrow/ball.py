@@ -17,6 +17,7 @@ each access; lookups encode the element.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 
 from endogrow.groups import (
     EXACT,
@@ -221,9 +222,4 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     for n, value in members:
         if value > best_at[n]:
             best_at[n] = value
-    values = [0] * (top + 1)
-    running = 0
-    for n in range(top + 1):
-        running = max(running, best_at[n])
-        values[n] = running
-    return DistortionProfile(tuple(values), census.complete and top == radius)
+    return DistortionProfile(tuple(accumulate(best_at, max)), census.complete and top == radius)

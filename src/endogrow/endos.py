@@ -17,7 +17,7 @@ from endogrow.groups import (
     LowerCentralLayer,
     UnsupportedOperationError,
 )
-from endogrow.intmat import IntMatrix, mat_mul
+from endogrow.intmat import IntMatrix, _binary_power, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -68,15 +68,7 @@ class Endomorphism(ABC):
         """self composed n times, by binary powering."""
         if n < 0:
             raise ValueError("powers of endomorphisms need n >= 0")
-        result = None
-        base = self
-        while n:
-            if n & 1:
-                result = base if result is None else result.compose(base)
-            n >>= 1
-            if n:
-                base = base.compose(base)
-        return identity_endo(self.group) if result is None else result
+        return _binary_power(self, n, Endomorphism.compose) if n else identity_endo(self.group)
 
 
 @record
@@ -90,11 +82,6 @@ class MatrixEndo(Endomorphism):
     def __post_init__(self):
         if self.matrix.rows != self.group.rank or self.matrix.cols != self.group.rank:
             raise KindMismatchError("matrix shape does not match the group rank")
-
-    @cached_property
-    def column_matrix(self) -> IntMatrix:
-        """The same map in column convention (images in columns)."""
-        return self.matrix.transpose()
 
     def _apply(self, g):
         return self.matrix.apply_row(g)
@@ -216,7 +203,7 @@ class HeisenbergEndo(Endomorphism):
     gam: int
 
     def __post_init__(self):
-        if not isinstance(self.lam, int) or not isinstance(self.gam, int):
+        if type(self.lam) is not int or type(self.gam) is not int:
             raise ValueError("parameters must be integers")
 
     def _apply(self, g):
@@ -364,33 +351,24 @@ def restrict(endo: Endomorphism, subgroup):
     if isinstance(endo, MatrixEndo) and isinstance(subgroup, Sublattice):
         if subgroup.ambient_rank != endo.group.rank:
             raise KindMismatchError("sublattice has the wrong ambient rank")
-        k = subgroup.rank
-        if k == 0:
-            return MatrixEndo(FreeAbelian(0), IntMatrix.identity(0))
-        cols = []
-        for j in range(k):
-            image = endo.column_matrix.apply_col(subgroup.basis.column(j))
+        rows = []
+        for j in range(subgroup.rank):
+            image = endo._apply(subgroup.basis.column(j))
             coords = subgroup.coordinates(image)
             if coords is None:
                 raise InvarianceError(
                     f"sublattice generator h{j + 1} = {subgroup.basis.column(j)} "
                     f"maps outside the sublattice"
                 )
-            cols.append(coords)
-        column_form = IntMatrix.from_rows(
-            [[cols[j][i] for j in range(k)] for i in range(k)]
-        )
-        return MatrixEndo(subgroup.intrinsic_group, column_form.transpose())
+            rows.append(coords)
+        return MatrixEndo(subgroup.intrinsic_group, IntMatrix.from_rows(rows))
     if isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer):
-        layer = subgroup
-        if layer.j == 1:
+        if subgroup.j == 1:
             return endo
-        if layer.j == 2:
+        if subgroup.j == 2:
             # the center (0, n, 0) scales by lam*gam
-            return MatrixEndo(
-                layer.subgroup, IntMatrix.from_rows([[endo.lam * endo.gam]])
-            )
-        if layer.j == 3:
+            return MatrixEndo(subgroup.subgroup, IntMatrix.from_rows([[endo.lam * endo.gam]]))
+        if subgroup.j == 3:
             return MatrixEndo(FreeAbelian(0), IntMatrix.identity(0))
     raise UnsupportedOperationError(
         f"restrict not implemented for {type(endo).__name__} on {type(subgroup).__name__}"
@@ -408,7 +386,7 @@ def induce_on_quotient(endo: Endomorphism, subgroup):
         if subgroup.rank == 0:
             return endo
         quotient = abelian_quotient(endo.group, subgroup)
-        return QuotientEndo(quotient, quotient.component_matrix(endo.column_matrix))
+        return QuotientEndo(quotient, quotient.component_matrix(endo.matrix.transpose()))
     if isinstance(endo, HeisenbergEndo) and isinstance(subgroup, LowerCentralLayer):
         if subgroup.j == 2:
             return abelianization(endo)

@@ -120,6 +120,12 @@ class _Box:
         return coefficients, sum(map(mul, row, self.lows))
 
 
+def _require_int(name: str, value) -> None:
+    """Reject a constructor argument that is not an int (bool included)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def ceil_sqrt(n: int) -> int:
     if n < 0:
         raise ValueError("negative argument")
@@ -231,6 +237,7 @@ class FreeAbelian(Group):
     length_mode: LengthMode = LengthMode("exact")
 
     def __post_init__(self):
+        _require_int("rank", self.rank)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 
@@ -283,6 +290,7 @@ class Free(Group):
     length_mode: LengthMode = LengthMode("exact")
 
     def __post_init__(self):
+        _require_int("rank", self.rank)
         if self.rank < 1:
             raise ValueError("free groups here have rank >= 1")
 
@@ -344,7 +352,7 @@ class Heisenberg(Group):
     length_mode: LengthMode = LengthMode("quasi")
 
     def __post_init__(self):
-        if self.generator_count not in (2, 3):
+        if type(self.generator_count) is not int or self.generator_count not in (2, 3):
             raise ValueError("generator_count must be 2 or 3")
 
     @property
@@ -389,10 +397,10 @@ class Heisenberg(Group):
         return QUASI_EQUIVALENT if self.length_kind == "quasi" else EXACT
 
     def _ball_coding(self, radius):
-        # digits a, c, b from the lowest; within the ball |a|, |c| <= radius,
+        # digits a, b, c from the lowest; within the ball |a|, |c| <= radius,
         # and the n-th step moves b by at most max(1, n - 1), so |b| <= radius**2
-        box = _Box((-radius, -radius, -radius * radius), (radius, radius, radius * radius))
-        a_radix, b_weight = box.radices[0], box.weights[2]
+        box = _Box((-radius, -radius * radius, -radius), (radius, radius * radius, radius))
+        a_radix, b_weight = box.radices[0], box.weights[1]
 
         def step(code, s):
             # (a, b, c)(p, q, r) = (a + p, b + q + a r, c + r): a fixed part
@@ -400,16 +408,8 @@ class Heisenberg(Group):
             fixed, twist = s
             return code + fixed + twist * (code % a_radix - radius)
 
-        steps = tuple((box.delta((p, r, q)), r * b_weight) for p, q, r in self.symmetric_generators())
-
-        def encode(g):
-            return box.encode((g[0], g[2], g[1]))
-
-        def decode(code):
-            a, c, b = box.decode(code)
-            return (a, b, c)
-
-        return BallCoding(steps, step, encode, decode, box.size)
+        steps = tuple((box.delta(s), s[2] * b_weight) for s in self.symmetric_generators())
+        return BallCoding(steps, step, box.encode, box.decode, box.size)
 
     def _length(self, g) -> int:
         if self.length_mode.kind == "quasi":

@@ -9,7 +9,7 @@ m-th roots of the recorded word lengths.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, product
 
 from endogrow.endos import (
     Endomorphism,
@@ -24,6 +24,7 @@ from endogrow.endos import (
 )
 from endogrow.groups import (
     EXACT,
+    FreeAbelian,
     LowerCentralLayer,
     OutOfBallError,
     UnsupportedOperationError,
@@ -131,43 +132,36 @@ def _lengths(endo: Endomorphism):
     of the generators.  The stream ends only when a BFS length runs out of
     radius.
 
-    A word endo whose generator iterates never cancel builds no word: its
-    lengths are L_m = C L_{m-1} with L_0 = (1, ..., 1) and C its letter
-    matrix, the same numbers the words would give.  A product endo builds no
-    product element either: a generator's image stays in its own factor,
-    beside the other factor's identity of length 0, so K_m is the larger of
-    the factors' K_m (Lemma 5.1).  A factor whose stream can end is stepped
-    first, so the product ends with it and no other factor is stepped past it.
+    A product endo builds no product element: a generator's image stays in
+    its own factor, beside the other factor's identity of length 0, so K_m is
+    the larger of the factors' K_m (Lemma 5.1).  A factor whose stream can
+    end is stepped first, so the product ends with it and no other factor is
+    stepped past it.
 
     Every other endo runs the one orbit loop: `_next_images` steps the
     images one power on (a matrix endo by linearity, over A's nonzero
-    entries) and the group measures them, so a bfs length can cut it.
+    entries) and the group measures them, so a bfs length can cut it.  A
+    word endo whose generator iterates never cancel runs it as the matrix
+    endo C on Z^rank, C >= 0 its letter matrix, and builds no word:
+    |phi^m(a_i)| is row i's sum in C^m, the L1 length of row i of C^m.
     """
     if isinstance(endo, ProductEndo):
         factors = sorted(endo.factors, key=lambda e: not _may_truncate(e))
         yield from map(max, zip(*map(_lengths, factors)))
-    elif (
-        isinstance(endo, WordEndo)
-        and endo.group.length_kind != "bfs"
-        and endo.is_cancellation_free
-    ):
-        letter_matrix = endo.letter_matrix
-        lengths = (1,) * letter_matrix.rows
-        while True:
-            lengths = letter_matrix.apply_col(lengths)
-            yield max(lengths)
-    else:
-        # the images go through the unchecked kernels, which is sound because
-        # they start from the generators
-        group = endo.group
-        images = [g for _, g in group.generators]
-        while True:
-            images = endo._next_images(images)
-            try:
-                k = max(map(group._word_length, images), default=0)
-            except OutOfBallError:
-                return
-            yield k
+        return
+    if isinstance(endo, WordEndo) and endo.group.length_kind != "bfs" and endo.is_cancellation_free:
+        endo = MatrixEndo(FreeAbelian(endo.group.rank), endo.letter_matrix)
+    # the images go through the unchecked kernels, which is sound because
+    # they start from the generators
+    group = endo.group
+    images = [g for _, g in group.generators]
+    while True:
+        images = endo._next_images(images)
+        try:
+            k = max(map(group._word_length, images), default=0)
+        except OutOfBallError:
+            return
+        yield k
 
 
 def _torsion_orbit_rate(endo: QuotientEndo) -> float:
@@ -304,18 +298,10 @@ def _signed_exponent_vectors(rank: int, total: int):
         raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
     if rank == 0:
         return
-
-    def rec(prefix, remaining, idx):
-        if idx == rank:
-            if remaining % 2 == 0:
-                yield tuple(prefix)
-            return
-        for v in range(-remaining, remaining + 1):
-            prefix.append(v)
-            yield from rec(prefix, remaining - abs(v), idx + 1)
-            prefix.pop()
-
-    yield from rec([], total, 0)
+    for e in product(range(-total, total + 1), repeat=rank):
+        slack = total - sum(map(abs, e))
+        if slack >= 0 and slack % 2 == 0:
+            yield e
 
 
 def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:

@@ -127,14 +127,21 @@ def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
         raise DimensionError("power of non-square matrix")
     if n < 0:
         raise ValueError("negative power (use inverse_unimodular for unimodular matrices)")
+    # mat_mul is read at call time, so a wrapper bound to the name sees each product
+    return _binary_power(a, n, mat_mul) if n else IntMatrix.identity(a.rows)
+
+
+def _binary_power(x, n: int, times):
+    """x to the n-th power under the product `times`, for n >= 1, by binary
+    powering: n.bit_length() + popcount(n) - 2 products."""
     result = None
-    base = a
-    while n:
+    while True:
         if n & 1:
-            result = base if result is None else mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
+            result = x if result is None else times(result, x)
         n >>= 1
-    return IntMatrix.identity(a.rows) if result is None else result
+        if not n:
+            return result
+        x = times(x, x)
 
 
 def _totient(d: int) -> int:

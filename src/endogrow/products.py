@@ -19,6 +19,7 @@ from endogrow.groups import (
     LengthMode,
     UnsupportedOperationError,
     _Box,
+    _require_int,
     _word_coding,
 )
 from endogrow.intmat import (
@@ -249,6 +250,8 @@ class Semidirect(Group):
     length_mode: LengthMode = LengthMode("quasi")
 
     def __post_init__(self):
+        _require_int("base_rank", self.base_rank)
+        _require_int("quotient_rank", self.quotient_rank)
         if len(self.action) != self.quotient_rank:
             raise ValueError("need one action matrix per quotient generator")
         for a in self.action:
@@ -444,6 +447,7 @@ class Sublattice:
     basis: IntMatrix  # ambient_rank x k, columns generate
 
     def __post_init__(self):
+        _require_int("ambient_rank", self.ambient_rank)
         if self.basis.rows != self.ambient_rank:
             raise ValueError("basis rows must match the ambient rank")
         if self.snf.rank != self.basis.cols:
@@ -532,6 +536,7 @@ class AbelianQuotient(Group):
     relations: IntMatrix  # ambient_rank x k columns
 
     def __post_init__(self):
+        _require_int("ambient_rank", self.ambient_rank)
         if self.relations.rows != self.ambient_rank:
             raise ValueError("relation rows must match the ambient rank")
 

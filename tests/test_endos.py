@@ -109,6 +109,37 @@ class TestComposePower:
                 assert lhs.apply(g) == rhs.apply(g)
 
     @pytest.mark.parametrize(
+        "endo",
+        [
+            # a -> ab, b -> b^-1 cancels (phi^2(a) = a b b^-1 = a), so every
+            # power stays short
+            WordEndo(Free(2), ((1, 2), (-2,))),
+            MatrixEndo(FreeAbelian(2), M([[2, 1], [1, -1]])),
+        ],
+        ids=["cancelling-words", "matrix"],
+    )
+    def test_power_composes_logarithmically_often(self, endo, monkeypatch):
+        # n.bit_length() - 1 squarings and popcount(n) - 1 products into the
+        # result; a linear loop composes n - 1 times
+        compose = Endomorphism.compose
+        calls = []
+
+        def spy(self, other):
+            calls.append(None)
+            return compose(self, other)
+
+        monkeypatch.setattr(Endomorphism, "compose", spy)
+        by_hand = endo
+        for n in range(1, 300):
+            calls.clear()
+            assert endo.power(n) == by_hand
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2
+            by_hand = compose(by_hand, endo)
+
+    def test_the_cancelling_power_case_does_cancel(self):
+        assert not WordEndo(Free(2), ((1, 2), (-2,))).is_cancellation_free
+
+    @pytest.mark.parametrize(
         "endo, other",
         [
             (MatrixEndo(FreeAbelian(2), M([[1, 2], [0, 1]])), HeisenbergEndo(Heisenberg(), 2, 3)),

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from endogrow.ball import enumerate_ball
+from endogrow.endos import HeisenbergEndo
 from endogrow.groups import (
     EXACT,
     QUASI_EQUIVALENT,
@@ -19,7 +20,16 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
-from endogrow.products import DirectProduct, FreeProduct, semidirect, sublattice
+from endogrow.intmat import IntMatrix
+from endogrow.products import (
+    AbelianQuotient,
+    DirectProduct,
+    FreeProduct,
+    Semidirect,
+    Sublattice,
+    semidirect,
+    sublattice,
+)
 
 
 def random_element(group, rng, size=6):
@@ -132,6 +142,31 @@ class TestWordLength:
 def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
     for _, generator in group.generators:
         assert group.exactness == group.word_length(generator).exactness == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: FreeAbelian(2.5), id="FreeAbelian-float"),
+        pytest.param(lambda: FreeAbelian(True), id="FreeAbelian-bool"),
+        pytest.param(lambda: Free(2.0), id="Free-float"),
+        pytest.param(lambda: Free(True), id="Free-bool"),
+        pytest.param(lambda: Heisenberg(2.0), id="Heisenberg-float"),
+        pytest.param(lambda: Semidirect(True, 1, (IntMatrix.from_rows([[1]]),)),
+                     id="Semidirect-base-bool"),
+        pytest.param(lambda: Semidirect(1, True, (IntMatrix.from_rows([[1]]),)),
+                     id="Semidirect-quotient-bool"),
+        pytest.param(lambda: Sublattice(2.0, IntMatrix.from_rows([[1], [0]])),
+                     id="Sublattice-float"),
+        pytest.param(lambda: AbelianQuotient(2.0, IntMatrix.from_rows([[2], [0]])),
+                     id="AbelianQuotient-float"),
+        pytest.param(lambda: HeisenbergEndo(Heisenberg(), True, 2), id="HeisenbergEndo-bool"),
+    ],
+)
+def test_public_constructors_take_int_counts_only(build):
+    # a float or bool count used to construct and fail later, or count as 1
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("radius", [True, 2.5, "3", -1])

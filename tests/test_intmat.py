@@ -157,6 +157,24 @@ class TestMatPow:
             m, k = rng.randint(0, 6), rng.randint(0, 6)
             assert mat_pow(a, m + k) == mat_mul(mat_pow(a, m), mat_pow(a, k))
 
+    def test_binary_powering_makes_logarithmically_many_products(self, monkeypatch):
+        # n.bit_length() - 1 squarings and popcount(n) - 1 products into the
+        # result, read through the module's mat_mul; a linear loop makes n - 1
+        calls = []
+
+        def spy(x, y):
+            calls.append(None)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(intmat, "mat_mul", spy)
+        a = M([[2, 1], [1, -1]])
+        by_hand = a
+        for n in range(1, 300):
+            calls.clear()
+            assert mat_pow(a, n) == by_hand
+            assert len(calls) == n.bit_length() + bin(n).count("1") - 2
+            by_hand = mat_mul(by_hand, a)
+
 
 class TestMaxFiniteOrder:
     def test_first_twelve_ranks(self):
