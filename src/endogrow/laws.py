@@ -158,25 +158,32 @@ def _law_power(instance, options, seed, tol):
     return values, gap <= (route_tol if tol is None else tol), route_tol
 
 
+def _estimate_gap(endo, options, formula):
+    """(ratio_estimate, gap): the ratio estimate of the endo's table of
+    options.max_power powers, and its distance from the formula's rate."""
+    estimate = growth_table(endo, options.max_power).ratio_estimate
+    return estimate, abs(estimate - formula)
+
+
 # Section 3 relates the rate on the group to the rates on an invariant
 # subgroup and on the quotient.  Its four laws measure every instance, fixed
 # or seeded, through one extension_bounds call in _extension_rates, and each
 # keeps its own values dict.
 
 
-def _extension_rates(endo, subgroup):
+def _extension_rates(endo, subgroup, max_power):
     """(key, full, restricted, quotient): the instance's three rates from one
     extension_bounds call, and the key the full rate is reported under.  A
     subgroup that is not invariant makes the instance inapplicable.  On a
-    Heisenberg endo the full rate is growth_table's estimate, reported as
-    rate_full_estimate, so the law cross-checks the estimated route against
-    the exact layer rates."""
+    Heisenberg endo the full rate is the ratio estimate of its table of
+    max_power powers, reported as rate_full_estimate, so the law
+    cross-checks the estimated route against the exact layer rates."""
     try:
         report = extension_bounds(endo, subgroup)
     except InvarianceError as exc:
         raise Inapplicable(str(exc)) from exc
     if isinstance(endo, HeisenbergEndo):
-        full = ("rate_full_estimate", growth_table(endo, 14).ratio_estimate)
+        full = ("rate_full_estimate", growth_table(endo, max_power).ratio_estimate)
     else:
         full = ("rate_full", report.full)
     return (*full, report.restricted, report.quotient)
@@ -213,13 +220,13 @@ def _random_invariant_instances(rng):
         yield endo, Sublattice(n, IntMatrix.from_rows(basis)), complemented
 
 
-def _random_rates(seed, count, complemented_only=False):
+def _random_rates(seed, count, max_power, complemented_only=False):
     """The rates of the first count seeded random instances."""
     instances = _random_invariant_instances(random.Random(seed))
     if complemented_only:
         instances = (instance for instance in instances if instance[2])
     for endo, sub, _ in islice(instances, count):
-        yield _extension_rates(endo, sub)
+        yield _extension_rates(endo, sub, max_power)
 
 
 def _law_finite_index(instance, options, seed, tol):
@@ -228,7 +235,7 @@ def _law_finite_index(instance, options, seed, tol):
     sub = parsed.subgroup
     if not isinstance(sub, Sublattice) or sub.index is None:
         raise Inapplicable("subgroup is not finite index")
-    _, full, on_sub, _ = _extension_rates(parsed.endo, sub)
+    _, full, on_sub, _ = _extension_rates(parsed.endo, sub, options.max_power)
     values = {"index": sub.index, "rate_full": full, "rate_restricted": on_sub}
     return values, abs(full - on_sub) <= tol
 
@@ -237,11 +244,12 @@ def _law_quotient(instance, options, seed, tol):
     """rate on the quotient <= rate on the group."""
     if "random_instances" in instance:
         count = _int(instance, "random_instances", low=0)
-        gaps = (quotient - full for _, full, _, quotient in _random_rates(seed, count))
+        rates = _random_rates(seed, count, options.max_power)
+        gaps = (quotient - full for _, full, _, quotient in rates)
         worst = max(gaps, default=-math.inf)
         return {"instances": count, "worst_quotient_minus_full": worst}, worst <= tol
     parsed = _parse(instance)
-    key, full, _, quotient = _extension_rates(parsed.endo, parsed.subgroup)
+    key, full, _, quotient = _extension_rates(parsed.endo, parsed.subgroup, options.max_power)
     if key == "rate_full":
         values = {key: full, "rate_quotient": quotient}
     else:  # an estimated full rate follows the exact quotient rate
@@ -253,11 +261,13 @@ def _law_extension(instance, options, seed, tol):
     """rate on the group <= max(rate on subgroup, rate on quotient)."""
     if "random_instances" in instance:
         count = _int(instance, "random_instances", low=0)
-        rates = _random_rates(seed, count)
+        rates = _random_rates(seed, count, options.max_power)
         worst = max((full - max(sub, quo) for _, full, sub, quo in rates), default=-math.inf)
         return {"instances": count, "worst_full_minus_max": worst}, worst <= tol
     parsed = _parse(instance)
-    key, full, sub_rate, quotient_rate = _extension_rates(parsed.endo, parsed.subgroup)
+    key, full, sub_rate, quotient_rate = _extension_rates(
+        parsed.endo, parsed.subgroup, options.max_power
+    )
     values = {key: full, "rate_restricted": sub_rate, "rate_quotient": quotient_rate}
     return values, full - max(sub_rate, quotient_rate) <= tol
 
@@ -266,7 +276,7 @@ def _law_complement(instance, options, seed, tol):
     """Equality rate = max(subgroup, quotient) when the subgroup is generated
     by part of the generating system."""
     count = _int(instance, "random_instances", 20, low=0)
-    rates = _random_rates(seed, count, complemented_only=True)
+    rates = _random_rates(seed, count, options.max_power, complemented_only=True)
     worst = max((abs(full - max(sub, quo)) for _, full, sub, quo in rates), default=0.0)
     return {"instances": count, "worst_equality_gap": worst}, worst <= tol
 
@@ -288,7 +298,7 @@ def _law_abelian(instance, options, seed, tol):
             if exact < 1.0:
                 continue
             endo = MatrixEndo(FreeAbelian(n), mat)
-            est = growth_table(endo, 30)
+            est = growth_table(endo, options.max_power)
             # the Fekete bound inf_m K_m^(1/m) also reads K_M at M = 1024, far
             # past the table; the rows of mat^M are the M-th generator images,
             # so K_M is an exact int, and its root is taken through its log
@@ -337,12 +347,11 @@ def _law_nilpotent(instance, options, seed, tol):
     """Layer formula with 1/k exponents against the quasi-length estimate."""
     endo = _parse_endo(instance)
     rate = nilpotent_growth_rate(endo)
-    est = growth_table(endo, 14)
-    gap = abs(est.ratio_estimate - rate.combined)
+    estimate, gap = _estimate_gap(endo, options, rate.combined)
     values = {
         "layer_rates": list(rate.layer_rates),
         "combined": rate.combined,
-        "ratio_estimate": est.ratio_estimate,
+        "ratio_estimate": estimate,
         "gap": gap,
     }
     return values, gap <= tol
@@ -353,16 +362,15 @@ def _law_counterexample(instance, options, seed, tol):
     differs from the rate; with it they agree."""
     endo = _parse_endo(instance)
     rate = nilpotent_growth_rate(endo)
-    est = growth_table(endo, 14)
+    estimate, gap = _estimate_gap(endo, options, rate.combined)
     with_exponent_ok = abs(rate.combined - max(rate.layer_rates[0], math.sqrt(rate.layer_rates[1]))) <= tol
     differs = abs(rate.no_exponent_max - rate.combined) > 0.5
-    estimate_ok = abs(est.ratio_estimate - rate.combined) <= 0.1
     values = {
         "combined": rate.combined,
         "no_exponent_max": rate.no_exponent_max,
-        "ratio_estimate": est.ratio_estimate,
+        "ratio_estimate": estimate,
     }
-    return values, with_exponent_ok and differs and estimate_ok
+    return values, with_exponent_ok and differs and gap <= 0.1
 
 
 def _law_direct(instance, options, seed, tol):
@@ -373,13 +381,13 @@ def _law_direct(instance, options, seed, tol):
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
     formula = max(factor_rates)
     product_exact = exact_growth_rate(endo)
-    est = growth_table(endo, options.max_power)
+    estimate, gap = _estimate_gap(endo, options, formula)
     values = {
         "factor_rates": factor_rates,
         "rate_product": product_exact,
-        "ratio_estimate": est.ratio_estimate,
+        "ratio_estimate": estimate,
     }
-    return values, abs(product_exact - formula) <= 1e-9 and abs(est.ratio_estimate - formula) <= tol
+    return values, abs(product_exact - formula) <= 1e-9 and gap <= tol
 
 
 def _law_free(instance, options, seed, tol):
@@ -388,10 +396,9 @@ def _law_free(instance, options, seed, tol):
     if not isinstance(endo, ProductEndo):
         raise Inapplicable("needs a factor-preserving product endo")
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
-    formula = max(factor_rates)
-    est = growth_table(endo, options.max_power)
-    values = {"factor_rates": factor_rates, "ratio_estimate": est.ratio_estimate}
-    return values, abs(est.ratio_estimate - formula) <= tol
+    estimate, gap = _estimate_gap(endo, options, max(factor_rates))
+    values = {"factor_rates": factor_rates, "ratio_estimate": estimate}
+    return values, gap <= tol
 
 
 def _law_semidirect(instance, options, seed, tol):
@@ -405,14 +412,14 @@ def _law_semidirect(instance, options, seed, tol):
     base_rate = spectral_radius(endo.base_matrix)
     quotient_rate = spectral_radius(endo.quotient_matrix)
     formula = max(base_rate, quotient_rate)
-    est = growth_table(endo, 16)
+    estimate, gap = _estimate_gap(endo, options, formula)
     values = {
         "rate_base": base_rate,
         "rate_quotient": quotient_rate,
         "formula": formula,
-        "ratio_estimate": est.ratio_estimate,
+        "ratio_estimate": estimate,
     }
-    return values, abs(est.ratio_estimate - formula) <= tol
+    return values, gap <= tol
 
 
 def _law_polycyclic(instance, options, seed, tol):
@@ -425,15 +432,15 @@ def _law_polycyclic(instance, options, seed, tol):
         raise Inapplicable("catalog covers the cyclic-by-cyclic case")
     rate = exact_growth_rate(endo)
     nearest = round(rate)
-    est = growth_table(endo, 16)
+    estimate, gap = _estimate_gap(endo, options, rate)
     values = {
         "tower_length": group.base_rank + group.quotient_rank,
         "rate": rate,
         "nearest_integer": nearest,
         "integer_gap": abs(rate - nearest),
-        "ratio_estimate": est.ratio_estimate,
+        "ratio_estimate": estimate,
     }
-    return values, abs(rate - nearest) <= tol and abs(est.ratio_estimate - rate) <= 0.1
+    return values, abs(rate - nearest) <= tol and gap <= 0.1
 
 
 def _law_distortion(instance, options, seed, tol):
@@ -580,7 +587,7 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
                 "group": _HEI,
                 "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
                 "subgroup": {"kind": "lower_central", "j": 2},
-                "options": {"tolerance": 0.1},
+                "options": {"max_m": 14, "tolerance": 0.1},
             },
         ),
         ("thm3.3-extension", {"random_instances": 20, "seed": seed}),
@@ -590,7 +597,7 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
                 "group": _HEI,
                 "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
                 "subgroup": {"kind": "lower_central", "j": 2},
-                "options": {"tolerance": 0.1},
+                "options": {"max_m": 14, "tolerance": 0.1},
             },
         ),
         ("cor3.4-complement", {"random_instances": 20, "seed": seed}),
@@ -607,20 +614,35 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
                 "options": {"max_m": 30},
             },
         ),
-        ("thm4.1-abelian", {"random_instances": 20, "seed": seed, "options": {"tolerance": 0.1}}),
+        (
+            "thm4.1-abelian",
+            {"random_instances": 20, "seed": seed, "options": {"max_m": 30, "tolerance": 0.1}},
+        ),
         ("lemma4.3-lcs", {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2}}),
         ("lemma4.3-lcs", {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 1, "gamma": 3}}),
         (
             "thm4.4-nilpotent",
-            {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2}},
+            {
+                "group": _HEI,
+                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
+                "options": {"max_m": 14},
+            },
         ),
         (
             "thm4.4-nilpotent",
-            {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 3, "gamma": 5}},
+            {
+                "group": _HEI,
+                "endo": {"kind": "heisenberg", "lambda": 3, "gamma": 5},
+                "options": {"max_m": 14},
+            },
         ),
         (
             "thm4.4-counterexample",
-            {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2}},
+            {
+                "group": _HEI,
+                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
+                "options": {"max_m": 14},
+            },
         ),
         (
             "lemma5.1-direct",

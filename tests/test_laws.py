@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from endogrow import laws
 from endogrow.laws import (
     LAWS,
     LawConfig,
@@ -13,8 +14,10 @@ from endogrow.laws import (
     run_law,
     run_suite,
 )
+from endogrow.specio import parse_options
 
 SEED = 20250811
+CATALOG = default_catalog(SEED)
 
 
 class TestRunLaw:
@@ -210,6 +213,25 @@ def test_section3_laws_on_fixed_sublattice_instances(law_id, instance, verdict, 
     assert check.verdict == verdict
     assert check.values == values
     assert list(check.values) == list(values)
+
+
+@pytest.mark.parametrize(
+    "law_id, instance", CATALOG, ids=[f"{i}-{law_id}" for i, (law_id, _) in enumerate(CATALOG)]
+)
+def test_every_estimated_table_has_the_instances_power_count(law_id, instance, monkeypatch):
+    # options.max_m sizes every table a law builds; the generator-bound
+    # law's random endos are sized by random_endos.powers
+    if law_id == "thm2.2.2-generator-bound":
+        expected = instance["random_endos"]["powers"]
+    else:
+        expected = parse_options(instance.get("options")).max_power
+    powers = []
+    table = laws.growth_table
+    monkeypatch.setattr(
+        laws, "growth_table", lambda endo, max_power: powers.append(max_power) or table(endo, max_power)
+    )
+    run_law(law_id, instance)
+    assert set(powers) <= {expected}
 
 
 class TestSuite:
