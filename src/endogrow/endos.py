@@ -16,6 +16,7 @@ from endogrow.groups import (
     KindMismatchError,
     LowerCentralLayer,
     UnsupportedOperationError,
+    _require_type,
 )
 from endogrow.intmat import IntMatrix, _binary_power, mat_mul
 from endogrow.products import (
@@ -80,6 +81,7 @@ class MatrixEndo(Endomorphism):
     matrix: IntMatrix
 
     def __post_init__(self):
+        _require_type("matrix", self.matrix, IntMatrix)
         if self.matrix.rows != self.group.rank or self.matrix.cols != self.group.rank:
             raise KindMismatchError("matrix shape does not match the group rank")
 
@@ -203,8 +205,8 @@ class HeisenbergEndo(Endomorphism):
     gam: int
 
     def __post_init__(self):
-        if type(self.lam) is not int or type(self.gam) is not int:
-            raise ValueError("parameters must be integers")
+        _require_type("lam", self.lam)
+        _require_type("gam", self.gam)
 
     def _apply(self, g):
         a, b, c = g
@@ -266,6 +268,8 @@ class SemidirectEndo(Endomorphism):
 
     def __post_init__(self):
         g = self.group
+        _require_type("base_matrix", self.base_matrix, IntMatrix)
+        _require_type("quotient_matrix", self.quotient_matrix, IntMatrix)
         if self.base_matrix.rows != g.base_rank or self.base_matrix.cols != g.base_rank:
             raise KindMismatchError("base matrix shape mismatch")
         if (
@@ -306,6 +310,7 @@ class QuotientEndo(Endomorphism):
     smith_matrix: IntMatrix  # k x k on the normal-form components
 
     def __post_init__(self):
+        _require_type("smith_matrix", self.smith_matrix, IntMatrix)
         k = len(self.group.identity())
         if self.smith_matrix.rows != k or self.smith_matrix.cols != k:
             raise KindMismatchError("matrix shape does not match the quotient's components")

@@ -120,10 +120,11 @@ class _Box:
         return coefficients, sum(map(mul, row, self.lows))
 
 
-def _require_int(name: str, value) -> None:
-    """Reject a constructor argument that is not an int (bool included)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+def _require_type(name: str, value, kind=int) -> None:
+    """Reject a constructor argument whose type is not exactly `kind`: a bool
+    is no int, and a nested list is no IntMatrix."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def ceil_sqrt(n: int) -> int:
@@ -237,7 +238,7 @@ class FreeAbelian(Group):
     length_mode: LengthMode = LengthMode("exact")
 
     def __post_init__(self):
-        _require_int("rank", self.rank)
+        _require_type("rank", self.rank)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 
@@ -290,7 +291,7 @@ class Free(Group):
     length_mode: LengthMode = LengthMode("exact")
 
     def __post_init__(self):
-        _require_int("rank", self.rank)
+        _require_type("rank", self.rank)
         if self.rank < 1:
             raise ValueError("free groups here have rank >= 1")
 

@@ -19,7 +19,7 @@ from endogrow.groups import (
     LengthMode,
     UnsupportedOperationError,
     _Box,
-    _require_int,
+    _require_type,
     _word_coding,
 )
 from endogrow.intmat import (
@@ -250,11 +250,13 @@ class Semidirect(Group):
     length_mode: LengthMode = LengthMode("quasi")
 
     def __post_init__(self):
-        _require_int("base_rank", self.base_rank)
-        _require_int("quotient_rank", self.quotient_rank)
+        _require_type("base_rank", self.base_rank)
+        _require_type("quotient_rank", self.quotient_rank)
+        _require_type("action", self.action, tuple)
         if len(self.action) != self.quotient_rank:
             raise ValueError("need one action matrix per quotient generator")
         for a in self.action:
+            _require_type("action matrix", a, IntMatrix)
             if a.rows != self.base_rank or a.cols != self.base_rank:
                 raise ValueError("action matrix has wrong shape")
         try:
@@ -447,7 +449,8 @@ class Sublattice:
     basis: IntMatrix  # ambient_rank x k, columns generate
 
     def __post_init__(self):
-        _require_int("ambient_rank", self.ambient_rank)
+        _require_type("ambient_rank", self.ambient_rank)
+        _require_type("basis", self.basis, IntMatrix)
         if self.basis.rows != self.ambient_rank:
             raise ValueError("basis rows must match the ambient rank")
         if self.snf.rank != self.basis.cols:
@@ -536,7 +539,8 @@ class AbelianQuotient(Group):
     relations: IntMatrix  # ambient_rank x k columns
 
     def __post_init__(self):
-        _require_int("ambient_rank", self.ambient_rank)
+        _require_type("ambient_rank", self.ambient_rank)
+        _require_type("relations", self.relations, IntMatrix)
         if self.relations.rows != self.ambient_rank:
             raise ValueError("relation rows must match the ambient rank")
 

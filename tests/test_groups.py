@@ -8,7 +8,7 @@ import random
 import pytest
 
 from endogrow.ball import enumerate_ball
-from endogrow.endos import HeisenbergEndo
+from endogrow.endos import HeisenbergEndo, MatrixEndo, QuotientEndo, SemidirectEndo
 from endogrow.groups import (
     EXACT,
     QUASI_EQUIVALENT,
@@ -166,6 +166,32 @@ def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
 def test_public_constructors_take_int_counts_only(build):
     # a float or bool count used to construct and fail later, or count as 1
     with pytest.raises(ValueError):
+        build()
+
+
+_ONE = IntMatrix.from_rows([[1]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: MatrixEndo(FreeAbelian(1), [[1]]), id="MatrixEndo"),
+        pytest.param(lambda: SemidirectEndo(Semidirect(1, 1, (_ONE,)), [[1]], _ONE),
+                     id="SemidirectEndo-base"),
+        pytest.param(lambda: SemidirectEndo(Semidirect(1, 1, (_ONE,)), _ONE, [[1]]),
+                     id="SemidirectEndo-quotient"),
+        pytest.param(lambda: QuotientEndo(AbelianQuotient(1, IntMatrix.from_rows([[2]])), [[1]]),
+                     id="QuotientEndo"),
+        pytest.param(lambda: Semidirect(1, 1, ([[1]],)), id="Semidirect-matrix"),
+        pytest.param(lambda: Semidirect(1, 1, [_ONE]), id="Semidirect-list-action"),
+        pytest.param(lambda: Sublattice(2, [[1], [0]]), id="Sublattice"),
+        pytest.param(lambda: AbelianQuotient(2, [[2], [0]]), id="AbelianQuotient"),
+    ],
+)
+def test_public_constructors_take_int_matrices_only(build):
+    # a nested list used to raise AttributeError, and a list action built an
+    # unhashable group unequal to the same group with a tuple action
+    with pytest.raises(ValueError, match="must be of type"):
         build()
 
 
