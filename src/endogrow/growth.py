@@ -154,11 +154,12 @@ def _lengths(endo: Endomorphism):
     # the images go through the unchecked kernels, which is sound because
     # they start from the generators
     group = endo.group
+    measure = group._word_length if group.length_kind == "bfs" else group._length
     images = [g for _, g in group.generators]
     while True:
         images = endo._next_images(images)
         try:
-            k = max(map(group._word_length, images), default=0)
+            k = max(map(measure, images), default=0)
         except OutOfBallError:
             return
         yield k
