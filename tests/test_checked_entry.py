@@ -30,7 +30,14 @@ from endogrow.groups import (
 )
 from endogrow.growth import GrowthEstimate, growth_table
 from endogrow.intmat import IntMatrix, mat_pow
-from endogrow.products import AbelianQuotient, DirectProduct, FreeProduct, semidirect, sublattice
+from endogrow.products import (
+    AbelianQuotient,
+    DirectProduct,
+    FreeProduct,
+    direct_product,
+    semidirect,
+    sublattice,
+)
 
 MAX_POWER = 6
 FIBONACCI = ((1, 2), (1,))
@@ -357,6 +364,29 @@ def test_product_with_a_truncating_factor_inside_is_built_first(monkeypatch):
     _matrix_beside(
         ProductEndo(DirectProduct(words.group, FreeAbelian(1)), (words, z1_times(1))), monkeypatch
     )
+
+
+@pytest.mark.parametrize("bfs_first", [True, False], ids=["bfs-first", "exact-first"])
+def test_product_table_stops_with_its_bfs_factor(bfs_first, monkeypatch):
+    # 2^m leaves the radius-8 ball at m = 4, so the table is the exact
+    # factor's 3^m cut at m = 3; stepping the exact factor first would
+    # build its fourth power before the bfs factor ends
+    truncating = MatrixEndo(FreeAbelian(1, bfs(8)), IntMatrix.from_rows([[2]]))
+    exact = z1_times(3)
+    factors = (truncating, exact) if bfs_first else (exact, truncating)
+    endo = ProductEndo(direct_product(*(f.group for f in factors)), factors)
+    calls = []
+    step = MatrixEndo._next_images
+
+    def spy(stepped, images):
+        if stepped is exact:
+            calls.append(images)
+        return step(stepped, images)
+
+    monkeypatch.setattr(MatrixEndo, "_next_images", spy)
+    est = growth_table(endo, 20)
+    assert (est.table, est.status) == ((3, 9, 27), "truncated")
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,16 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "2 checks, 2 pass" in out
 
+    @pytest.mark.parametrize("seed", [20250811, 10])
+    def test_default_catalog_round_trips_through_a_suite_file(self, tmp_path, capsys, seed):
+        # the benchmark's verify workload runs the catalog from a suite file
+        checks = [{"id": law_id, "instance": instance} for law_id, instance in laws.default_catalog(seed)]
+        path = write_spec(tmp_path, {"seed": seed, "checks": checks}, "suite.json")
+        code = main(["verify", "--suite", path, "--format", "json"])
+        out = capsys.readouterr().out
+        assert main(["verify", "--seed", str(seed), "--format", "json"]) == code == 0
+        assert capsys.readouterr().out == out
+
     def test_empty_suite_succeeds(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"checks": []}, "suite.json")
         assert main(["verify", "--suite", path]) == 0
