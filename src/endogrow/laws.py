@@ -547,6 +547,12 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
     from the seed alone)."""
     hyperbolic = [[2, 1], [1, 1]]
     rotation = [[0, -1], [1, 0]]
+    centre = {"kind": "lower_central", "j": 2}
+
+    def heisenberg(lam, gam, **fields):
+        endo = {"kind": "heisenberg", "lambda": lam, "gamma": gam}
+        return {"group": _HEI, "endo": endo, **fields}
+
     return [
         ("thm2.2.1-fekete", {"group": _Z2, "endo": _SWAP_DOUBLE, "options": {"max_m": 12}}),
         ("thm2.2.1-fekete", {"group": _F2, "endo": _FIB_WORDS, "options": {"max_m": 12}}),
@@ -583,22 +589,12 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
         ("lemma3.2-quotient", {"random_instances": 20, "seed": seed}),
         (
             "lemma3.2-quotient",
-            {
-                "group": _HEI,
-                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
-                "subgroup": {"kind": "lower_central", "j": 2},
-                "options": {"max_m": 14, "tolerance": 0.1},
-            },
+            heisenberg(2, 2, subgroup=centre, options={"max_m": 14, "tolerance": 0.1}),
         ),
         ("thm3.3-extension", {"random_instances": 20, "seed": seed}),
         (
             "thm3.3-extension",
-            {
-                "group": _HEI,
-                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
-                "subgroup": {"kind": "lower_central", "j": 2},
-                "options": {"max_m": 14, "tolerance": 0.1},
-            },
+            heisenberg(2, 2, subgroup=centre, options={"max_m": 14, "tolerance": 0.1}),
         ),
         ("cor3.4-complement", {"random_instances": 20, "seed": seed}),
         ("thm4.1-abelian", {"group": _Z2, "endo": _SWAP_DOUBLE, "options": {"max_m": 20}}),
@@ -618,32 +614,11 @@ def default_catalog(seed: int) -> list[tuple[str, dict]]:
             "thm4.1-abelian",
             {"random_instances": 20, "seed": seed, "options": {"max_m": 30, "tolerance": 0.1}},
         ),
-        ("lemma4.3-lcs", {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2}}),
-        ("lemma4.3-lcs", {"group": _HEI, "endo": {"kind": "heisenberg", "lambda": 1, "gamma": 3}}),
-        (
-            "thm4.4-nilpotent",
-            {
-                "group": _HEI,
-                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
-                "options": {"max_m": 14},
-            },
-        ),
-        (
-            "thm4.4-nilpotent",
-            {
-                "group": _HEI,
-                "endo": {"kind": "heisenberg", "lambda": 3, "gamma": 5},
-                "options": {"max_m": 14},
-            },
-        ),
-        (
-            "thm4.4-counterexample",
-            {
-                "group": _HEI,
-                "endo": {"kind": "heisenberg", "lambda": 2, "gamma": 2},
-                "options": {"max_m": 14},
-            },
-        ),
+        ("lemma4.3-lcs", heisenberg(2, 2)),
+        ("lemma4.3-lcs", heisenberg(1, 3)),
+        ("thm4.4-nilpotent", heisenberg(2, 2, options={"max_m": 14})),
+        ("thm4.4-nilpotent", heisenberg(3, 5, options={"max_m": 14})),
+        ("thm4.4-counterexample", heisenberg(2, 2, options={"max_m": 14})),
         (
             "lemma5.1-direct",
             {
