@@ -2,7 +2,8 @@
 in both formats, and seed 10 (test_exit_codes pins that a failing check
 exits 1).
 `endogrow estimate`, in both formats, on word endos: two positive ones, which
-take the letter-count route, and a cancelling one, which builds its words;
+are measured as their letter matrix's matrix endo, and a cancelling one,
+which builds its words;
 and on a direct product of a positive word endo with a matrix endo.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
 per group kind, with `--query` lengths, one budget-cut census and a
