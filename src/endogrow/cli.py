@@ -149,26 +149,21 @@ def cmd_distortion(args) -> int:
     group = instance.group
     radius = args.radius if args.radius is not None else instance.options.radius
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
-    rate = None
-    if isinstance(group, Semidirect):
-        subgroup = instance.subgroup if instance.subgroup is not None else "base"
-        profile = distortion_profile(group, subgroup, radius, _budget(args, instance))
-        rate = distortion_rate(group, max_power)
-        rate_payload = {
-            "table": list(rate.table),
-            "rate": rate.spectral_value,
-            "sqrt_rate": rate.sqrt_spectral,
-            "table_ratio_estimate": rate.estimate.ratio_estimate,
-        }
-    else:
-        if instance.subgroup is None:
-            raise SpecError("at subgroup: distortion on this group needs a subgroup spec")
-        profile = distortion_profile(group, instance.subgroup, radius, _budget(args, instance))
-        rate_payload = None
+    # a semidirect product's subgroup defaults to its base, the one with a rate
+    semidirect = isinstance(group, Semidirect)
+    if instance.subgroup is None and not semidirect:
+        raise SpecError("at subgroup: distortion on this group needs a subgroup spec")
+    profile = distortion_profile(group, instance.subgroup, radius, _budget(args, instance))
+    rate = distortion_rate(group, max_power) if semidirect else None
     if args.format == "json":
         payload = {"profile": list(profile.values), "complete": profile.complete}
-        if rate_payload:
-            payload.update(rate_payload)
+        if rate is not None:
+            payload.update(
+                table=list(rate.table),
+                rate=rate.spectral_value,
+                sqrt_rate=rate.sqrt_spectral,
+                table_ratio_estimate=rate.estimate.ratio_estimate,
+            )
         _emit(json.dumps(payload, sort_keys=True) + "\n")
         return EXIT_OK
     lines = ["n\trho\trho_root"]

@@ -181,11 +181,14 @@ class WordEndo(Endomorphism):
                 if letter > 0
                 else self._inverse_images[-letter - 1]
             )
-            for x in img:
-                if out and out[-1] == -x:
-                    out.pop()
-                else:
-                    out.append(x)
+            # out and img are reduced, so they cancel only where they meet,
+            # as in Free._mul
+            n = len(out)
+            k = 0
+            while k < n and k < len(img) and out[n - 1 - k] == -img[k]:
+                k += 1
+            del out[n - k :]
+            out += img[k:]
         return tuple(out)
 
     def _compose(self, other):

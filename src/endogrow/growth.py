@@ -191,12 +191,9 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
     undistorted (finite-order action); otherwise raises.
     """
     if isinstance(endo, MatrixEndo):
-        if endo.group.rank == 0:
-            return 0.0
         return spectral_radius(endo.matrix, tol)
     if isinstance(endo, QuotientEndo):
-        free = spectral_radius(endo.free_block(), tol) if endo.group.free_rank else 0.0
-        return max(free, _torsion_orbit_rate(endo))
+        return max(spectral_radius(endo.free_block(), tol), _torsion_orbit_rate(endo))
     if isinstance(endo, HeisenbergEndo):
         return nilpotent_growth_rate(endo, tol).combined
     if isinstance(endo, ProductEndo):

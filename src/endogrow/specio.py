@@ -107,6 +107,8 @@ def parse_group(d, path: str = "group") -> Group:
         count = expect_int(d.get("generators", 3), f"{path}.generators")
         return _build(path, Heisenberg, count, **_mode_keyword(d, path))
     if kind in ("direct_product", "free_product"):
+        if "length_mode" in d:
+            _fail(f"{path}.length_mode", f"{kind} groups take the length modes of their factors")
         factors = d.get("factors")
         if not isinstance(factors, list) or len(factors) != 2:
             _fail(f"{path}.factors", "expected exactly two factor groups")
@@ -198,20 +200,16 @@ class Options:
     radius: int = 10
     tolerance: float | None = None  # overrides a law's default tolerance when set
     budget: int | None = None
-    length_mode: str | None = None  # overrides the group's mode when set
 
 
 def parse_options(d, path: str = "options") -> Options:
     if d is None:
         return Options()
     d = expect_dict(d, path)
-    known = {"max_m", "radius", "tolerance", "length_mode", "budget"}
+    known = {"max_m", "radius", "tolerance", "budget"}
     for key in d:
         if key not in known:
             _fail(f"{path}.{key}", "unknown option")
-    mode = d.get("length_mode")
-    if mode is not None and mode not in ("exact", "quasi", "bfs"):
-        _fail(f"{path}.length_mode", f"unknown length mode {mode!r}")
     tolerance = d.get("tolerance")
     if tolerance is not None and (
         isinstance(tolerance, bool)
@@ -224,7 +222,6 @@ def parse_options(d, path: str = "options") -> Options:
         radius=expect_int(d.get("radius", 10), f"{path}.radius", 0),
         tolerance=None if tolerance is None else float(tolerance),
         budget=expect_int(d["budget"], f"{path}.budget", 1) if "budget" in d else None,
-        length_mode=mode,
     )
 
 
@@ -247,10 +244,6 @@ def parse_instance(d, path: str = "") -> Instance:
     try:
         group = parse_group(d["group"], f"{prefix}group")
         options = parse_options(d.get("options"), f"{prefix}options")
-        if options.length_mode is not None:
-            group = with_length_mode(
-                group, options.length_mode, options.radius, f"{prefix}options.length_mode"
-            )
         endo = parse_endo(d["endo"], group, f"{prefix}endo") if "endo" in d else None
         sub = parse_subgroup(d["subgroup"], group, f"{prefix}subgroup") if "subgroup" in d else None
     except RecursionError:  # products nested past the interpreter's limit

@@ -115,6 +115,10 @@ class TestEstimate:
                                    {"kind": "matrix", "rows": [[3]]}]}},
         )
         assert main(["estimate", spec, "--length-mode", "quasi"]) == 2
+        assert capsys.readouterr().err == (
+            "spec error: at --length-mode: group kind 'direct_product' does not take "
+            "a length-mode override\n"
+        )
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_table_value_over_4300_digits(self, tmp_path, capsys, fmt):
@@ -391,7 +395,7 @@ class TestVerify:
     [
         ({}, ["spectral", "--tol", "-1"], None),
         ({}, ["estimate", "--length-mode", "bfs", "--radius", "0"], None),
-        ({"length_mode": "bfs", "radius": 0}, ["estimate"], None),
+        ({"length_mode": "bfs"}, ["estimate"], None),  # not an option: set on the group
         ({"tolerance": "abc"}, ["estimate"], None),
         ({}, ["ball", "--radius", "2"], "abc"),
         ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
@@ -483,6 +487,12 @@ def test_query_with_a_non_integer_component_exits_2(tmp_path, capsys, group, que
         pytest.param(ESTIMATE, {"group": {**Z2, "length_mode": {"kind": "fuzzy"}}},
                      "at group.length_mode.kind: unknown length mode 'fuzzy'",
                      id="length_mode-kind"),
+        pytest.param(ESTIMATE, {"group": {"kind": "direct_product", "factors": [Z1, Z1],
+                                          "length_mode": {"kind": "bfs", "radius": 3}}},
+                     "at group.length_mode: direct_product groups take the length modes of "
+                     "their factors", id="length_mode-product"),
+        pytest.param(ESTIMATE, {"group": Z2, "options": {"length_mode": "bfs"}},
+                     "at options.length_mode: unknown option", id="options-length_mode"),
         pytest.param(ESTIMATE, None, "spec file not found: {file}", id="spec-missing"),
         pytest.param(ESTIMATE, '{"group": ', "{file}:1:11: invalid JSON (Expecting value)",
                      id="spec-invalid-json"),

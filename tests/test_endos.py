@@ -72,6 +72,19 @@ class TestApply:
         endo = HeisenbergEndo(Heisenberg(), 2, 2)
         assert endo.apply((1, 1, 1)) == (2, 4, 2)
 
+    def test_word_image_is_the_product_of_its_letters_images(self):
+        # the reference multiplies the letters' images one by one; the random
+        # images include empty ones and ones that cancel against each other
+        rng = random.Random(29)
+        group = Free(2)
+        for _ in range(300):
+            endo = WordEndo(group, tuple(random_element(group, rng, 4) for _ in range(2)))
+            g = random_element(group, rng, 10)
+            expected = group.identity()
+            for letter in g:
+                expected = group.multiply(expected, endo.apply((letter,)))
+            assert endo.apply(g) == expected
+
 
 class TestComposePower:
     def test_matrix_square(self):
@@ -135,6 +148,28 @@ class TestComposePower:
             assert endo.power(n) == by_hand
             assert len(calls) == n.bit_length() + bin(n).count("1") - 2
             by_hand = compose(by_hand, endo)
+
+    @pytest.mark.parametrize(
+        "endo",
+        [
+            ProductEndo(direct_product(FreeAbelian(1), Free(2)),
+                        (MatrixEndo(FreeAbelian(1), M([[-2]])),
+                         WordEndo(Free(2), ((1, 2), (-2,))))),
+            ProductEndo(free_product(Free(1), Free(2)),
+                        (WordEndo(Free(1), ((1, 1),)), WordEndo(Free(2), ((2, 1), (-1,))))),
+            # [[2, 1], [1, 1]] commutes with the action, which it equals
+            SemidirectEndo(semidirect(FreeAbelian(2), FreeAbelian(1), [[[2, 1], [1, 1]]]),
+                           M([[2, 1], [1, 1]]), M([[1]])),
+        ],
+        ids=["direct-product", "free-product", "semidirect"],
+    )
+    def test_square_is_applying_twice(self, endo):
+        squared = endo.power(2)
+        assert type(squared) is type(endo) and squared.group == endo.group
+        rng = random.Random(23)
+        for _ in range(100):
+            g = random_element(endo.group, rng, size=8)
+            assert squared.apply(g) == endo.apply(endo.apply(g))
 
     def test_the_cancelling_power_case_does_cancel(self):
         assert not WordEndo(Free(2), ((1, 2), (-2,))).is_cancellation_free
@@ -258,6 +293,13 @@ class TestRestrict:
         with pytest.raises(InvarianceError, match="h2"):
             restrict(endo, lat)
 
+    def test_heisenberg_whole_group_and_trivial_layer(self):
+        # layer 1 is the whole group, layer 3 the trivial group
+        endo = HeisenbergEndo(Heisenberg(), 2, 3)
+        assert restrict(endo, lower_central_layer(Heisenberg(), 1)) is endo
+        trivial = restrict(endo, lower_central_layer(Heisenberg(), 3))
+        assert trivial == MatrixEndo(FreeAbelian(0), IntMatrix.identity(0))
+
 
 class TestInduceOnQuotient:
     def test_heisenberg_mod_center_is_abelianization(self):
@@ -265,6 +307,13 @@ class TestInduceOnQuotient:
         endo = HeisenbergEndo(Heisenberg(), 2, 2)
         induced = induce_on_quotient(endo, layer)
         assert induced.matrix.to_rows() == [[2, 0], [0, 2]]
+
+    def test_heisenberg_mod_whole_group_and_trivial_layer(self):
+        # the quotient by layer 1 is trivial, by layer 3 the group itself
+        endo = HeisenbergEndo(Heisenberg(), 2, 3)
+        trivial = induce_on_quotient(endo, lower_central_layer(Heisenberg(), 1))
+        assert trivial == MatrixEndo(FreeAbelian(0), IntMatrix.identity(0))
+        assert induce_on_quotient(endo, lower_central_layer(Heisenberg(), 3)) is endo
 
     def test_quotient_by_trivial_subgroup(self):
         endo = MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]]))

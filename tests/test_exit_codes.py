@@ -120,13 +120,14 @@ def subgroups_for(group):
     return mostly(good, JUNK)
 
 
-OPTION_FAULTS = st.sampled_from([{"tolerance": -1}, {"tolerance": "x"}, {"length_mode": "fuzzy"},
-                                 {"budget": 0}, {"seed": 1}, {"max_m": 0}])
+# a group's length mode is set on the group (groups() draws it), never in options
+OPTION_FAULTS = st.sampled_from([{"tolerance": -1}, {"tolerance": "x"}, {"length_mode": "quasi"},
+                                 {"length_mode": "bfs"}, {"budget": 0}, {"seed": 1}, {"max_m": 0}])
 options = st.builds(
     lambda base, extra: {**base, **extra},
     st.fixed_dictionaries({"max_m": st.integers(1, 4), "radius": st.integers(1, 3)}),
-    mostly(st.sampled_from([{}, {"tolerance": 0.1}, {"tolerance": 1e-9}, {"length_mode": "quasi"},
-                            {"length_mode": "bfs"}, {"budget": 5}, {"budget": 50}]),
+    mostly(st.sampled_from([{}, {"tolerance": 0.1}, {"tolerance": 1e-9}, {"budget": 5},
+                            {"budget": 50}]),
            OPTION_FAULTS),
 )
 

@@ -309,6 +309,9 @@ class TestLowerCentralSeries:
     def test_whole_group_at_one(self):
         h = Heisenberg()
         assert lower_central_layer(h, 1).subgroup == h
+        z3 = FreeAbelian(3)
+        layer = lower_central_layer(z3, 1)
+        assert (layer.subgroup, layer.quotient) == (z3, z3)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedOperationError):

@@ -17,6 +17,7 @@ from endogrow.endos import (
     ProductEndo,
     WordEndo,
     identity_endo,
+    induce_on_quotient,
 )
 from endogrow.groups import (
     Free,
@@ -226,6 +227,16 @@ class TestExactRates:
         monkeypatch.setattr(growth, "spectral_radius", spy)
         exact_growth_rate(endo, 0.5)
         assert seen and set(seen) == {0.5}
+
+    def test_zero_size_blocks_read_through_spectral_radius(self):
+        # the empty matrix's char poly is 1, so its spectral radius is 0.0
+        assert exact_growth_rate(identity_endo(FreeAbelian(0))) == 0.0
+        # Z^2 / 3Z^2 has no free part: the torsion orbits alone give the rate
+        lattice = sublattice(FreeAbelian(2), [[3, 0], [0, 3]])
+        for rows, rate in (([[1, 0], [0, 1]], 1.0), ([[3, 0], [0, 3]], 0.0)):
+            induced = induce_on_quotient(MatrixEndo(FreeAbelian(2), M(rows)), lattice)
+            assert induced.group.free_rank == 0
+            assert exact_growth_rate(induced) == rate
 
     def test_word_endos_have_no_exact_route(self):
         with pytest.raises(UnsupportedOperationError):

@@ -3,9 +3,12 @@ gating."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from endogrow import laws
+from endogrow.cli import main
 from endogrow.laws import (
     LAWS,
     LawConfig,
@@ -14,6 +17,7 @@ from endogrow.laws import (
     run_law,
     run_suite,
 )
+from endogrow.record import replace
 from endogrow.specio import parse_options
 
 SEED = 20250811
@@ -232,6 +236,58 @@ def test_every_estimated_table_has_the_instances_power_count(law_id, instance, m
     )
     run_law(law_id, instance)
     assert set(powers) <= {expected}
+
+
+def _second_above_first_squared(est):
+    """A table whose second entry breaks K_2 <= K_1 ** 2."""
+    t = est.table
+    return replace(est, table=(t[0], t[0] ** 2 + 1, *t[2:])) if len(t) >= 2 else est
+
+
+def _roots_above_band(profile):
+    """A nondecreasing profile whose 6th and later roots leave the band."""
+    v = profile.values
+    return replace(profile, values=(*v[:6], *[10**9] * (len(v) - 6)))
+
+
+def _below_certificates(profile):
+    """The zero profile: nondecreasing with no root to check, below every
+    lower bound the rate table certifies."""
+    return replace(profile, values=(0,) * len(profile.values))
+
+
+def _catalog_entry(law_id):
+    return next(instance for i, instance in CATALOG if i == law_id)
+
+
+# each doctor breaks only the inequality its values key names
+@pytest.mark.parametrize(
+    "law_id, target, doctor, broken",
+    [
+        ("thm2.2.1-fekete", "growth_table", _second_above_first_squared,
+         lambda v: v["pair_violations"] > 0 and v["prefix_inf_nonincreasing"]),
+        ("thm2.2.2-generator-bound", "growth_table", _second_above_first_squared,
+         lambda v: v["violations"] > 0),
+        ("lemma5.8-distortion", "distortion_profile", _roots_above_band,
+         lambda v: not v["roots_in_band"] and v["profile_nondecreasing"]),
+        ("lemma5.8-distortion", "distortion_profile", _below_certificates,
+         lambda v: v["roots_in_band"] and v["profile_nondecreasing"]
+         and v["profile_complete"] and v["lower_bounds_certified"] > 0),
+    ],
+)
+def test_a_broken_inequality_fails_the_law_and_the_suite(
+    law_id, target, doctor, broken, monkeypatch, tmp_path
+):
+    instance = _catalog_entry(law_id)
+    assert run_law(law_id, instance).verdict == "pass"
+    real = getattr(laws, target)
+    monkeypatch.setattr(laws, target, lambda *args: doctor(real(*args)))
+    check = run_law(law_id, instance)
+    assert check.verdict == "fail"
+    assert broken(check.values)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"checks": [{"id": law_id, "instance": instance}]}))
+    assert main(["verify", "--suite", str(suite)]) == 1
 
 
 class TestSuite:

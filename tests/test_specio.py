@@ -8,6 +8,7 @@ import pytest
 
 from endogrow import specio
 from endogrow.groups import Heisenberg
+from endogrow.record import asdict
 from endogrow.specio import SpecError
 
 
@@ -62,27 +63,37 @@ class TestErrors:
 
 class TestOptions:
     def test_length_mode_override_applies_to_group(self):
+        # a length mode is set on the group; options hold no second way to set it
         parsed = specio.parse_instance(
-            {"group": {"kind": "heisenberg", "generators": 2},
-             "options": {"length_mode": "bfs", "radius": 5}}
+            {"group": {"kind": "heisenberg", "generators": 2,
+                       "length_mode": {"kind": "bfs", "radius": 5}},
+             "options": {"radius": 3}}
         )
         assert isinstance(parsed.group, Heisenberg)
         assert parsed.group.length_mode.kind == "bfs"
         assert parsed.group.length_mode.radius == 5
+        with pytest.raises(SpecError, match=r"^at options\.length_mode: unknown option$"):
+            specio.parse_instance(
+                {"group": {"kind": "heisenberg", "generators": 2},
+                 "options": {"length_mode": "bfs", "radius": 5}}
+            )
 
     def test_length_mode_override_rejected_for_products(self):
-        with pytest.raises(SpecError, match="length-mode"):
-            specio.parse_instance(
-                {"group": {"kind": "free_product",
-                           "factors": [{"kind": "free_abelian", "rank": 1},
-                                        {"kind": "free_abelian", "rank": 1}]},
-                 "options": {"length_mode": "quasi"}}
-            )
+        # a product measures through its factors' modes; its own is not ignored
+        for kind in ("direct_product", "free_product"):
+            with pytest.raises(SpecError, match=rf"^at group\.length_mode: {kind} groups take "):
+                specio.parse_instance(
+                    {"group": {"kind": kind,
+                               "factors": [{"kind": "free_abelian", "rank": 1},
+                                            {"kind": "free_abelian", "rank": 1}],
+                               "length_mode": {"kind": "bfs", "radius": 3}}}
+                )
 
     def test_defaults(self):
         parsed = specio.parse_instance({"group": {"kind": "free_abelian", "rank": 1}})
-        assert parsed.options.max_power == 20
-        assert parsed.options.radius == 10
+        assert asdict(parsed.options) == {
+            "max_power": 20, "radius": 10, "tolerance": None, "budget": None
+        }
         assert parsed.endo is None and parsed.subgroup is None
 
     @pytest.mark.parametrize("tolerance", ["abc", -1, True, math.nan, math.inf])
