@@ -5,6 +5,9 @@ exits 1).
 are measured as their letter matrix's matrix endo, and a cancelling one,
 which builds its words;
 and on a direct product of a positive word endo with a matrix endo.
+`endogrow spectral`, in both formats, on a 24x24 matrix endo with entries in
+[-5, 5], a 3x3 hyperbolic one, a semidirect block endo and a direct product of
+matrix endos: the JSON golden pins the full float of each exact rate.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
 per group kind, with `--query` lengths, one budget-cut census and a
 rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
@@ -43,6 +46,14 @@ def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
     spec = DATA / f"estimate_{name}.spec.json"
     assert main(["estimate", str(spec), "--format", fmt]) == 0
     assert capsys.readouterr().out == (DATA / f"estimate_{name}.{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", ["matrix24", "hyperbolic", "semidirect", "product"])
+def test_spectral_output_matches_golden(capsys, name, fmt, suffix):
+    spec = DATA / f"spectral_{name}.spec.json"
+    assert main(["spectral", str(spec), "--format", fmt]) == 0
+    assert capsys.readouterr().out == (DATA / f"spectral_{name}.{suffix}").read_text(encoding="utf-8")
 
 
 # golden name -> (subcommand, spec name, arguments)
