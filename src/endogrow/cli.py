@@ -62,10 +62,16 @@ def cmd_estimate(args) -> int:
     if instance.endo is None:
         raise SpecError("at endo: estimate needs an endomorphism in the spec")
     endo = instance.endo
-    if args.length_mode is not None:
+    kind = args.length_mode or instance.group.length_kind
+    if args.radius is not None and kind != "bfs":
+        raise SpecError(
+            "at --radius: only the bfs length mode takes a radius; "
+            "give --length-mode bfs or a group in bfs mode"
+        )
+    if args.length_mode is not None or args.radius is not None:
         radius = args.radius if args.radius is not None else instance.options.radius
-        group = specio.with_length_mode(instance.group, args.length_mode, radius, "--length-mode")
-        endo = replace(endo, group=group)
+        path = "--length-mode" if args.length_mode is not None else "--radius"
+        endo = replace(endo, group=specio.with_length_mode(instance.group, kind, radius, path))
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
     est = growth_table(endo, max_power)
     if args.format == "json":
@@ -272,7 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the group's length mode (bfs uses the spec's radius)",
     )
-    p_est.add_argument("--radius", type=_int_at_least(0), default=None)
+    p_est.add_argument(
+        "--radius",
+        type=_int_at_least(0),
+        default=None,
+        help="the bfs length mode's radius (with --length-mode bfs, or on a group in bfs mode)",
+    )
     p_est.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_est.set_defaults(func=cmd_estimate)
 

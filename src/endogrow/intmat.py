@@ -4,11 +4,9 @@ Everything inside a matrix operation is exact (Python ints); floating point
 enters only at the very end, in the polynomial root solver that turns an
 exact characteristic polynomial into a spectral radius.
 
-The characteristic polynomial is multi-modular: modulo each prime below
-2**60 the matrix is reduced to Hessenberg form, whose characteristic
-polynomial a recurrence gives in O(n^3) word-size operations.  The residues
-are combined by CRT until the modulus passes twice Hadamard's bound on the
-coefficients, which makes the lift exact, and one more prime checks it.
+The characteristic polynomial comes from Berkowitz's recurrence, which
+uses ring operations alone, so its integer coefficients are exact at any
+entry size with no division, modulus or bound.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -185,137 +182,29 @@ class CharPoly:
     coefficients: tuple[int, ...]
 
 
-# The 80 largest primes below 2**60 (two 30-bit CPython digits), as 2**60 - k.  char_poly
-# searches further down, within the call, only when a coefficient bound needs more.
-_PRIMES = tuple((1 << 60) - k for k in (
-    93, 107, 173, 179, 257, 279, 369, 395, 399, 453, 557, 579,
-    629, 669, 695, 707, 717, 725, 753, 777, 797, 879, 933, 983,
-    999, 1127, 1137, 1187, 1199, 1293, 1319, 1329, 1449, 1473, 1503, 1505,
-    1577, 1589, 1655, 1659, 1707, 1763, 1809, 1815, 1829, 1875, 1949, 2019,
-    2043, 2063, 2127, 2147, 2165, 2189, 2235, 2259, 2285, 2385, 2457, 2463,
-    2529, 2559, 2565, 2687, 2697, 2709, 2733, 2799, 2849, 3105, 3113, 3197,
-    3243, 3245, 3269, 3273, 3369, 3429, 3449, 3483,
-))
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin on odd n > 2 with bases that make it deterministic below 2**64."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for base in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
-        x = pow(base, d, n)
-        if x in (1, n - 1) or base % n == 0:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# The odd primes below 100 multiplied together: one gcd with it rejects about
-# three in four odd candidates before Miller-Rabin runs.
-_ODD_PRIMORIAL = math.prod((
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
-))
-
-
-def _primes():
-    """_PRIMES, then the primes below them in descending order."""
-    yield from _PRIMES
-    q = _PRIMES[-1]
-    while True:
-        q -= 2
-        if gcd(q, _ODD_PRIMORIAL) == 1 and _is_prime(q):
-            yield q
-
-
-def _char_poly_mod(rows, p: int) -> list[int]:
-    """det(xI - A) mod p, ascending, without its leading 1.
-
-    A is brought to upper Hessenberg form H by similarity mod p, and the
-    char poly is read off the recurrence p_0 = 1,
-    p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik (prod_{j=i+1..k} h_{j,j-1}) p_i.
-    """
-    n = len(rows)
-    h = [[x % p for x in row] for row in rows]
-    for j in range(n - 2):
-        k = j + 1
-        pivot = next((i for i in range(k, n) if h[i][j]), None)
-        if pivot is None:
-            continue
-        if pivot != k:
-            h[pivot], h[k] = h[k], h[pivot]
-            for row in h:
-                row[pivot], row[k] = row[k], row[pivot]
-        inv = pow(h[k][j], -1, p)
-        pivot_tail = h[k][j:]
-        targets, factors = [], []
-        for i in range(k + 1, n):
-            u = h[i][j] * inv % p
-            if u:
-                # row i -= u * row k (left of column j both rows are zero) ...
-                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], pivot_tail)]
-                targets.append(i)
-                factors.append(u)
-        if targets:
-            # ... undone on the right by column k += u * column i
-            for row in h:
-                row[k] = (row[k] + sum(map(mul, factors, map(row.__getitem__, targets)))) % p
-    polys = [[1]]
-    for k in range(n):
-        nxt = [0] + polys[k]
-        hkk = h[k][k]
-        for d, c in enumerate(polys[k]):
-            nxt[d] -= hkk * c
-        t = 1
-        for i in range(k - 1, -1, -1):
-            t = t * h[i + 1][i] % p
-            if not t:  # every longer product holds this zero too
-                break
-            f = h[i][k] * t % p
-            for d, c in enumerate(polys[i]):
-                nxt[d] -= f * c
-        polys.append([c % p for c in nxt])
-    return polys[n][:-1]
-
-
 def char_poly(a: IntMatrix) -> CharPoly:
-    """Characteristic polynomial by Hessenberg reduction mod primes and CRT.
+    """Characteristic polynomial det(xI - A) by Berkowitz's recurrence.
 
-    Each k x k principal minor is at most the product of its rows' Euclidean
-    norms (Hadamard), so every coefficient is at most
-    B = prod(1 + ceil(|r_i|)); residues are combined until the modulus
-    exceeds 2B and then lifted symmetrically, which makes the result exact.
-    One further prime checks it.
+    With A_r the leading r x r block, R = A[r][:r], C = A[:r][r] and
+    a = A[r][r], det(xI - A_{r+1}) is the lower triangular Toeplitz matrix
+    with first column 1, -a, -R C, -R A_r C, ..., -R A_r^(r-1) C times the
+    coefficients of det(xI - A_r), highest first.  Only ring operations on
+    Python ints occur, so the result is exact; the cost is O(n^4).
     """
     if not a.is_square:
         raise DimensionError("characteristic polynomial of non-square matrix")
-    rows = [a.row(i) for i in range(a.rows)]
-    bound = 1
-    for row in rows:
-        norm_sq = sum(x * x for x in row)
-        bound *= 2 + math.isqrt(norm_sq - 1) if norm_sq else 1  # 1 + ceil(|row|)
-    primes = _primes()
-    coeffs = [0] * a.rows
-    modulus = 1
-    while modulus <= 2 * bound:
-        p = next(primes)
-        inv = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inv % p)
-            for c, r in zip(coeffs, _char_poly_mod(rows, p))
-        ]
-        modulus *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in coeffs]
-    check = next(primes)
-    if [c % check for c in coeffs] != _char_poly_mod(rows, check):
-        raise ArithmeticError("characteristic polynomial check prime disagrees")
-    return CharPoly(tuple(coeffs) + (1,))
+    poly = [1]  # det(xI - A_r), highest degree first
+    for r in range(a.rows):
+        block = [a.row(i)[:r] for i in range(r)]
+        row = a.row(r)[:r]
+        col = [a.get(i, r) for i in range(r)]  # A_r^k C, from k = 0
+        toeplitz = [1, -a.get(r, r)]
+        for k in range(r):
+            toeplitz.append(-sum(map(mul, row, col)))
+            if k < r - 1:
+                col = [sum(map(mul, b, col)) for b in block]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(r + 2)]
+    return CharPoly(tuple(reversed(poly)))
 
 
 # -- integer polynomial helpers (ascending coefficient tuples) --------------
@@ -666,9 +555,12 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     u = IntMatrix(m, m, tuple(x for row in b[:m] for x in row[n:]))
     v = IntMatrix(n, n, tuple(x for row in b[m:] for x in row[:n]))
     u_inv = IntMatrix(m, m, tuple(col[i] for i in range(m) for col in w))
-    # U U^-1 == I is checked mod one prime on a vector of further primes: U^-1 has
+    # U U^-1 == I is checked mod the Mersenne prime 2**61 - 1 on the powers
+    # g, g^2, ..., g^m of the first primitive root g above p / phi: distinct and
+    # nonzero, and no small multiple of g is near a multiple of p.  U^-1 has
     # about twice U's bits, and the full product would cost more than U A V's check
-    p, *x = islice(_primes(), m + 1)
+    p, g = (1 << 61) - 1, 0x13C6EF372FE94F8E
+    x = [pow(g, k, p) for k in range(1, m + 1)]
     y = [e % p for e in u_inv.apply_col(x)]
     if mat_mul(mat_mul(u, a), v).entries != d.entries or [e % p for e in u.apply_col(y)] != x:
         raise ArithmeticError("Smith normal form transform check failed")

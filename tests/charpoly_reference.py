@@ -1,6 +1,7 @@
 """Reference characteristic polynomial for the tests: the Faddeev-LeVerrier
-recurrence over the integers, O(n^4) with big-int matrix products, kept to
-cross-check the multi-modular `endogrow.intmat.char_poly`."""
+recurrence over the integers, O(n^4) with big-int matrix products and exact
+divisions, kept to cross-check `endogrow.intmat.char_poly`, which runs
+Berkowitz's division-free recurrence."""
 
 from __future__ import annotations
 

@@ -104,6 +104,31 @@ class TestEstimate:
                 "\tmethod=lengths:bfs\texactness=exact\n"
             )
 
+    @pytest.mark.parametrize("mode", [[], ["--length-mode", "exact"], ["--length-mode", "quasi"]],
+                             ids=["spec-mode", "exact", "quasi"])
+    def test_radius_outside_bfs_mode_is_a_spec_error(self, capsys, mode):
+        spec = str(DATA / "estimate_fibonacci.spec.json")
+        assert main(["estimate", spec, "--radius", "1", "--max-m", "3", *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "spec error: at --radius: only the bfs length mode takes a radius; "
+            "give --length-mode bfs or a group in bfs mode\n"
+        )
+
+    def test_radius_resets_a_bfs_group(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "free", "rank": 2, "length_mode": {"kind": "bfs", "radius": 6}},
+             "endo": {"kind": "words", "images": [[1, 2], [1]]}},
+        )
+        assert main(["estimate", spec, "--max-m", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["table"] == [2, 3, 5]
+        # phi(a) = ab already leaves the radius-1 ball, so no power is recorded
+        assert main(["estimate", spec, "--max-m", "3", "--radius", "1", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["table"], payload["status"]) == ([], "truncated")
+
     def test_length_mode_override_rejected_for_products(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,

@@ -4,7 +4,6 @@ forms, and the root-solver-backed spectral radius."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 import random
 
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from endogrow import intmat
 from endogrow.intmat import (
-    _PRIMES,
     DimensionError,
     IntMatrix,
     RootConvergenceError,
@@ -25,18 +23,23 @@ from endogrow.intmat import (
     max_finite_order,
     smith_normal_form,
     solve_int,
-    _primes,
     spectral_radius,
 )
 
 from charpoly_reference import faddeev_char_poly
 
 SQRT2 = math.sqrt(2.0)
-P1 = _PRIMES[0]
+P1 = (1 << 60) - 93  # the largest prime below 2**60
 
 
 def M(rows):
     return IntMatrix.from_rows(rows)
+
+
+def random_rows(seed, n, bound):
+    """A seeded n x n matrix with entries in [-bound, bound]."""
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def smith_corpus():
@@ -252,6 +255,8 @@ class TestCharPoly:
                 id="all-multiples-of-p1",
             ),
             pytest.param([[0, 2**10000], [1, 0]], id="past-the-literal-primes"),
+            pytest.param(random_rows("8x8 200-bit", 8, 2**200), id="n=8-200-bit-entries"),
+            pytest.param(random_rows("32x32", 32, 5), id="n=32-entries-to-5"),
         ],
     )
     def test_named_cases_match_faddeev_leverrier(self, rows):
@@ -266,52 +271,8 @@ class TestCharPoly:
         u = M([[1, 0, 0], [1, 1, 0], [2, 1, 1]])
         n = mat_mul(mat_mul(u, M([[0, 1, 2], [0, 0, 3], [0, 0, 0]])), inverse_unimodular(u))
         assert char_poly(n).coefficients == (0, 0, 0, 1)
-        # the coefficient bound needs more primes than the literal tuple holds
-        assert math.prod(_PRIMES) < 2 * 2**10000
+        # a 10001-bit coefficient
         assert char_poly(M([[0, 2**10000], [1, 0]])).coefficients == (-(2**10000), 0, 1)
-
-    def test_literal_primes_are_the_largest_below_2_60(self):
-        # strong probable-prime tests to the first twelve prime bases are a
-        # proof below 3.3e24, so this check shares no code with intmat
-        def is_prime(q):
-            d, s = q - 1, 0
-            while d % 2 == 0:
-                d, s = d // 2, s + 1
-            for b in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-                x = pow(b, d, q)
-                if x in (1, q - 1):
-                    continue
-                for _ in range(s - 1):
-                    x = x * x % q
-                    if x == q - 1:
-                        break
-                else:
-                    return False
-            return True
-
-        assert len(set(_PRIMES)) == len(_PRIMES)
-        assert all(q < 2**60 for q in _PRIMES)
-        expected = [q for q in range(2**60 - 1, _PRIMES[-1] - 1, -2) if is_prime(q)]
-        assert list(_PRIMES) == expected
-        # past the tuple the search goes on downwards with the next primes
-        after = itertools.islice(_primes(), len(_PRIMES), len(_PRIMES) + 3)
-        below = (q for q in range(_PRIMES[-1] - 2, 0, -2) if is_prime(q))
-        assert list(after) == list(itertools.islice(below, 3))
-
-    def test_check_prime_mismatch_raises(self, monkeypatch):
-        # [[2, 1], [1, 1]] needs one CRT prime; corrupt the check prime's residues
-        calls = []
-        honest = intmat._char_poly_mod
-
-        def corrupt_second(rows, p):
-            calls.append(p)
-            residues = honest(rows, p)
-            return residues if len(calls) == 1 else [(residues[0] + 1) % p] + residues[1:]
-
-        monkeypatch.setattr(intmat, "_char_poly_mod", corrupt_second)
-        with pytest.raises(ArithmeticError):
-            char_poly(M([[2, 1], [1, 1]]))
-        assert calls == list(_PRIMES[:2])
 
 
 class TestSpectralRadius:
@@ -412,6 +373,19 @@ class TestSmithNormalForm:
             for x in (s.d, s.u, s.v):
                 digest.update(f"{x.rows}x{x.cols}:{','.join(map(hex, x.entries))};".encode())
         assert digest.hexdigest() == SMITH_CORPUS_SHA256
+
+    def test_transform_check_raises_on_a_wrong_bezout_triple(self, monkeypatch):
+        # x + 1 breaks a*x + b*y == g, so U is no longer unimodular and
+        # U U^-1 == I fails modulo the check prime
+        honest = intmat._ext_gcd
+
+        def wrong(a, b):
+            g, x, y = honest(a, b)
+            return g, x + 1, y
+
+        monkeypatch.setattr(intmat, "_ext_gcd", wrong)
+        with pytest.raises(ArithmeticError):
+            smith_normal_form(M([[2], [3]]))
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -1,15 +1,12 @@
 """Differential oracle for the exact matrix layer: characteristic polynomials
-and Smith diagonals against sympy on seeded random integer matrices, and the
-primes the multi-modular char poly searches for."""
+and Smith diagonals against sympy on seeded random integer matrices."""
 
 from __future__ import annotations
 
 import random
-from itertools import islice
 
 import pytest
 
-from endogrow import intmat
 from endogrow.intmat import IntMatrix, char_poly, mat_mul, smith_normal_form
 
 sympy = pytest.importorskip("sympy")
@@ -46,11 +43,3 @@ def test_smith_diagonal_matches_sympy(seed):
     expected = tuple(int(d[i, i]) for i in range(min(m, n)))
     assert smith_normal_form(a).diagonal == expected
 
-
-def test_searched_primes_are_every_prime_below_the_literal_ones():
-    """The gcd with small primes before Miller-Rabin skips no prime."""
-    searched = islice(intmat._primes(), len(intmat._PRIMES), len(intmat._PRIMES) + 40)
-    expected = [intmat._PRIMES[-1]]
-    for _ in range(40):
-        expected.append(sympy.prevprime(expected[-1]))
-    assert list(searched) == expected[1:]
