@@ -62,13 +62,13 @@ def cmd_estimate(args) -> int:
     if instance.endo is None:
         raise SpecError("at endo: estimate needs an endomorphism in the spec")
     endo = instance.endo
-    kind = args.length_mode or instance.group.length_kind
-    if args.radius is not None and kind != "bfs":
-        raise SpecError(
-            "at --radius: only the bfs length mode takes a radius; "
-            "give --length-mode bfs or a group in bfs mode"
-        )
     if args.length_mode is not None or args.radius is not None:
+        kind = args.length_mode or instance.group.length_kind
+        if args.radius is not None and kind != "bfs":
+            raise SpecError(
+                "at --radius: only the bfs length mode takes a radius; "
+                "give --length-mode bfs or a group in bfs mode"
+            )
         radius = args.radius if args.radius is not None else instance.options.radius
         path = "--length-mode" if args.length_mode is not None else "--radius"
         endo = replace(endo, group=specio.with_length_mode(instance.group, kind, radius, path))
