@@ -69,7 +69,10 @@ def cmd_estimate(args) -> int:
                 "at --radius: only the bfs length mode takes a radius; "
                 "give --length-mode bfs or a group in bfs mode"
             )
-        radius = args.radius if args.radius is not None else instance.options.radius
+        radius = args.radius
+        if radius is None:  # a group already in bfs mode keeps its own radius
+            bfs = instance.group.length_kind == "bfs"
+            radius = instance.group.length_mode.radius if bfs else instance.options.radius
         path = "--length-mode" if args.length_mode is not None else "--radius"
         endo = replace(endo, group=specio.with_length_mode(instance.group, kind, radius, path))
     max_power = args.max_m if args.max_m is not None else instance.options.max_power

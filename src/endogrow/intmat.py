@@ -430,16 +430,6 @@ class SmithForm:
         """D's diagonal, padded with zeros to one entry per row of U."""
         return self.diagonal + (0,) * (self.u.rows - len(self.diagonal))
 
-    @cached_property
-    def solve_rows(self):
-        """U's rows, the padded diagonal and V's rows: all that a solve
-        reads, built once per Smith form."""
-        return (
-            tuple(self.u.row(i) for i in range(self.u.rows)),
-            self.padded_diagonal,
-            tuple(self.v.row(i) for i in range(self.v.rows)),
-        )
-
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """g, x, y with a*x + b*y == g > 0 (for a, b not both zero)."""
@@ -575,27 +565,3 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     if snf.diagonal != (1,) * a.rows:
         raise ValueError("matrix is not unimodular")
     return mat_mul(snf.v, snf.u)
-
-
-def solve_int(a: IntMatrix, b: tuple[int, ...], snf: SmithForm | None = None):
-    """Solve a*x == b over the integers; returns the solution tuple or None.
-
-    A precomputed Smith form of `a` may be passed to amortize repeated solves.
-    """
-    if len(b) != a.rows:
-        raise DimensionError("right-hand side length mismatch")
-    if snf is None:
-        snf = smith_normal_form(a)
-    u_rows, diagonal, v_rows = snf.solve_rows
-    y = [sum(map(mul, row, b)) for row in u_rows]
-    z = [0] * a.cols
-    for i, (yi, di) in enumerate(zip(y, diagonal)):
-        if di == 0:
-            if yi != 0:
-                return None
-        else:
-            q, r = divmod(yi, di)
-            if r:
-                return None
-            z[i] = q
-    return tuple(sum(map(mul, row, z)) for row in v_rows)

@@ -30,7 +30,6 @@ from endogrow.intmat import (
     mat_pow,
     max_finite_order,
     smith_normal_form,
-    solve_int,
 )
 from endogrow.record import record
 
@@ -479,20 +478,41 @@ class Sublattice:
     def intrinsic_group(self) -> FreeAbelian:
         return FreeAbelian(self.rank)
 
+    @cached_property
+    def _coordinate_map(self):
+        """(member rows, moduli, coordinate forms, top), read off the shared
+        Smith form U B V = D.  With y = U v, v is a member iff d_j divides
+        y_j on every row with d_j != 1 (y_j = 0 where d_j = 0): the
+        quotient's kept rows and moduli.  A member's coordinates are
+        V (y / d) = V diag(top / d) U v / top, with top the largest nonzero
+        d_j, which every other one divides; the forms are the rows of
+        V diag(top / d) U[:rank]."""
+        u, diagonal, quotient = self.snf.u, self.snf.diagonal, self.quotient
+        top = diagonal[-1] if diagonal else 1
+        scaled = [[x * (top // d) for x in u.row(i)] for i, d in enumerate(diagonal)]
+        forms = tuple(
+            tuple(sum(map(mul, self.snf.v.row(i), col)) for col in zip(*scaled))
+            for i in range(self.rank)
+        )
+        return tuple(map(u.row, quotient._kept_rows)), quotient._moduli, forms, top
+
     def coordinates(self, v: tuple[int, ...]):
         """Basis coordinates of an ambient vector, or None if not a member."""
         if len(v) != self.ambient_rank:
             raise KindMismatchError("ambient vector has wrong length")
-        return solve_int(self.basis, v, self.snf)
+        rows, moduli, forms, top = self._coordinate_map
+        for row, d in zip(rows, moduli):
+            y = sum(map(mul, row, v))
+            if y % d if d else y:
+                return None
+        return tuple(sum(map(mul, form, v)) // top for form in forms)
 
     def _members(self, codes, box):
         """(length, intrinsic length) for each code -> length of a Z^n census
-        coded in `box` whose vector v lies in the lattice, read from the
-        code's digits.  With y = U v, v is a member iff d_j divides y_j on
-        every Smith row (y_j = 0 where d_j = 0), so rows with d_j = 1 are
-        never tested, and the others are tested on all codes at C level.
-        Only members compute their coordinates V (y / d)."""
-        u_rows, diagonal, v_rows = self.snf.solve_rows
+        coded in `box` whose vector lies in the lattice, read from the code's
+        digits through the coordinate map: membership is tested on all codes
+        at C level, and only members compute their coordinates."""
+        rows, moduli, forms, top = self._coordinate_map
 
         def values(row):
             # row . v for every code, through maps only
@@ -505,16 +525,10 @@ class Sublattice:
             return reduce(partial(map, add), terms, repeat(constant))
 
         tested = (
-            map(mod, values(row), repeat(d)) if d else values(row)
-            for row, d in zip(u_rows, diagonal)
-            if d != 1
+            map(mod, values(row), repeat(d)) if d else values(row) for row, d in zip(rows, moduli)
         )
         misses = reduce(partial(map, or_), tested, repeat(0))
-        # V (y / d) = V diag(top / d) U v / top, with top the largest nonzero
-        # d_j, which every other one divides
-        top = diagonal[self.rank - 1] if self.rank else 1
-        scaled = [[u * (top // d) for u in row] for row, d in zip(u_rows, diagonal[: self.rank])]
-        forms = [box.digit_form([sum(map(mul, row, col)) for col in zip(*scaled)]) for row in v_rows]
+        forms = [box.digit_form(form) for form in forms]
         for code, n in compress(codes.items(), map(not_, misses)):
             quotients = [code // w for w in box.weights]
             yield n, sum(abs(k + sum(map(mul, c, quotients))) for c, k in forms) // top

@@ -2,9 +2,10 @@
 equal a plain BFS over the public, checked `multiply`, a budget must cut it
 to a prefix whatever the radius asked for, a census that outgrows its box
 must recode what it found, and a lookup must never read another element's
-length through a code that carried out of its box; a sublattice's members
-and intrinsic lengths read from the census codes must equal those of the
-decoded vectors' coordinates; a library budget must be an int >= 1; the
+length through a code that carried out of its box; a sublattice's
+coordinates, and its members and intrinsic lengths read from the census
+codes, must equal those of an exact rational elimination on the decoded
+vectors; a library budget must be an int >= 1; the
 public operations of every group and endo kind still reject foreign
 elements; and the CLI rejects bad radii, budgets and query literals with
 exit code 2 and a query outside the ball with exit code 3."""
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import weakref
+from fractions import Fraction
 from functools import cache, reduce
 from itertools import accumulate
 
@@ -224,23 +227,83 @@ def test_budget_bounds_a_base_distortion_profile_of_any_radius(name):
 
 @st.composite
 def sublattices(draw):
-    """A sublattice of Z^2 or Z^3, full rank or not, on a basis with entries
+    """A sublattice of Z^2 or Z^3 of any rank 0..n, on a basis with entries
     in [-4, 4] and independent columns."""
     n = draw(st.sampled_from([2, 3]))
-    k = draw(st.integers(1, n))
+    k = draw(st.integers(0, n))
     column = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
     columns = draw(st.lists(column, min_size=k, max_size=k))
+    entries = tuple(x for row in zip(*columns) for x in row)
     try:
-        return Sublattice(n, IntMatrix.from_rows([list(row) for row in zip(*columns)]))
+        return Sublattice(n, IntMatrix(n, k, entries))
     except ValueError:
         assume(False)
 
 
+def exact_coordinates(basis, v):
+    """The integer x with basis . x == v, or None when there is none:
+    Gauss-Jordan elimination over the rationals on [basis | v], independent
+    of the Smith form the library reads."""
+    k = basis.cols
+    rows = [[Fraction(x) for x in basis.row(i)] + [Fraction(b)] for i, b in enumerate(v)]
+    for j in range(k):
+        # the columns are independent, so column j has a pivot at or below row j
+        p = next(i for i in range(j, len(rows)) if rows[i][j])
+        rows[j], rows[p] = rows[p], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i, row in enumerate(rows):
+            f = row[j]
+            if i != j and f:
+                rows[i] = [x - f * y for x, y in zip(row, rows[j])]
+    if any(row[k] for row in rows[k:]):
+        return None  # v is off the rational span
+    x = [row[k] for row in rows[:k]]
+    return tuple(map(int, x)) if all(c.denominator == 1 for c in x) else None
+
+
+def assert_coordinates_match(lattice, x, w):
+    """coordinates agrees with the exact elimination on the member B x and
+    on the shifted vector B x + w, which may lie off the lattice."""
+    v = lattice.basis.apply_col(x)
+    assert lattice.coordinates(v) == tuple(x) == exact_coordinates(lattice.basis, v)
+    shifted = tuple(a + b for a, b in zip(v, w))
+    assert lattice.coordinates(shifted) == exact_coordinates(lattice.basis, shifted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice=sublattices(), data=st.data())
+def test_sublattice_coordinates_match_exact_elimination(lattice, data):
+    n, k = lattice.ambient_rank, lattice.rank
+    x = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+    w = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    assert_coordinates_match(lattice, x, w)
+
+
+def test_sublattice_coordinates_on_seeded_bases():
+    # random bases of shapes 2x2, 3x2 and 3x3 with entries in [-4, 4]; the
+    # one draw with dependent columns is no sublattice
+    rng = random.Random(11)
+    dependent = 0
+    for _ in range(50):
+        n, k = rng.choice([(2, 2), (3, 2), (3, 3)])
+        basis = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
+        x = tuple(rng.randint(-5, 5) for _ in range(k))
+        try:
+            lattice = Sublattice(n, basis)
+        except ValueError:
+            dependent += 1
+            continue
+        w = (1,) + (0,) * (n - 1)
+        assert_coordinates_match(lattice, x, w)
+    assert dependent == 1
+    assert Sublattice(2, IntMatrix.from_rows([[2, 0], [0, 3]])).coordinates((3, 9)) is None
+
+
 def reference_members(census, lattice):
     """(length, intrinsic length) of the census's lattice members, through
-    the decoded vectors and `Sublattice.coordinates`."""
+    the decoded vectors and the exact elimination."""
     for v, n in census.lengths.items():
-        coords = lattice.coordinates(v)
+        coords = exact_coordinates(lattice.basis, v)
         if coords is not None:
             yield n, sum(map(abs, coords))
 

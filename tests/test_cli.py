@@ -129,6 +129,19 @@ class TestEstimate:
         payload = json.loads(capsys.readouterr().out)
         assert (payload["table"], payload["status"]) == ([], "truncated")
 
+    def test_length_mode_bfs_keeps_a_bfs_group_radius(self, tmp_path, capsys):
+        spec = write_spec(
+            tmp_path,
+            {"group": {"kind": "free", "rank": 2, "length_mode": {"kind": "bfs", "radius": 2}},
+             "endo": {"kind": "words", "images": [[1, 2], [1]]}},
+        )
+        tables = []
+        for extra in ([], ["--length-mode", "bfs"], ["--length-mode", "bfs", "--radius", "3"]):
+            assert main(["estimate", spec, "--max-m", "4", *extra, "--format", "json"]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["table"])
+        # phi^2(a) = aba already leaves the radius-2 ball; --radius re-sets it
+        assert tables == [[2], [2], [2, 3]]
+
     def test_length_mode_override_rejected_for_products(self, tmp_path, capsys):
         spec = write_spec(
             tmp_path,

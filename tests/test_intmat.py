@@ -22,7 +22,6 @@ from endogrow.intmat import (
     mat_pow,
     max_finite_order,
     smith_normal_form,
-    solve_int,
     spectral_radius,
 )
 
@@ -419,20 +418,6 @@ class TestSmithNormalForm:
 
 
 class TestSolveAndInverse:
-    def test_solve_round_trip(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            m_, n_ = rng.choice([(2, 2), (3, 2), (3, 3)])
-            a = M([[rng.randint(-4, 4) for _ in range(n_)] for _ in range(m_)])
-            x = tuple(rng.randint(-5, 5) for _ in range(n_))
-            b = a.apply_col(x)
-            got = solve_int(a, b)
-            assert got is not None
-            assert a.apply_col(got) == b
-
-    def test_solve_reports_no_solution(self):
-        assert solve_int(M([[2, 0], [0, 3]]), (3, 9)) is None
-
     def test_unimodular_inverse(self):
         a = M([[2, 1], [1, 1]])
         inv = inverse_unimodular(a)
