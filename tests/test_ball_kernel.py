@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import gc
 import json
-import random
 import weakref
 from fractions import Fraction
 from functools import cache, reduce
@@ -277,26 +276,6 @@ def test_sublattice_coordinates_match_exact_elimination(lattice, data):
     x = data.draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
     w = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
     assert_coordinates_match(lattice, x, w)
-
-
-def test_sublattice_coordinates_on_seeded_bases():
-    # random bases of shapes 2x2, 3x2 and 3x3 with entries in [-4, 4]; the
-    # one draw with dependent columns is no sublattice
-    rng = random.Random(11)
-    dependent = 0
-    for _ in range(50):
-        n, k = rng.choice([(2, 2), (3, 2), (3, 3)])
-        basis = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)])
-        x = tuple(rng.randint(-5, 5) for _ in range(k))
-        try:
-            lattice = Sublattice(n, basis)
-        except ValueError:
-            dependent += 1
-            continue
-        w = (1,) + (0,) * (n - 1)
-        assert_coordinates_match(lattice, x, w)
-    assert dependent == 1
-    assert Sublattice(2, IntMatrix.from_rows([[2, 0], [0, 3]])).coordinates((3, 9)) is None
 
 
 def reference_members(census, lattice):

@@ -24,6 +24,7 @@ from endogrow.intmat import (
     smith_normal_form,
     spectral_radius,
 )
+from endogrow.products import Sublattice
 
 from charpoly_reference import faddeev_char_poly
 
@@ -418,6 +419,27 @@ class TestSmithNormalForm:
 
 
 class TestSolveAndInverse:
+    def test_solve_round_trip(self):
+        # random bases of shapes 2x2, 3x2 and 3x3 with entries in [-4, 4]:
+        # a sublattice's coordinates recover x from B x; the one draw with
+        # dependent columns is no sublattice
+        rng = random.Random(11)
+        dependent = 0
+        for _ in range(50):
+            m_, n_ = rng.choice([(2, 2), (3, 2), (3, 3)])
+            a = M([[rng.randint(-4, 4) for _ in range(n_)] for _ in range(m_)])
+            x = tuple(rng.randint(-5, 5) for _ in range(n_))
+            try:
+                lattice = Sublattice(m_, a)
+            except ValueError:
+                dependent += 1
+                continue
+            assert lattice.coordinates(a.apply_col(x)) == x
+        assert dependent == 1
+
+    def test_solve_reports_no_solution(self):
+        assert Sublattice(2, M([[2, 0], [0, 3]])).coordinates((3, 9)) is None
+
     def test_unimodular_inverse(self):
         a = M([[2, 1], [1, 1]])
         inv = inverse_unimodular(a)
