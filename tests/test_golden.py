@@ -4,7 +4,10 @@ exits 1).
 `endogrow estimate`, in both formats, on word endos: two positive ones, which
 are measured as their letter matrix's matrix endo, and a cancelling one,
 which builds its words;
-and on a direct product of a positive word endo with a matrix endo.
+on a direct product of a positive word endo with a matrix endo;
+and on groups whose spec sets the bfs length mode: a matrix endo whose table
+is cut where the images leave the radius-6 ball, and a word endo whose first
+image already leaves the radius-1 ball (an empty table).
 `endogrow spectral`, in both formats, on a 24x24 matrix endo with entries in
 [-5, 5], a 3x3 hyperbolic one, a semidirect block endo and a direct product of
 matrix endos: the JSON golden pins the full float of each exact rate.
@@ -41,7 +44,8 @@ def test_verify_output_matches_golden(capsys, seed, fmt, golden, code):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
-@pytest.mark.parametrize("name", ["fibonacci", "positive_f3", "cancelling", "product"])
+@pytest.mark.parametrize(
+    "name", ["fibonacci", "positive_f3", "cancelling", "product", "bfs_matrix", "bfs_empty"])
 def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
     spec = DATA / f"estimate_{name}.spec.json"
     assert main(["estimate", str(spec), "--format", fmt]) == 0
