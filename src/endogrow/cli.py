@@ -17,7 +17,7 @@ from endogrow.groups import KindMismatchError, OutOfBallError, UnsupportedOperat
 from endogrow.intmat import RootConvergenceError
 from endogrow.laws import LawConfig, run_suite
 from endogrow.products import Semidirect
-from endogrow.record import asdict, replace
+from endogrow.record import asdict
 from endogrow.growth import distortion_rate, exact_growth_rate, growth_table
 from endogrow.specio import SpecError
 
@@ -61,22 +61,8 @@ def cmd_estimate(args) -> int:
     instance = specio.load_instance_file(args.spec)
     if instance.endo is None:
         raise SpecError("at endo: estimate needs an endomorphism in the spec")
-    endo = instance.endo
-    if args.length_mode is not None or args.radius is not None:
-        kind = args.length_mode or instance.group.length_kind
-        if args.radius is not None and kind != "bfs":
-            raise SpecError(
-                "at --radius: only the bfs length mode takes a radius; "
-                "give --length-mode bfs or a group in bfs mode"
-            )
-        radius = args.radius
-        if radius is None:  # a group already in bfs mode keeps its own radius
-            bfs = instance.group.length_kind == "bfs"
-            radius = instance.group.length_mode.radius if bfs else instance.options.radius
-        path = "--length-mode" if args.length_mode is not None else "--radius"
-        endo = replace(endo, group=specio.with_length_mode(instance.group, kind, radius, path))
     max_power = args.max_m if args.max_m is not None else instance.options.max_power
-    est = growth_table(endo, max_power)
+    est = growth_table(instance.endo, max_power)
     if args.format == "json":
         _emit(json.dumps(asdict(est), sort_keys=True) + "\n")
         return EXIT_OK
@@ -192,7 +178,7 @@ def cmd_distortion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = LawConfig(seed=args.seed)
+    seed = args.seed  # an explicit --seed beats the suite file's seed
     if args.suite == "default":
         catalog = None
     else:
@@ -200,7 +186,8 @@ def cmd_verify(args) -> int:
         if not isinstance(data, dict) or "checks" not in data:
             raise SpecError("at suite: expected an object with a 'checks' list")
         if "seed" in data:
-            config = LawConfig(seed=specio.expect_int(data["seed"], "seed"))
+            file_seed = specio.expect_int(data["seed"], "seed")
+            seed = file_seed if seed is None else seed
         if not isinstance(data["checks"], list):
             raise SpecError("at checks: expected a list of checks")
         catalog = []
@@ -209,7 +196,7 @@ def cmd_verify(args) -> int:
                 raise SpecError(f"at checks[{i}]: expected an object with an 'id'")
             instance = specio.expect_dict(entry.get("instance", {}), f"checks[{i}].instance")
             catalog.append((entry["id"], instance))
-    report = run_suite(config, catalog)
+    report = run_suite(LawConfig() if seed is None else LawConfig(seed=seed), catalog)
     if args.format == "json":
         payload = {
             "seed": report.seed,
@@ -275,18 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="iterated-image growth table and estimate")
     p_est.add_argument("spec", help="instance spec file (JSON)")
     p_est.add_argument("--max-m", type=_int_at_least(1), default=None)
-    p_est.add_argument(
-        "--length-mode",
-        choices=("exact", "quasi", "bfs"),
-        default=None,
-        help="override the group's length mode (bfs uses the spec's radius)",
-    )
-    p_est.add_argument(
-        "--radius",
-        type=_int_at_least(0),
-        default=None,
-        help="the bfs length mode's radius (with --length-mode bfs, or on a group in bfs mode)",
-    )
     p_est.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -318,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the law-check suite")
     p_ver.add_argument("--suite", default="default", help="'default' or a suite JSON file")
-    p_ver.add_argument("--seed", type=int, default=20250811)
+    p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -30,7 +30,7 @@ from endogrow.endos import (
     SemidirectEndo,
     WordEndo,
 )
-from endogrow.record import record, replace
+from endogrow.record import record
 
 
 class SpecError(ValueError):
@@ -86,14 +86,6 @@ def _mode_keyword(d: dict, path: str) -> dict:
         _fail(f"{path}.kind", f"unknown length mode {kind!r}")
     radius = expect_int(mode.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
     return {"length_mode": _build(path, LengthMode, kind, radius)}
-
-
-def with_length_mode(group: Group, kind: str, radius: int, path: str) -> Group:
-    """The group measured in another length mode; bfs enumerates to radius."""
-    if not hasattr(group, "length_mode"):
-        _fail(path, f"group kind {group.kind!r} does not take a length-mode override")
-    mode = _build(path, LengthMode, kind, radius if kind == "bfs" else 0)
-    return replace(group, length_mode=mode)
 
 
 def parse_group(d, path: str = "group") -> Group:

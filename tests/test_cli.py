@@ -75,13 +75,10 @@ class TestEstimate:
         assert lines[0] == "m\tK_m\troot\tinf_bound\tratio_estimate"
         assert len(lines) == 1 + 4 + 1  # header, rows, summary
 
-    def test_length_mode_override_to_bfs(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, SWAP_SPEC)
-        code = main(
-            ["estimate", spec, "--max-m", "8", "--length-mode", "bfs",
-             "--radius", "6", "--format", "json"]
-        )
-        assert code == 0
+    def test_length_mode_override_to_bfs(self, capsys):
+        # the spec's group is measured in bfs mode at its own radius, 6
+        spec = str(DATA / "estimate_bfs_matrix.spec.json")
+        assert main(["estimate", spec, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         # truncated where images leave the enumerated ball, lengths still exact
         assert payload["status"] == "truncated"
@@ -90,9 +87,8 @@ class TestEstimate:
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_first_image_outside_the_bfs_ball_is_truncated(self, capsys, fmt):
         # phi(a) = ab already leaves the radius-1 ball, so no power is recorded
-        spec = str(DATA / "estimate_fibonacci.spec.json")
-        argv = ["estimate", spec, "--length-mode", "bfs", "--radius", "1", "--format", fmt]
-        assert main(argv) == 0
+        spec = str(DATA / "estimate_bfs_empty.spec.json")
+        assert main(["estimate", spec, "--format", fmt]) == 0
         out = capsys.readouterr().out
         if fmt == "json":
             payload = json.loads(out)
@@ -104,59 +100,29 @@ class TestEstimate:
                 "\tmethod=lengths:bfs\texactness=exact\n"
             )
 
-    @pytest.mark.parametrize("mode", [[], ["--length-mode", "exact"], ["--length-mode", "quasi"]],
-                             ids=["spec-mode", "exact", "quasi"])
-    def test_radius_outside_bfs_mode_is_a_spec_error(self, capsys, mode):
-        spec = str(DATA / "estimate_fibonacci.spec.json")
-        assert main(["estimate", spec, "--radius", "1", "--max-m", "3", *mode]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "spec error: at --radius: only the bfs length mode takes a radius; "
-            "give --length-mode bfs or a group in bfs mode\n"
-        )
-
-    def test_radius_resets_a_bfs_group(self, tmp_path, capsys):
-        spec = write_spec(
-            tmp_path,
-            {"group": {"kind": "free", "rank": 2, "length_mode": {"kind": "bfs", "radius": 6}},
-             "endo": {"kind": "words", "images": [[1, 2], [1]]}},
-        )
-        assert main(["estimate", spec, "--max-m", "3", "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out)["table"] == [2, 3, 5]
-        # phi(a) = ab already leaves the radius-1 ball, so no power is recorded
-        assert main(["estimate", spec, "--max-m", "3", "--radius", "1", "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert (payload["table"], payload["status"]) == ([], "truncated")
-
     def test_length_mode_bfs_keeps_a_bfs_group_radius(self, tmp_path, capsys):
-        spec = write_spec(
-            tmp_path,
-            {"group": {"kind": "free", "rank": 2, "length_mode": {"kind": "bfs", "radius": 2}},
-             "endo": {"kind": "words", "images": [[1, 2], [1]]}},
-        )
         tables = []
-        for extra in ([], ["--length-mode", "bfs"], ["--length-mode", "bfs", "--radius", "3"]):
-            assert main(["estimate", spec, "--max-m", "4", *extra, "--format", "json"]) == 0
+        for radius in (2, 3):
+            spec = write_spec(
+                tmp_path,
+                {"group": {"kind": "free", "rank": 2, "length_mode": {"kind": "bfs", "radius": radius}},
+                 "endo": {"kind": "words", "images": [[1, 2], [1]]},
+                 "options": {"radius": 6}},
+            )
+            assert main(["estimate", spec, "--max-m", "4", "--format", "json"]) == 0
             tables.append(json.loads(capsys.readouterr().out)["table"])
-        # phi^2(a) = aba already leaves the radius-2 ball; --radius re-sets it
-        assert tables == [[2], [2], [2, 3]]
+        # phi^2(a) = aba leaves the radius-2 ball and phi^3(a) the radius-3 one;
+        # options.radius is not read
+        assert tables == [[2], [2, 3]]
 
-    def test_length_mode_override_rejected_for_products(self, tmp_path, capsys):
-        spec = write_spec(
-            tmp_path,
-            {"group": {"kind": "direct_product",
-                       "factors": [{"kind": "free_abelian", "rank": 1},
-                                    {"kind": "free_abelian", "rank": 1}]},
-             "endo": {"kind": "product",
-                      "factors": [{"kind": "matrix", "rows": [[2]]},
-                                   {"kind": "matrix", "rows": [[3]]}]}},
-        )
-        assert main(["estimate", spec, "--length-mode", "quasi"]) == 2
-        assert capsys.readouterr().err == (
-            "spec error: at --length-mode: group kind 'direct_product' does not take "
-            "a length-mode override\n"
-        )
+    @pytest.mark.parametrize("flag", [["--length-mode", "bfs"], ["--radius", "1"]])
+    def test_length_mode_and_radius_flags_are_usage_errors(self, capsys, flag):
+        # a group's length mode and bfs radius are set only on the spec's group
+        spec = str(DATA / "estimate_fibonacci.spec.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", spec, *flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_table_value_over_4300_digits(self, tmp_path, capsys, fmt):
@@ -360,6 +326,19 @@ class TestVerify:
         assert main(["verify", "--seed", str(seed), "--format", "json"]) == code == 0
         assert capsys.readouterr().out == out
 
+    def test_seed_flag_beats_the_suite_file_seed(self, tmp_path, capsys):
+        # --seed, then the suite file's seed, then LawConfig's default
+        seeds = []
+        for suite, extra in [({"seed": 7}, ["--seed", "10"]), ({"seed": 7}, []), ({}, [])]:
+            path = write_spec(tmp_path, {**suite, "checks": []}, "suite.json")
+            assert main(["verify", "--suite", path, *extra, "--format", "json"]) == 0
+            seeds.append(json.loads(capsys.readouterr().out)["seed"])
+        assert seeds == [10, 7, 20250811]
+        # the file's seed is checked under --seed too
+        path = write_spec(tmp_path, {"seed": "abc", "checks": []}, "suite.json")
+        assert main(["verify", "--suite", path, "--seed", "10"]) == 2
+        assert "at seed:" in capsys.readouterr().err
+
     def test_empty_suite_succeeds(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"checks": []}, "suite.json")
         assert main(["verify", "--suite", path]) == 0
@@ -432,11 +411,10 @@ class TestVerify:
     "options, argv, budget_env",
     [
         ({}, ["spectral", "--tol", "-1"], None),
-        ({}, ["estimate", "--length-mode", "bfs", "--radius", "0"], None),
         ({"length_mode": "bfs"}, ["estimate"], None),  # not an option: set on the group
         ({"tolerance": "abc"}, ["estimate"], None),
-        ({}, ["ball", "--radius", "2"], "abc"),
         ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
+        ({}, ["ball", "--radius", "2"], "abc"),
     ],
 )
 def test_input_fault_exits_2(tmp_path, capsys, monkeypatch, options, argv, budget_env):

@@ -182,7 +182,7 @@ MAX_M = flag("--max-m", ["1", "4"], ["0", "x"])
 BUDGET = flag("--budget", ["1", "10", "100"], ["0", "x"])
 FORMAT = flag("--format", ["tsv", "json"], ["xml"])
 COMMAND_FLAGS = {
-    "estimate": [RADIUS, MAX_M, FORMAT, flag("--length-mode", ["exact", "quasi", "bfs"], ["fuzzy"])],
+    "estimate": [MAX_M, FORMAT],
     "spectral": [FORMAT, flag("--tol", ["1e-9", "0.5"], ["0", "-1", "nan", "x"])],
     "ball": [RADIUS, BUDGET, FORMAT,
              flag("--query", ["[1,0]", "[0,0,1]", "[[1],[2]]", "[1,-1]", "[0]"], ["[true]", "x"])],
