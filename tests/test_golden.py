@@ -12,7 +12,7 @@ image already leaves the radius-1 ball (an empty table).
 [-5, 5], a 3x3 hyperbolic one, a semidirect block endo and a direct product of
 matrix endos: the JSON golden pins the full float of each exact rate.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
-per group kind, with `--query` lengths, one budget-cut census and a
+per group kind, with `--query` lengths, a budget-cut census and profile, and a
 rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ CENSUS_CASES = {
         "--radius", "6", "--query", "[[1,1],[1]]", "--query", "[[8,5],[2]]", "--query", "[[5,3],[0]]"]),
     "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--budget", "200", "--query", "[1,2]"]),
     "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
+    "distortion_budget_cut": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6", "--budget", "500"]),
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
     "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
