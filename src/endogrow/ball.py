@@ -64,7 +64,6 @@ class BallCensus:
     census coded for.
     """
 
-    radius: int
     completed_radius: int
     coded_radius: int
     counts: tuple[int, ...]
@@ -156,7 +155,6 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
             lengths = {encode(decode(x)): k for x, k in lengths.items()}
             frontier = list(lengths)[-len(frontier) :]
     return BallCensus(
-        radius=radius,
         completed_radius=completed,
         coded_radius=coded,
         counts=tuple(counts[: completed + 1]),

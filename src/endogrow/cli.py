@@ -106,14 +106,10 @@ def _parse_query_element(raw: str, group):
     return element
 
 
-def _budget(args, instance):
-    return args.budget if args.budget is not None else instance.options.budget
-
-
 def cmd_ball(args) -> int:
     instance = specio.load_instance_file(args.spec)
     radius = args.radius if args.radius is not None else instance.options.radius
-    census = enumerate_ball(instance.group, radius, _budget(args, instance))
+    census = enumerate_ball(instance.group, radius)
     queries = []
     for raw in args.query or []:
         element = _parse_query_element(raw, instance.group)
@@ -148,7 +144,7 @@ def cmd_distortion(args) -> int:
     semidirect = isinstance(group, Semidirect)
     if instance.subgroup is None and not semidirect:
         raise SpecError("at subgroup: distortion on this group needs a subgroup spec")
-    profile = distortion_profile(group, instance.subgroup, radius, _budget(args, instance))
+    profile = distortion_profile(group, instance.subgroup, radius)
     rate = distortion_rate(group, max_power) if semidirect else None
     if args.format == "json":
         payload = {"profile": list(profile.values), "complete": profile.complete}
@@ -274,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ball = sub.add_parser("ball", help="BFS ball census (radius, count) table")
     p_ball.add_argument("spec")
     p_ball.add_argument("--radius", type=_int_at_least(0), default=None)
-    p_ball.add_argument("--budget", type=_int_at_least(1), default=None)
     p_ball.add_argument(
         "--query",
         action="append",
@@ -287,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("spec")
     p_dist.add_argument("--radius", type=_int_at_least(0), default=None)
     p_dist.add_argument("--max-m", type=_int_at_least(1), default=None)
-    p_dist.add_argument("--budget", type=_int_at_least(1), default=None)
     p_dist.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_dist.set_defaults(func=cmd_distortion)
 

@@ -413,7 +413,7 @@ def identity_endo(group: Group) -> Endomorphism:
     if isinstance(group, FreeAbelian):
         return MatrixEndo(group, IntMatrix.identity(group.rank))
     if isinstance(group, Free):
-        return WordEndo(group, tuple(g for _, g in group.generators))
+        return WordEndo(group, group.generators)
     if isinstance(group, Heisenberg):
         return HeisenbergEndo(group, 1, 1)
     if isinstance(group, (DirectProduct, FreeProduct)):

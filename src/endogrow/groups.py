@@ -18,9 +18,6 @@ from endogrow.record import record
 EXACT = "exact"
 QUASI_EQUIVALENT = "quasi-equivalent"
 
-_GEN_NAMES_ABELIAN = ("x", "y", "z")
-_GEN_NAMES_FREE = ("a", "b", "c", "d")
-
 
 class KindMismatchError(ValueError):
     """Element does not belong to the group it was used with."""
@@ -148,8 +145,8 @@ class Group(ABC):
 
     @property
     @abstractmethod
-    def generators(self) -> tuple[tuple[str, tuple], ...]:
-        """Ordered (name, element) pairs; certified generating by construction."""
+    def generators(self) -> tuple[tuple, ...]:
+        """The generating elements in a fixed order; generating by construction."""
 
     @abstractmethod
     def identity(self) -> tuple: ...
@@ -210,7 +207,7 @@ class Group(ABC):
         """Generators and their inverses, deduplicated, in a fixed order."""
         out = []
         seen = set()
-        for _, g in self.generators:
+        for g in self.generators:
             for el in (g, self.invert(g)):
                 if el not in seen and el != self.identity():
                     seen.add(el)
@@ -248,12 +245,7 @@ class FreeAbelian(Group):
 
     @property
     def generators(self):
-        names = _GEN_NAMES_ABELIAN if self.rank <= 3 else None
-        out = []
-        for i in range(self.rank):
-            name = names[i] if names else f"x{i + 1}"
-            out.append((name, tuple(1 if j == i else 0 for j in range(self.rank))))
-        return tuple(out)
+        return tuple(tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank))
 
     def identity(self):
         return (0,) * self.rank
@@ -301,10 +293,7 @@ class Free(Group):
 
     @property
     def generators(self):
-        names = _GEN_NAMES_FREE if self.rank <= 4 else None
-        return tuple(
-            (names[i] if names else f"a{i + 1}", (i + 1,)) for i in range(self.rank)
-        )
+        return tuple((i + 1,) for i in range(self.rank))
 
     def identity(self):
         return ()
@@ -363,8 +352,8 @@ class Heisenberg(Group):
     @property
     def generators(self):
         if self.generator_count == 3:
-            return (("x", (1, 0, 0)), ("y", (0, 1, 0)), ("z", (0, 0, 1)))
-        return (("x", (1, 0, 0)), ("z", (0, 0, 1)))
+            return ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        return ((1, 0, 0), (0, 0, 1))
 
     def identity(self):
         return (0, 0, 0)

@@ -155,7 +155,7 @@ def _lengths(endo: Endomorphism):
     # they start from the generators
     group = endo.group
     measure = group._word_length if group.length_kind == "bfs" else group._length
-    images = [g for _, g in group.generators]
+    images = group.generators
     while True:
         images = endo._next_images(images)
         try:
@@ -169,7 +169,7 @@ def _torsion_orbit_rate(endo: QuotientEndo) -> float:
     """Growth contribution of the torsion part: 0 if every generator orbit
     dies, else 1 (orbits in a finite group are eventually periodic)."""
     group = endo.group
-    for _, g in group.generators[: len(group.torsion_moduli)]:
+    for g in group.generators[: len(group.torsion_moduli)]:
         seen = set()
         while g not in seen:
             seen.add(g)

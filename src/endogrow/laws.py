@@ -449,7 +449,7 @@ def _law_distortion(instance, options, seed, tol):
     if not isinstance(group, Semidirect):
         raise Inapplicable("needs a semidirect product")
     rate = distortion_rate(group, options.max_power)
-    profile = distortion_profile(group, "base", options.radius, options.budget)
+    profile = distortion_profile(group, "base", options.radius)
     rho = profile.values
     nondecreasing = all(a <= b for a, b in zip(rho, rho[1:]))
     ceiling = rate.sqrt_spectral + 0.05

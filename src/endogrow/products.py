@@ -48,12 +48,10 @@ class DirectProduct(Group):
 
     @property
     def generators(self):
-        out = []
-        for name, g in self.left.generators:
-            out.append((f"{name}.0", (g, self.right.identity())))
-        for name, g in self.right.generators:
-            out.append((f"{name}.1", (self.left.identity(), g)))
-        return tuple(out)
+        left, right = self.left.identity(), self.right.identity()
+        return tuple((g, right) for g in self.left.generators) + tuple(
+            (left, g) for g in self.right.generators
+        )
 
     def identity(self):
         return (self.left.identity(), self.right.identity())
@@ -147,11 +145,7 @@ class FreeProduct(Group):
 
     @property
     def generators(self):
-        out = []
-        for i in (0, 1):
-            for name, g in self.factor(i).generators:
-                out.append((f"{name}.{i}", ((i, g),)))
-        return tuple(out)
+        return tuple(((i, g),) for i in (0, 1) for g in self.factor(i).generators)
 
     def identity(self):
         return ()
@@ -321,14 +315,10 @@ class Semidirect(Group):
 
     @property
     def generators(self):
-        out = []
-        for name, g in self.base.generators:
-            out.append((name, (g, self.quotient.identity())))
-        for i in range(self.quotient_rank):
-            name = "t" if self.quotient_rank == 1 else f"t{i + 1}"
-            q = tuple(1 if j == i else 0 for j in range(self.quotient_rank))
-            out.append((name, (self.base.identity(), q)))
-        return tuple(out)
+        base, quotient = self.base.identity(), self.quotient.identity()
+        return tuple((g, quotient) for g in self.base.generators) + tuple(
+            (base, q) for q in self.quotient.generators
+        )
 
     def identity(self):
         return (self.base.identity(), self.quotient.identity())
@@ -498,8 +488,7 @@ class Sublattice:
 
     def coordinates(self, v: tuple[int, ...]):
         """Basis coordinates of an ambient vector, or None if not a member."""
-        if len(v) != self.ambient_rank:
-            raise KindMismatchError("ambient vector has wrong length")
+        FreeAbelian(self.ambient_rank).check(v)
         rows, moduli, forms, top = self._coordinate_map
         for row, d in zip(rows, moduli):
             y = sum(map(mul, row, v))
@@ -593,11 +582,8 @@ class AbelianQuotient(Group):
 
     @property
     def generators(self):
-        n_t, k = len(self.torsion_moduli), len(self._moduli)
-        return tuple(
-            (f"c{i + 1}" if i < n_t else f"f{i - n_t + 1}", tuple(int(j == i) for j in range(k)))
-            for i in range(k)
-        )
+        k = len(self._moduli)
+        return tuple(tuple(int(j == i) for j in range(k)) for i in range(k))
 
     def identity(self):
         return (0,) * len(self._moduli)

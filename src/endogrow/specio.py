@@ -191,14 +191,13 @@ class Options:
     max_power: int = 20
     radius: int = 10
     tolerance: float | None = None  # overrides a law's default tolerance when set
-    budget: int | None = None
 
 
 def parse_options(d, path: str = "options") -> Options:
     if d is None:
         return Options()
     d = expect_dict(d, path)
-    known = {"max_m", "radius", "tolerance", "budget"}
+    known = {"max_m", "radius", "tolerance"}
     for key in d:
         if key not in known:
             _fail(f"{path}.{key}", "unknown option")
@@ -213,7 +212,6 @@ def parse_options(d, path: str = "options") -> Options:
         max_power=expect_int(d.get("max_m", 20), f"{path}.max_m", 1),
         radius=expect_int(d.get("radius", 10), f"{path}.radius", 0),
         tolerance=None if tolerance is None else float(tolerance),
-        budget=expect_int(d["budget"], f"{path}.budget", 1) if "budget" in d else None,
     )
 
 

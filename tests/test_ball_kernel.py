@@ -461,7 +461,7 @@ def test_bfs_mode_census_holds_no_reference_to_its_group(kind):
     # a coding closure kept in the census that held the group would make a
     # cycle group -> census -> closure -> group
     group = BFS_MODE_GROUPS[kind](LengthMode("bfs", 4))
-    group.word_length(group.generators[0][1])
+    group.word_length(group.generators[0])
     ref = weakref.ref(group._bfs_census)
     gc.disable()
     try:
@@ -485,7 +485,7 @@ FOREIGN = {
 @pytest.mark.parametrize("name", sorted(FOREIGN))
 def test_public_operations_reject_foreign_elements(name):
     group, foreign = FOREIGN[name]
-    gen = group.generators[0][1]
+    gen = group.generators[0]
     with pytest.raises(KindMismatchError):
         group.multiply(gen, foreign)
     with pytest.raises(KindMismatchError):
@@ -553,26 +553,31 @@ SUBLATTICE_SPEC = {
 
 
 class TestBudget:
-    def test_distortion_honours_spec_budget(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": 10}})
+    def test_distortion_honours_spec_budget(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENDOGROW_BUDGET", "10")
+        spec = write_spec(tmp_path, SUBLATTICE_SPEC)
         assert main(["distortion", spec, "--radius", "50", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["complete"] is False
         assert payload["profile"] == [0, 1]
 
-    def test_cli_budget_overrides_spec_budget(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": 10}})
-        code = main(["ball", spec, "--radius", "5", "--budget", "1000", "--format", "json"])
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["complete"] is True
-
     @pytest.mark.parametrize("command", ["ball", "distortion"])
     @pytest.mark.parametrize("budget", ["0", "-3"])
-    def test_budget_below_one_exits_2(self, tmp_path, capsys, command, budget):
+    def test_budget_below_one_exits_2(self, tmp_path, capsys, monkeypatch, command, budget):
+        monkeypatch.setenv("ENDOGROW_BUDGET", budget)
+        spec = write_spec(tmp_path, SUBLATTICE_SPEC)
+        assert main([command, spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ENDOGROW_BUDGET" in captured.err
+
+    @pytest.mark.parametrize("command", ["ball", "distortion"])
+    def test_budget_flag_is_gone(self, tmp_path, capsys, command):
+        # ENDOGROW_BUDGET is a census's one budget source
         spec = write_spec(tmp_path, SUBLATTICE_SPEC)
         with pytest.raises(SystemExit) as exc:
-            main([command, spec, "--budget", budget])
+            main([command, spec, "--budget", "10"])
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("budget", [2.7, 0, -5, True, "12"])
     def test_library_budget_is_an_int_at_least_one(self, budget):
@@ -590,9 +595,12 @@ class TestBudget:
             enumerate_ball(FreeAbelian(2), radius)
 
     def test_spec_budget_below_one_exits_2(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": 0}})
-        assert main(["ball", spec]) == 2
-        assert "options.budget" in capsys.readouterr().err
+        # options.budget is an unknown option, whatever its value
+        for budget in (0, 10):
+            spec = write_spec(tmp_path, {**SUBLATTICE_SPEC, "options": {"budget": budget}})
+            assert main(["ball", spec]) == 2
+            err = capsys.readouterr().err
+            assert "options.budget" in err and "unknown option" in err
 
 
 class TestBoundary:

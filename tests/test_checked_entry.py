@@ -66,7 +66,7 @@ def free_reduce(letters) -> tuple[int, ...]:
 def reference_table(endo, max_power):
     """growth_table's table and exactness, through the public operations."""
     group = endo.group
-    current = [g for _, g in group.generators]
+    current = list(group.generators)
     table = []
     exactness = EXACT
     for _ in range(max_power):

@@ -126,9 +126,7 @@ OPTION_FAULTS = st.sampled_from([{"tolerance": -1}, {"tolerance": "x"}, {"length
 options = st.builds(
     lambda base, extra: {**base, **extra},
     st.fixed_dictionaries({"max_m": st.integers(1, 4), "radius": st.integers(1, 3)}),
-    mostly(st.sampled_from([{}, {"tolerance": 0.1}, {"tolerance": 1e-9}, {"budget": 5},
-                            {"budget": 50}]),
-           OPTION_FAULTS),
+    mostly(st.sampled_from([{}, {"tolerance": 0.1}, {"tolerance": 1e-9}]), OPTION_FAULTS),
 )
 
 
@@ -179,14 +177,13 @@ def flag(name, good, bad):
 
 RADIUS = flag("--radius", ["0", "2", "3"], ["-1", "x"])
 MAX_M = flag("--max-m", ["1", "4"], ["0", "x"])
-BUDGET = flag("--budget", ["1", "10", "100"], ["0", "x"])
 FORMAT = flag("--format", ["tsv", "json"], ["xml"])
 COMMAND_FLAGS = {
     "estimate": [MAX_M, FORMAT],
     "spectral": [FORMAT, flag("--tol", ["1e-9", "0.5"], ["0", "-1", "nan", "x"])],
-    "ball": [RADIUS, BUDGET, FORMAT,
+    "ball": [RADIUS, FORMAT,
              flag("--query", ["[1,0]", "[0,0,1]", "[[1],[2]]", "[1,-1]", "[0]"], ["[true]", "x"])],
-    "distortion": [RADIUS, MAX_M, BUDGET, FORMAT],
+    "distortion": [RADIUS, MAX_M, FORMAT],
 }
 
 

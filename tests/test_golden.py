@@ -71,18 +71,22 @@ CENSUS_CASES = {
         "--radius", "5", "--query", "[[1,2],[-1]]", "--query", "[[],[3]]"]),
     "ball_semidirect": ("ball", "ball_semidirect", [
         "--radius", "6", "--query", "[[1,1],[1]]", "--query", "[[8,5],[2]]", "--query", "[[5,3],[0]]"]),
-    "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--budget", "200", "--query", "[1,2]"]),
+    "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--query", "[1,2]"]),
     "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
-    "distortion_budget_cut": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6", "--budget", "500"]),
+    "distortion_budget_cut": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
     "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
+# golden name -> the ENDOGROW_BUDGET that cuts its census
+CENSUS_BUDGETS = {"ball_budget_cut": "200", "distortion_budget_cut": "500"}
 
 
 @pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
 @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
-def test_census_output_matches_golden(capsys, name, fmt, suffix):
+def test_census_output_matches_golden(capsys, monkeypatch, name, fmt, suffix):
     command, spec, args = CENSUS_CASES[name]
+    if name in CENSUS_BUDGETS:
+        monkeypatch.setenv("ENDOGROW_BUDGET", CENSUS_BUDGETS[name])
     assert main([command, str(DATA / f"{spec}.spec.json"), *args, "--format", fmt]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.{suffix}").read_text(encoding="utf-8")
 

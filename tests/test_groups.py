@@ -140,7 +140,7 @@ class TestWordLength:
     ],
 )
 def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
-    for _, generator in group.generators:
+    for generator in group.generators:
         assert group.exactness == group.word_length(generator).exactness == expected
 
 

@@ -160,7 +160,7 @@ class TestGrowthTable:
         group = FreeAbelian(2, LengthMode("bfs", 6))
         endo = MatrixEndo(group, M(rows))
         lengths = ball.enumerate_ball(FreeAbelian(2), 6).lengths
-        images = [g for _, g in group.generators]
+        images = list(group.generators)
         expected = []
         for _ in range(max_power):
             images = [endo._apply(g) for g in images]

@@ -154,12 +154,13 @@ def test_inapplicable_branch_reports_reason_and_default_tolerance(
     assert check.tolerance == tolerance
 
 
-def test_distortion_honours_instance_budget():
+def test_distortion_honours_instance_budget(monkeypatch):
+    monkeypatch.setenv("ENDOGROW_BUDGET", "10")
     check = run_law(
         "lemma5.8-distortion",
         {"group": {"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
                    "action": [[[2, 1], [1, 1]]]},
-         "options": {"max_m": 10, "radius": 8, "budget": 10}},
+         "options": {"max_m": 10, "radius": 8}},
     )
     assert check.values["profile_complete"] is False
     assert check.verdict == "fail"

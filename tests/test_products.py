@@ -251,6 +251,12 @@ class TestSublattice:
         with pytest.raises(ValueError):
             Sublattice(2, M([[1, 2], [1, 2]]))
 
+    @pytest.mark.parametrize("v", [(1, "a"), (2, 0.0), (True, 0)])
+    def test_coordinates_take_only_int_vectors(self, v):
+        # checked as Z^2 checks its elements, not left to the map's arithmetic
+        with pytest.raises(KindMismatchError):
+            Sublattice(2, M([[2], [0]])).coordinates(v)
+
     def test_quotient_shares_the_smith_form(self):
         lat = sublattice(FreeAbelian(3), [[2, 1, 0], [0, 1, 1], [0, 0, 3]])
         assert abelian_quotient(FreeAbelian(3), lat).snf is lat.snf

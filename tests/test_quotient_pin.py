@@ -72,7 +72,7 @@ def _case(rng):
 
 def _record(endo) -> str:
     group = endo.group
-    gens = [g for _, g in group.generators]
+    gens = list(group.generators)
     est = growth_table(endo, 12)
     try:
         rate = repr(exact_growth_rate(endo))

@@ -92,7 +92,7 @@ class TestOptions:
     def test_defaults(self):
         parsed = specio.parse_instance({"group": {"kind": "free_abelian", "rank": 1}})
         assert asdict(parsed.options) == {
-            "max_power": 20, "radius": 10, "tolerance": None, "budget": None
+            "max_power": 20, "radius": 10, "tolerance": None
         }
         assert parsed.endo is None and parsed.subgroup is None
 
