@@ -581,7 +581,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("budget", [2.7, 0, -5, True, "12"])
     def test_library_budget_is_an_int_at_least_one(self, budget):
-        # neither truncated nor coerced, as the CLI and spec boundaries check it
+        # neither truncated nor coerced, as the ENDOGROW_BUDGET boundary checks it
         group = FreeAbelian(2)
         with pytest.raises(ValueError, match="budget"):
             enumerate_ball(group, 3, budget=budget)

@@ -12,7 +12,8 @@ image already leaves the radius-1 ball (an empty table).
 [-5, 5], a 3x3 hyperbolic one, a semidirect block endo and a direct product of
 matrix endos: the JSON golden pins the full float of each exact rate.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
-per group kind, with `--query` lengths, a budget-cut census and profile, and a
+per group kind, with `--query` lengths, a census and a profile cut by
+`ENDOGROW_BUDGET`, and a
 rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
