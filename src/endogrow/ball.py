@@ -193,27 +193,21 @@ class DistortionProfile:
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
     """Exact distortion measurements from a BFS census.
 
-    Supported embeddings: the base lattice of a semidirect product, and a
-    sublattice of a free abelian ambient group.  The embedding's helper
-    reads each member and its intrinsic length from the census codes (the
-    base block of the semidirect coding, or a sublattice's Smith rows), so
-    no element is decoded to a tuple.
+    Supported embeddings: a sublattice of a free abelian ambient group, and
+    the base of a semidirect product, which is the sublattice q = 0 of the
+    coordinates h + q its census codes.  The sublattice reads each member
+    and its intrinsic length from the census codes, so no element is
+    decoded to a tuple.
     """
-    # members yields (ambient length, intrinsic length) for each census
-    # element in the subgroup, read from its code
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
-        # a base element's intrinsic length is the L1 norm of its base part
-        census = enumerate_ball(group, radius, budget)
-        members = group._base_members(census.codes, census.coded_radius)
-
-    elif isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice):
-        if subgroup.ambient_rank != group.rank:
-            raise ValueError("sublattice ambient rank mismatch")
-        census = enumerate_ball(group, radius, budget)
-        members = subgroup._members(census.codes, group._box(census.coded_radius))
-
-    else:
+        subgroup = group.base_lattice
+    elif not (isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice)):
         raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
+    elif subgroup.ambient_rank != group.rank:
+        raise ValueError("sublattice ambient rank mismatch")
+    census = enumerate_ball(group, radius, budget)
+    # (ambient length, intrinsic length) for each census element in the subgroup
+    members = subgroup._members(census.codes, group._box(census.coded_radius))
 
     top = census.completed_radius
     best_at = [0] * (top + 1)

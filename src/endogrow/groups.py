@@ -8,9 +8,10 @@ equality of elements.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from itertools import repeat
 from math import isqrt
-from operator import add, mul, sub
+from operator import add, eq, floordiv, mod, mul, sub
 
 from endogrow.record import record
 
@@ -109,12 +110,25 @@ class _Box:
             out.append(digit + low)
         return tuple(out)
 
-    def digit_form(self, row):
-        """(coefficients, constant) with row . decode(code) equal to constant
-        + sum(c * (code // w) for c, w in zip(coefficients, weights)), since
-        digit i is code // weights[i] - radices[i] * (code // weights[i + 1])."""
-        coefficients = tuple(map(sub, row, map(mul, (0, *row), (0, *self.radices))))
-        return coefficients, sum(map(mul, row, self.lows))
+    def dots(self, codes, row, modulus=None):
+        """row . decode(code) for each code of the collection codes, through
+        maps only; given a modulus d, whether d divides it (d = 0: whether it
+        is 0).  Digit i is code // weights[i] - radices[i] * (code //
+        weights[i + 1]), so the dot is a constant plus c * (code // w) for
+        each nonzero coefficient c, with no stage for a factor of 1."""
+        coefficients = map(sub, row, map(mul, (0, *row), (0, *self.radices)))
+        terms = []
+        for c, w in zip(coefficients, self.weights):
+            if c:
+                term = codes if w == 1 else map(floordiv, codes, repeat(w))
+                terms.append(term if c == 1 else map(mul, term, repeat(c)))
+        constant = sum(map(mul, row, self.lows))
+        sums = reduce(partial(map, add), terms) if terms else repeat(0, len(codes))
+        if modulus is None:
+            return map(add, sums, repeat(constant))
+        if modulus:
+            return map(eq, map(mod, sums, repeat(modulus)), repeat(-constant % modulus))
+        return map(eq, sums, repeat(-constant))
 
 
 def _require_type(name: str, value, kind=int) -> None:

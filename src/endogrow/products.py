@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, partial, reduce
 from itertools import compress, repeat
-from operator import add, floordiv, mod, mul, neg, not_, or_
+from operator import add, and_, floordiv, mul, neg
 
 from endogrow.groups import (
     EXACT,
@@ -346,25 +346,32 @@ class Semidirect(Group):
             h = self.action_of(q_inv).apply_col(h)
         return (tuple(-x for x in h), q_inv)
 
-    def _boxes(self, radius):
-        """The boxes of the base and quotient parts of a ball's elements.
-        Each step moves the base part by a column of A(q) with |q| < radius,
-        whose L1 norm is at most M**radius for M the largest column L1 norm
-        of an action generator or its inverse."""
+    def _box(self, radius):
+        """The box of h + q, base digits lowest, for a ball of the given
+        radius.  Each step moves the base part by a column of A(q) with |q| <
+        radius, whose L1 norm is at most M**radius for M the largest column L1
+        norm of an action generator or its inverse."""
         norm = max(
             (sum(map(abs, col)) for a in self.action + self._inverse_action for col in a.columns),
             default=1,
         )
-        span = radius * norm**radius
-        base, quotient = (span,) * self.base_rank, (radius,) * self.quotient_rank
-        return _Box(map(neg, base), base), _Box(map(neg, quotient), quotient)
+        highs = (radius * norm**radius,) * self.base_rank + (radius,) * self.quotient_rank
+        return _Box(map(neg, highs), highs)
+
+    @cached_property
+    def base_lattice(self) -> Sublattice:
+        """The base H as the sublattice q = 0 of Z^(n + k), in the coordinates
+        h + q a census codes: the span of the first n unit vectors."""
+        n, size = self.base_rank, self.base_rank + self.quotient_rank
+        units = tuple(int(i == j) for i in range(size) for j in range(n))
+        return Sublattice(size, IntMatrix(size, n, units))
 
     def _ball_coding(self, radius):
-        # code = quotient code * base size + base code; g s = (g_H + A(g_Q) s_H,
-        # g_Q + s_Q), so for each quotient code this run reaches, keep what
-        # each generator adds to a code
-        base, quotient = self._boxes(radius)
-        size = base.size
+        # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each quotient part this
+        # run reaches, code // size, keep what each generator adds to a code
+        box = self._box(radius)
+        n = self.base_rank
+        size = box.weights[n] if self.quotient_rank else box.size
         gens = self.symmetric_generators()
         adds_at = {}
 
@@ -372,31 +379,20 @@ class Semidirect(Group):
             q_code = code // size
             adds = adds_at.get(q_code)
             if adds is None:
-                rows = self.action_of(quotient.decode(q_code)).to_rows()
+                rows = self.action_of(box.decode(code)[n:]).to_rows()
                 adds = adds_at[q_code] = tuple(
-                    base.delta([sum(map(mul, row, sh)) for row in rows]) + quotient.delta(sq) * size
-                    for sh, sq in gens
+                    box.delta([*(sum(map(mul, row, sh)) for row in rows), *sq]) for sh, sq in gens
                 )
             return code + adds[j]
 
         def encode(g):
-            h, q = base.encode(g[0]), quotient.encode(g[1])
-            return None if h is None or q is None else q * size + h
+            return box.encode(g[0] + g[1])
 
         def decode(code):
-            return (base.decode(code % size), quotient.decode(code // size))
+            v = box.decode(code)
+            return (v[:n], v[n:])
 
-        return BallCoding(tuple(range(len(gens))), step, encode, decode, quotient.size * size)
-
-    def _base_members(self, codes, radius):
-        """(length, L1 norm of the base part) for each code -> length of a
-        census of the given radius whose quotient part is the identity."""
-        base, quotient = self._boxes(radius)
-        low = quotient.offset * base.size
-        high = low + base.size
-        for code, n in codes.items():
-            if low <= code < high:
-                yield n, sum(map(abs, base.decode(code - low)))
+        return BallCoding(tuple(range(len(gens))), step, encode, decode, box.size)
 
     @property
     def exactness(self) -> str:
@@ -497,30 +493,20 @@ class Sublattice:
         return tuple(sum(map(mul, form, v)) // top for form in forms)
 
     def _members(self, codes, box):
-        """(length, intrinsic length) for each code -> length of a Z^n census
-        coded in `box` whose vector lies in the lattice, read from the code's
-        digits through the coordinate map: membership is tested on all codes
-        at C level, and only members compute their coordinates."""
+        """(length, intrinsic length) for each code -> length of a census
+        coded in `box` of Z^n whose vector lies in the lattice, read from the
+        codes through the coordinate map and `box.dots`: membership and the
+        coordinates' L1 norms are computed at C level, over whole lists."""
         rows, moduli, forms, top = self._coordinate_map
+        tests = [box.dots(codes, row, d) for row, d in zip(rows, moduli)]
+        # with no membership row every code is a member
+        members = list(compress(codes, reduce(partial(map, and_), tests)) if tests else codes)
+        lengths = map(codes.__getitem__, members)
+        if not forms:
+            return zip(lengths, repeat(0))
+        norms = reduce(partial(map, add), (map(abs, box.dots(members, form)) for form in forms))
+        return zip(lengths, map(floordiv, norms, repeat(top)) if top != 1 else norms)
 
-        def values(row):
-            # row . v for every code, through maps only
-            coefficients, constant = box.digit_form(row)
-            terms = (
-                map(mul, map(floordiv, codes, repeat(w)), repeat(c))
-                for c, w in zip(coefficients, box.weights)
-                if c
-            )
-            return reduce(partial(map, add), terms, repeat(constant))
-
-        tested = (
-            map(mod, values(row), repeat(d)) if d else values(row) for row, d in zip(rows, moduli)
-        )
-        misses = reduce(partial(map, or_), tested, repeat(0))
-        forms = [box.digit_form(form) for form in forms]
-        for code, n in compress(codes.items(), map(not_, misses)):
-            quotients = [code // w for w in box.weights]
-            yield n, sum(abs(k + sum(map(mul, c, quotients))) for c, k in forms) // top
 
 def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
     b = basis if isinstance(basis, IntMatrix) else IntMatrix.from_rows(basis)

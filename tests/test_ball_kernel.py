@@ -5,7 +5,8 @@ must recode what it found, and a lookup must never read another element's
 length through a code that carried out of its box; a sublattice's
 coordinates, and its members and intrinsic lengths read from the census
 codes, must equal those of an exact rational elimination on the decoded
-vectors; a library budget must be an int >= 1; the
+vectors, and a semidirect base's those of the decoded elements with
+trivial quotient part; a library budget must be an int >= 1; the
 public operations of every group and endo kind still reject foreign
 elements; and the CLI rejects bad radii, budgets and query literals with
 exit code 2 and a query outside the ball with exit code 3."""
@@ -20,7 +21,7 @@ from functools import cache, reduce
 from itertools import accumulate
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from endogrow import ball
 from endogrow.ball import DistortionProfile, census_length, distortion_profile, enumerate_ball
@@ -34,7 +35,7 @@ from endogrow.groups import (
     LengthMode,
     OutOfBallError,
 )
-from endogrow.intmat import IntMatrix, mat_mul
+from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -278,33 +279,81 @@ def test_sublattice_coordinates_match_exact_elimination(lattice, data):
     assert_coordinates_match(lattice, x, w)
 
 
-def reference_members(census, lattice):
-    """(length, intrinsic length) of the census's lattice members, through
-    the decoded vectors and the exact elimination."""
+def reference_members(census, group, lattice):
+    """(length, intrinsic length) of the census's members, through the
+    decoded elements: a semidirect product's (h, q) with q = 0 and the L1
+    norm of h; a sublattice's vectors through the exact elimination."""
     for v, n in census.lengths.items():
-        coords = exact_coordinates(lattice.basis, v)
-        if coords is not None:
-            yield n, sum(map(abs, coords))
+        if isinstance(group, Semidirect):
+            h, q = v
+            if not any(q):
+                yield n, sum(map(abs, h))
+        else:
+            coords = exact_coordinates(lattice.basis, v)
+            if coords is not None:
+                yield n, sum(map(abs, coords))
 
 
 def reference_profile(group, lattice, radius, budget):
     census = enumerate_ball(group, radius, budget)
     best_at = [0] * (census.completed_radius + 1)
-    for n, value in reference_members(census, lattice):
+    for n, value in reference_members(census, group, lattice):
         best_at[n] = max(best_at[n], value)
     complete = census.complete and census.completed_radius == radius
     return DistortionProfile(tuple(accumulate(best_at, max)), complete)
 
 
-@settings(max_examples=60, deadline=None)
-@given(lattice=sublattices(), radius=st.integers(0, 12))
-def test_sublattice_members_read_from_codes_match_coordinates(lattice, radius):
-    group = FreeAbelian(lattice.ambient_rank)
-    census = enumerate_ball(group, radius)
-    members = lattice._members(census.codes, group._box(census.coded_radius))
-    assert list(members) == list(reference_members(census, lattice))
+ELEMENTARY = ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]])
+
+
+@st.composite
+def unimodular(draw):
+    """A product of up to four elementary 2x2 matrices and their inverses:
+    shears, a swap and a sign change, so the determinant is +-1."""
+    m = IntMatrix.identity(2)
+    for _ in range(draw(st.integers(0, 4))):
+        e = IntMatrix.from_rows(draw(st.sampled_from(ELEMENTARY)))
+        m = mat_mul(m, e if draw(st.booleans()) else inverse_unimodular(e))
+    return m
+
+
+@st.composite
+def embeddings(draw):
+    """(ambient group, subgroup lattice): a sublattice of Z^2 or Z^3, or the
+    base lattice of Z^2 x| Z under a random unimodular action."""
+    if draw(st.booleans()):
+        lattice = draw(sublattices())
+        return FreeAbelian(lattice.ambient_rank), lattice
+    group = Semidirect(2, 1, (draw(unimodular()),))
+    return group, group.base_lattice
+
+
+# no membership row: L = Z^n, and the base of a product with no quotient
+NO_MEMBERSHIP_ROW = (
+    (FreeAbelian(2), Sublattice(2, IntMatrix.identity(2))),
+    (FreeAbelian(3), Sublattice(3, IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, -3, 1]]))),
+    (Semidirect(2, 0, ()), Semidirect(2, 0, ()).base_lattice),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedding=embeddings(), radius=st.integers(0, 12))
+@example(embedding=NO_MEMBERSHIP_ROW[0], radius=5)
+@example(embedding=NO_MEMBERSHIP_ROW[1], radius=4)
+@example(embedding=NO_MEMBERSHIP_ROW[2], radius=5)
+def test_sublattice_members_read_from_codes_match_coordinates(embedding, radius):
+    # a 2000-element budget cuts the larger balls; a 6-bit box limit codes
+    # the census for radius 1 at first, so it is recoded on its way out
+    group, lattice = embedding
+    subgroup = "base" if isinstance(group, Semidirect) else lattice
+    for box_limit in (ball._BOX_LIMIT, 1 << 6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ball, "_BOX_LIMIT", box_limit)
+            census = enumerate_ball(group, radius, budget=2000)
+        members = lattice._members(census.codes, group._box(census.coded_radius))
+        assert list(members) == list(reference_members(census, group, lattice))
     for r, budget in ((radius, 50), (10**7, 1000)):
-        assert distortion_profile(group, lattice, r, budget) == reference_profile(
+        assert distortion_profile(group, subgroup, r, budget) == reference_profile(
             group, lattice, r, budget
         )
 
