@@ -109,6 +109,23 @@ class MatrixEndo(Endomorphism):
         return MatrixEndo(self.group, mat_mul(other.matrix, self.matrix))
 
 
+def _substitute(word, images):
+    """The reduced product of images[x] along the letters x of word; every
+    image is reduced."""
+    out = []
+    for letter in word:
+        img = images[letter]
+        # out and img are reduced, so they cancel only where they meet, as in
+        # Free._mul
+        n = len(out)
+        k = 0
+        while k < n and k < len(img) and out[n - 1 - k] == -img[k]:
+            k += 1
+        del out[n - k :]
+        out += img[k:]
+    return tuple(out)
+
+
 @record
 class WordEndo(Endomorphism):
     """Endomorphism of a free group: one reduced image word per generator."""
@@ -123,8 +140,10 @@ class WordEndo(Endomorphism):
             self.group.check(w)
 
     @cached_property
-    def _inverse_images(self):
-        return tuple(self.group._inv(w) for w in self.images)
+    def _letter_images(self) -> dict:
+        """Letter x -> the image of a_x, or of a_-x inverted for x < 0."""
+        inverses = {-i: self.group._inv(w) for i, w in enumerate(self.images, 1)}
+        return dict(enumerate(self.images, 1)) | inverses
 
     @cached_property
     def letter_matrix(self) -> IntMatrix:
@@ -148,10 +167,7 @@ class WordEndo(Endomorphism):
         (last of phi(x), first of phi(y)) for every such pair (x, y).  No
         pair may be (z, z^-1).
         """
-
-        def image(x):
-            return self.images[x - 1] if x > 0 else self._inverse_images[-x - 1]
-
+        image = self._letter_images.__getitem__
         letters = set()
         todo = list(range(1, self.group.rank + 1))
         while todo:
@@ -174,22 +190,16 @@ class WordEndo(Endomorphism):
         return True
 
     def _apply(self, g):
-        out = []
-        for letter in g:
-            img = (
-                self.images[letter - 1]
-                if letter > 0
-                else self._inverse_images[-letter - 1]
-            )
-            # out and img are reduced, so they cancel only where they meet,
-            # as in Free._mul
-            n = len(out)
-            k = 0
-            while k < n and k < len(img) and out[n - 1 - k] == -img[k]:
-                k += 1
-            del out[n - k :]
-            out += img[k:]
-        return tuple(out)
+        return _substitute(g, self._letter_images)
+
+    def _next_images(self, images):
+        # phi^(m+1)(a_i) = phi^m(phi(a_i)): substitute the m-th images along
+        # phi(a_i), not phi along each m-th image; only the letters phi's
+        # images hold need an m-th image
+        letters = {x for w in self.images for x in w}
+        inv = self.group._inv
+        table = {x: images[x - 1] if x > 0 else inv(images[-x - 1]) for x in letters}
+        return [_substitute(w, table) for w in self.images]
 
     def _compose(self, other):
         return WordEndo(self.group, tuple(self._apply(w) for w in other.images))

@@ -300,8 +300,10 @@ def test_word_factor_of_a_product_builds_no_words(monkeypatch):
     group = DirectProduct(Free(2), FreeAbelian(1))
     endo = ProductEndo(group, (WordEndo(Free(2), ((1, 2, 2), (1,))), z1_times(2)))
     calls = []
-    apply = WordEndo._apply
-    monkeypatch.setattr(WordEndo, "_apply", lambda endo, g: calls.append(g) or apply(endo, g))
+    step = WordEndo._next_images
+    monkeypatch.setattr(
+        WordEndo, "_next_images", lambda endo, images: calls.append(images) or step(endo, images)
+    )
     est = growth_table(endo, 18)
     assert calls == []
     assert est.table[-1] == 349525  # |phi^m(a)| = (2^(m+2) - (-1)^m) / 3

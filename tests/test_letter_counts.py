@@ -40,14 +40,16 @@ def test_table_equals_the_built_table(endo):
 
 @pytest.fixture
 def apply_calls(monkeypatch):
+    """The images a word endo stepped as words; the letter-matrix route
+    steps none."""
     calls = []
-    apply = WordEndo._apply
+    next_images = WordEndo._next_images
 
-    def spy(self, g):
-        calls.append(g)
-        return apply(self, g)
+    def spy(self, images):
+        calls.append(images)
+        return next_images(self, images)
 
-    monkeypatch.setattr(WordEndo, "_apply", spy)
+    monkeypatch.setattr(WordEndo, "_next_images", spy)
     return calls
 
 
