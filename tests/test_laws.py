@@ -162,8 +162,23 @@ def test_distortion_honours_instance_budget(monkeypatch):
                    "action": [[[2, 1], [1, 1]]]},
          "options": {"max_m": 10, "radius": 8}},
     )
-    assert check.values["profile_complete"] is False
-    assert check.verdict == "fail"
+    # a census cut by its budget is a resource limit, not a law failure
+    assert check.verdict == "inapplicable"
+    assert check.values == {
+        "reason": "the census budget of 10 elements completed radius 1 of 8"
+    }
+
+
+def test_budget_cut_distortion_census_leaves_verify_passing(monkeypatch, capsys):
+    monkeypatch.setenv("ENDOGROW_BUDGET", "1000")
+    assert main(["verify", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in report["checks"] if c["id"] == "lemma5.8-distortion"]
+    assert check["verdict"] == "inapplicable"
+    assert check["values"]["reason"] == (
+        "the census budget of 1000 elements completed radius 5 of 12"
+    )
+    assert report["summary"]["fail"] == 0
 
 
 def test_instance_tolerance_overrides_the_law_default():
