@@ -193,11 +193,9 @@ class DistortionProfile:
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
     """Exact distortion measurements from a BFS census.
 
-    Supported embeddings: a sublattice of a free abelian ambient group, and
-    the base of a semidirect product, which is the sublattice q = 0 of the
-    coordinates h + q its census codes.  The sublattice reads each member
-    and its intrinsic length from the census codes, so no element is
-    decoded to a tuple.
+    Supported embeddings: a sublattice of a free abelian group, and the base
+    of a semidirect product, its sublattice q = 0 (`base_lattice`).  The
+    sublattice reads its members and their intrinsic lengths from the codes.
     """
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
         subgroup = group.base_lattice

@@ -111,11 +111,9 @@ class _Box:
         return tuple(out)
 
     def dots(self, codes, row, modulus=None):
-        """row . decode(code) for each code of the collection codes, through
-        maps only; given a modulus d, whether d divides it (d = 0: whether it
-        is 0).  Digit i is code // weights[i] - radices[i] * (code //
-        weights[i + 1]), so the dot is a constant plus c * (code // w) for
-        each nonzero coefficient c, with no stage for a factor of 1."""
+        """row . decode(code) for each code of the collection codes, as a
+        constant plus a map stage c * (code // w) per nonzero digit coefficient
+        c; given a modulus d, whether d divides it (d = 0: whether it is 0)."""
         coefficients = map(sub, row, map(mul, (0, *row), (0, *self.radices)))
         terms = []
         for c, w in zip(coefficients, self.weights):

@@ -363,8 +363,8 @@ class Semidirect(Group):
         """The base H as the sublattice q = 0 of Z^(n + k), in the coordinates
         h + q a census codes: the span of the first n unit vectors."""
         n, size = self.base_rank, self.base_rank + self.quotient_rank
-        units = tuple(int(i == j) for i in range(size) for j in range(n))
-        return Sublattice(size, IntMatrix(size, n, units))
+        units = [[int(i == j) for j in range(n)] for i in range(size)]
+        return Sublattice(size, IntMatrix.from_rows(units))
 
     def _ball_coding(self, radius):
         # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each quotient part this
@@ -374,15 +374,22 @@ class Semidirect(Group):
         size = box.weights[n] if self.quotient_rank else box.size
         gens = self.symmetric_generators()
         adds_at = {}
+        low, adds = -size, ()  # no block yet: every code lies past [-size, 0)
 
         def step(code, j):
-            q_code = code // size
-            adds = adds_at.get(q_code)
-            if adds is None:
-                rows = self.action_of(box.decode(code)[n:]).to_rows()
-                adds = adds_at[q_code] = tuple(
-                    box.delta([*(sum(map(mul, row, sh)) for row in rows), *sq]) for sh, sq in gens
-                )
+            # the census steps a code by each generator in turn, so look its
+            # quotient part up only when it leaves the last one's block
+            nonlocal low, adds
+            if not 0 <= code - low < size:
+                q_code = code // size
+                low = q_code * size
+                adds = adds_at.get(q_code)
+                if adds is None:
+                    rows = self.action_of(box.decode(code)[n:]).to_rows()
+                    adds = adds_at[q_code] = tuple(
+                        box.delta([*(sum(map(mul, row, sh)) for row in rows), *sq])
+                        for sh, sq in gens
+                    )
             return code + adds[j]
 
         def encode(g):
@@ -501,11 +508,9 @@ class Sublattice:
         tests = [box.dots(codes, row, d) for row, d in zip(rows, moduli)]
         # with no membership row every code is a member
         members = list(compress(codes, reduce(partial(map, and_), tests)) if tests else codes)
-        lengths = map(codes.__getitem__, members)
-        if not forms:
-            return zip(lengths, repeat(0))
-        norms = reduce(partial(map, add), (map(abs, box.dots(members, form)) for form in forms))
-        return zip(lengths, map(floordiv, norms, repeat(top)) if top != 1 else norms)
+        # zip stops at the last member, also for a rank-0 lattice's endless zeros
+        norms = reduce(partial(map, add), (map(abs, box.dots(members, f)) for f in forms), repeat(0))
+        return zip(map(codes.__getitem__, members), map(floordiv, norms, repeat(top)))
 
 
 def sublattice(ambient: FreeAbelian, basis) -> Sublattice:
