@@ -194,8 +194,7 @@ class WordEndo(Endomorphism):
 
     def _next_images(self, images):
         # phi^(m+1)(a_i) = phi^m(phi(a_i)): substitute the m-th images along
-        # phi(a_i), not phi along each m-th image; only the letters phi's
-        # images hold need an m-th image
+        # phi(a_i); only the letters phi's images hold need one
         letters = {x for w in self.images for x in w}
         inv = self.group._inv
         table = {x: images[x - 1] if x > 0 else inv(images[-x - 1]) for x in letters}
