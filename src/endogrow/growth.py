@@ -9,7 +9,7 @@ m-th roots of the recorded word lengths.
 from __future__ import annotations
 
 import math
-from itertools import islice, product
+from itertools import islice
 
 from endogrow.endos import (
     Endomorphism,
@@ -30,7 +30,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
-from endogrow.intmat import spectral_radius
+from endogrow.intmat import IntMatrix, mat_mul, spectral_radius
 from endogrow.products import Semidirect, Sublattice
 from endogrow.record import record
 
@@ -288,44 +288,35 @@ class DistortionRate:
     sqrt_spectral: float
 
 
-def _signed_exponent_vectors(rank: int, total: int):
-    """All integer vectors e with sum |e_i| <= total and matching parity: the
-    exponent sums of the words of length total >= 1, of which there are none
-    in zero generators."""
-    if rank > 3:
-        raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
-    if rank == 0:
-        return
-    for e in product(range(-total, total + 1), repeat=rank):
-        slack = total - sum(map(abs, e))
-        if slack >= 0 and slack % 2 == 0:
-            yield e
-
-
 def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     """Exact table of worst-case action stretches and its limit diagnostics.
 
-    For an abelian acting group a length-m product of action generators
-    collapses to a product of powers with total exponent of the right
-    parity, so the exact max over words reduces to a finite max over
-    exponent vectors.
+    For an abelian acting group a word's action depends only on its exponent
+    sum, so the words of length m act through the vectors
+    S_m = {e +- u_i : e in S_(m-1)}, S_0 = {0}: the exact max over words is a
+    finite max over S_m, and each action matrix A(e) is one product from a
+    neighbour in S_(m-1).  In zero generators S_m is empty for m >= 1.
     """
     if type(max_power) is not int or max_power < 1:
         raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
+    rank = group.quotient_rank
+    if rank > 3:
+        raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
+    inverses = group._inverse_action
+    steps = [(i, s, a) for i in range(rank) for s, a in ((1, group.action[i]), (-1, inverses[i]))]
+    origin = (0,) * rank
+    actions = {origin: IntMatrix.identity(group.base_rank)}
+    stretch = {}
+    level = (origin,)
     table = []
-    for m in range(1, max_power + 1):
-        best = 0
-        for e in _signed_exponent_vectors(group.quotient_rank, m):
-            stretched = max(sum(map(abs, col)) for col in group.action_of(e).columns)
-            if stretched > best:
-                best = stretched
-        table.append(best)
+    for _ in range(max_power):
+        # each vector of S_m, with a neighbour in S_(m-1) and the step from it
+        level = {e[:i] + (e[i] + s,) + e[i + 1 :]: (e, a) for e in level for i, s, a in steps}
+        for f, (e, a) in level.items():
+            if f not in stretch:
+                matrix = actions.setdefault(f, mat_mul(actions[e], a))
+                stretch[f] = max(sum(map(abs, col)) for col in matrix.columns)
+        table.append(max((stretch[f] for f in level), default=0))
     estimate = estimate_from_table(table, max_power, "action-word-table", EXACT)
-    spectral = 1.0
-    for i in range(group.quotient_rank):
-        spectral = max(
-            spectral,
-            spectral_radius(group.action[i]),
-            spectral_radius(group._inverse_action[i]),
-        )
+    spectral = max([1.0, *(spectral_radius(a) for _, _, a in steps)])
     return DistortionRate(tuple(table), estimate, spectral, math.sqrt(spectral))

@@ -408,13 +408,11 @@ def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
 
 @record
 class SmithForm:
-    """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0;
-    u_inv is U's inverse, built by the same elimination."""
+    """U * A * V = D with U, V unimodular and D diagonal, d_i | d_{i+1} >= 0."""
 
     d: IntMatrix
     u: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -446,6 +444,16 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _bezout_block(a: int, b: int) -> tuple[int, int, int, int]:
+    """x, y, p, q with (a, b) == g (p, q), so [[x, y], [-q, p]] takes (a, b)
+    to (g, 0); its determinant x p + y q is checked to be 1."""
+    g, x, y = _ext_gcd(a, b)
+    p, q = a // g, b // g
+    if x * p + y * q != 1:
+        raise ArithmeticError("Smith normal form step is not unimodular")
+    return x, y, p, q
+
+
 def _divides(a: int, b: int) -> bool:
     if a == 0:
         return b == 0
@@ -462,13 +470,13 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     The elimination runs on the block matrix [[A, I_m], [I_n, 0]], so an
     operation on its first m rows also builds U and one on its first n
     columns also builds V; D, U and V end as its top-left, top-right and
-    bottom-left blocks.  Each row operation is also undone as a column
-    operation on w, the columns of I_m, which so end as those of U^-1.
+    bottom-left blocks.  Every step is a swap, an exact-division add, a
+    negation or an extended-gcd 2x2 block whose determinant is checked to
+    be 1, so U and V are unimodular by construction.
     """
     m, n = a.rows, a.cols
     b = [list(a.row(i)) + [int(i == k) for k in range(m)] for i in range(m)]
     b += [[int(j == k) for k in range(n)] + [0] * m for j in range(n)]
-    w = [[int(i == k) for k in range(m)] for i in range(m)]
 
     def add_col(dst, src, k):
         # column dst += k * column src
@@ -484,7 +492,6 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                 break
             _, pi, pj = pivot
             b[t], b[pi] = b[pi], b[t]
-            w[t], w[pi] = w[pi], w[t]
             if pj != t:
                 for row in b:
                     row[t], row[pj] = row[pj], row[t]
@@ -496,18 +503,12 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                         q, r = divmod(b[i][t], b[t][t])
                         if r == 0:
                             b[i] = [x - q * y for x, y in zip(b[i], b[t])]
-                            w[t] = [x + q * y for x, y in zip(w[t], w[i])]
                             continue
                         # rows t, i := unimodular combinations making b[i][t] == 0
-                        g, x, y = _ext_gcd(b[t][t], b[i][t])
-                        p, q = b[t][t] // g, b[i][t] // g
+                        x, y, p, q = _bezout_block(b[t][t], b[i][t])
                         b[t], b[i] = (
                             [x * rt + y * ri for rt, ri in zip(b[t], b[i])],
                             [-q * rt + p * ri for rt, ri in zip(b[t], b[i])],
-                        )
-                        w[t], w[i] = (
-                            [p * ct + q * ci for ct, ci in zip(w[t], w[i])],
-                            [-y * ct + x * ci for ct, ci in zip(w[t], w[i])],
                         )
                 for j in range(t + 1, n):
                     if b[t][j]:
@@ -516,8 +517,7 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
                             add_col(j, t, -q)
                             continue
                         # columns t, j := unimodular combinations making b[t][j] == 0
-                        g, x, y = _ext_gcd(b[t][t], b[t][j])
-                        p, q = b[t][t] // g, b[t][j] // g
+                        x, y, p, q = _bezout_block(b[t][t], b[t][j])
                         for row in b:
                             ct, cj = row[t], row[j]
                             row[t], row[j] = x * ct + y * cj, -q * ct + p * cj
@@ -539,29 +539,33 @@ def smith_normal_form(a: IntMatrix) -> SmithForm:
     for i in range(r):
         if b[i][i] < 0:
             b[i] = [-x for x in b[i]]
-            w[i] = [-x for x in w[i]]
 
     d = IntMatrix(m, n, tuple(x for row in b[:m] for x in row[:n]))
     u = IntMatrix(m, m, tuple(x for row in b[:m] for x in row[n:]))
     v = IntMatrix(n, n, tuple(x for row in b[m:] for x in row[:n]))
-    u_inv = IntMatrix(m, m, tuple(col[i] for i in range(m) for col in w))
-    # U U^-1 == I is checked mod the Mersenne prime 2**61 - 1 on the powers
-    # g, g^2, ..., g^m of the first primitive root g above p / phi: distinct and
-    # nonzero, and no small multiple of g is near a multiple of p.  U^-1 has
-    # about twice U's bits, and the full product would cost more than U A V's check
-    p, g = (1 << 61) - 1, 0x13C6EF372FE94F8E
-    x = [pow(g, k, p) for k in range(1, m + 1)]
-    y = [e % p for e in u_inv.apply_col(x)]
-    if mat_mul(mat_mul(u, a), v).entries != d.entries or [e % p for e in u.apply_col(y)] != x:
+    if mat_mul(mat_mul(u, a), v).entries != d.entries:
         raise ArithmeticError("Smith normal form transform check failed")
-    return SmithForm(d, u, v, u_inv)
+    return SmithForm(d, u, v)
 
 
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (via U*A*V = I)."""
+    """Exact inverse of a unimodular integer matrix by Cayley-Hamilton.
+
+    With det(xI - A) = x^n + c_(n-1) x^(n-1) + ... + c_0 and c_0 = +-1,
+    A^-1 = -c_0 (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I), summed by Horner's
+    rule; A A^-1 == I is checked exactly.
+    """
     if not a.is_square:
         raise DimensionError("inverse of non-square matrix")
-    snf = smith_normal_form(a)
-    if snf.diagonal != (1,) * a.rows:
+    n = a.rows
+    c = char_poly(a).coefficients
+    if abs(c[0]) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_mul(snf.v, snf.u)
+    acc = ident = IntMatrix.identity(n)
+    for k in range(n - 1, 0, -1):
+        step = mat_mul(a, acc).entries
+        acc = IntMatrix(n, n, tuple(x + c[k] * e for x, e in zip(step, ident.entries)))
+    inv = IntMatrix(n, n, tuple(-c[0] * x for x in acc.entries))
+    if mat_mul(a, inv) != ident:
+        raise ArithmeticError("unimodular inverse check failed")
+    return inv

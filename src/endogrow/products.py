@@ -563,7 +563,7 @@ class AbelianQuotient(Group):
     def component_matrix(self, column_matrix: IntMatrix) -> IntMatrix:
         """The map a column-convention matrix A on Z^n that keeps the relations
         induces on the components: U A U^-1 cut to the kept rows and columns."""
-        full = mat_mul(mat_mul(self.snf.u, column_matrix), self.snf.u_inv)
+        full = mat_mul(mat_mul(self.snf.u, column_matrix), inverse_unimodular(self.snf.u))
         rows = self._kept_rows
         return IntMatrix.from_rows([[full.get(i, j) for j in rows] for i in rows])
 

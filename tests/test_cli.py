@@ -115,6 +115,26 @@ class TestEstimate:
         # options.radius is not read
         assert tables == [[2], [2, 3]]
 
+    @pytest.mark.parametrize(
+        "group, endo, message",
+        [
+            ({"kind": "heisenberg", "generators": 3},
+             {"kind": "heisenberg", "lambda": 2, "gamma": 2},
+             "Heisenberg has no closed-form exact length; use quasi or bfs mode"),
+            ({"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
+              "action": [[[2, 1], [1, 1]]]},
+             {"kind": "semidirect", "base": [[1, 0], [0, 1]], "quotient": [[1]]},
+             "semidirect products have no exact length mode"),
+        ],
+        ids=["heisenberg", "semidirect"],
+    )
+    def test_exact_length_mode_without_a_closed_form_exits_2(self, tmp_path, capsys, group,
+                                                             endo, message):
+        spec = write_spec(tmp_path, {"group": {**group, "length_mode": {"kind": "exact"}},
+                                     "endo": endo})
+        assert main(["estimate", spec]) == 2
+        assert capsys.readouterr().err == f"unsupported for this input: {message}\n"
+
     @pytest.mark.parametrize("flag", [["--length-mode", "bfs"], ["--radius", "1"]])
     def test_length_mode_and_radius_flags_are_usage_errors(self, capsys, flag):
         # a group's length mode and bfs radius are set only on the spec's group

@@ -332,6 +332,25 @@ class TestDistortionRate:
         rate = distortion_rate(group, 6)
         assert rate.spectral_value == pytest.approx(1.0)
 
+    def test_rank_two_table_matches_the_exponent_vectors(self):
+        # the walk against a direct max over the exponent vectors e with
+        # |e|_1 <= m of m's parity, each action built by action_of
+        a, b = [[2, 1], [1, 1]], [[3, 2], [2, 1]]  # b = a^2 - a commutes with a
+        group = semidirect(FreeAbelian(2), FreeAbelian(2), [a, b])
+        expected = []
+        for m in range(1, 6):
+            expected.append(max(
+                max(sum(map(abs, col)) for col in group.action_of((i, j)).columns)
+                for i in range(-m, m + 1) for j in range(-m, m + 1)
+                if abs(i) + abs(j) <= m and (m - abs(i) - abs(j)) % 2 == 0
+            ))
+        assert distortion_rate(group, 5).table == tuple(expected)
+
+    def test_acting_rank_over_three_is_unsupported(self):
+        group = semidirect(FreeAbelian(1), FreeAbelian(4), [[[1]]] * 4)
+        with pytest.raises(UnsupportedOperationError, match="capped at rank 3"):
+            distortion_rate(group, 2)
+
 
 class TestProductRates:
     def test_direct_product_takes_the_max(self):

@@ -374,9 +374,14 @@ class TestSmithNormalForm:
                 digest.update(f"{x.rows}x{x.cols}:{','.join(map(hex, x.entries))};".encode())
         assert digest.hexdigest() == SMITH_CORPUS_SHA256
 
-    def test_transform_check_raises_on_a_wrong_bezout_triple(self, monkeypatch):
-        # x + 1 breaks a*x + b*y == g, so U is no longer unimodular and
-        # U U^-1 == I fails modulo the check prime
+    @pytest.mark.parametrize(
+        "rows", [[[2], [3]], [[2, 3]]], ids=["row-step", "column-step-only"]
+    )
+    def test_transform_check_raises_on_a_wrong_bezout_triple(self, monkeypatch, rows):
+        # x + 1 breaks a*x + b*y == g, so the 2 x 2 block of the row step
+        # (which builds U) or of the column step (which builds V) has
+        # determinant other than 1; [[2, 3]] takes a column step alone, and a
+        # check on U alone passes it with det V == 3
         honest = intmat._ext_gcd
 
         def wrong(a, b):
@@ -385,7 +390,7 @@ class TestSmithNormalForm:
 
         monkeypatch.setattr(intmat, "_ext_gcd", wrong)
         with pytest.raises(ArithmeticError):
-            smith_normal_form(M([[2], [3]]))
+            smith_normal_form(M(rows))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -401,11 +406,12 @@ class TestSmithNormalForm:
         s = smith_normal_form(a)
         # transform identity, exactly
         assert mat_mul(mat_mul(s.u, a), s.v) == s.d
-        # unimodular transforms: U's inverse from the same elimination, and
+        # unimodular transforms: U's inverse by Cayley-Hamilton, and
         # det V = +-1 as the char poly's constant term
         ident = IntMatrix.identity(a.rows)
-        assert mat_mul(s.u, s.u_inv) == ident
-        assert mat_mul(s.u_inv, s.u) == ident
+        u_inv = inverse_unimodular(s.u)
+        assert mat_mul(s.u, u_inv) == ident
+        assert mat_mul(u_inv, s.u) == ident
         assert abs(char_poly(s.v).coefficients[0]) == 1
         diag = s.diagonal
         assert all(x >= 0 for x in diag)
@@ -416,6 +422,26 @@ class TestSmithNormalForm:
             for j in range(s.d.cols):
                 if i != j:
                     assert s.d.get(i, j) == 0
+
+
+@st.composite
+def unimodular_products(draw):
+    """An n x n product of up to 8 elementary add, row swap and sign
+    matrices, n = 0..5."""
+    n = draw(st.integers(0, 5))
+    a = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(0, 8)) if n else 0):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "sign"]))
+        if kind == "sign":
+            rows[i][i] = -1
+        elif kind == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i != j:
+            rows[i][j] = draw(st.integers(-3, 3))
+        a = mat_mul(a, M(rows))
+    return a
 
 
 class TestSolveAndInverse:
@@ -449,3 +475,15 @@ class TestSolveAndInverse:
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             inverse_unimodular(M([[2, 0], [0, 1]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            inverse_unimodular(M([[1, 0, 0], [0, 1, 0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(unimodular_products())
+    def test_inverse_matches_the_smith_transforms(self, a):
+        # A = U^-1 D V^-1 with D = I, so A^-1 = V U: an elimination that
+        # shares no code with the Cayley-Hamilton inverse
+        s = smith_normal_form(a)
+        assert inverse_unimodular(a) == mat_mul(s.v, s.u)
