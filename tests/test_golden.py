@@ -13,8 +13,8 @@ image already leaves the radius-1 ball (an empty table).
 matrix endos: the JSON golden pins the full float of each exact rate.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
 per group kind, with `--query` lengths, a census and a profile cut by
-`ENDOGROW_BUDGET`, and a
-rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
+`ENDOGROW_BUDGET`, the base of Z^2 x| Z^2 (a rank-2 quotient, radius from
+the spec's options), and a rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
 
@@ -75,6 +75,7 @@ CENSUS_CASES = {
     "ball_budget_cut": ("ball", "ball_free", ["--radius", "6", "--query", "[1,2]"]),
     "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
     "distortion_budget_cut": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
+    "distortion_semidirect_rank2": ("distortion", "distortion_semidirect_rank2", []),
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
     "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
