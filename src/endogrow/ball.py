@@ -17,7 +17,9 @@ each access; lookups encode the element.
 from __future__ import annotations
 
 import os
-from itertools import accumulate
+from itertools import accumulate, product
+from math import comb
+from operator import add, mul
 
 from endogrow.groups import (
     EXACT,
@@ -191,17 +193,19 @@ class DistortionProfile:
 
 
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
-    """Exact distortion measurements from a BFS census.
+    """Exact distortion measurements.
 
-    Supported embeddings: a sublattice of a free abelian group, and the base
-    of a semidirect product, its sublattice q = 0 (`base_lattice`).  The
-    sublattice reads its members and their intrinsic lengths from the codes.
+    Supported embeddings: a sublattice of a free abelian group, which reads
+    its members and their intrinsic lengths from the codes of a BFS census,
+    and the base of a semidirect product, profiled by `_base_profile`.
     """
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
-        subgroup = group.base_lattice
-    elif not (isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice)):
+        if type(radius) is not int or radius < 0:
+            raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+        return _base_profile(group, radius, _resolve_budget(budget))
+    if not (isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice)):
         raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
-    elif subgroup.ambient_rank != group.rank:
+    if subgroup.ambient_rank != group.rank:
         raise ValueError("sublattice ambient rank mismatch")
     census = enumerate_ball(group, radius, budget)
     # (ambient length, intrinsic length) for each census element in the subgroup
@@ -213,3 +217,39 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
         if value > best_at[n]:
             best_at[n] = value
     return DistortionProfile(tuple(accumulate(best_at, max)), census.complete and top == radius)
+
+
+def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProfile:
+    """rho(n), the largest |h|_1 over words of length <= n whose quotient
+    letters sum to 0, as a longest walk over states (t, q) for each sign
+    vector s up to -s (README, Lemma 5.8): a base letter at q gains
+    max_j |s . A(q) e_j|, and a quotient letter moves q for nothing.
+
+    Radius n keeps the q with |q|_1 <= min(t, n - t) at step t.  The budget
+    buys the largest radius whose states all fit, so a cut is a prefix."""
+    k = group.quotient_rank
+    # one of s and -s: the sign vectors that do not start with -1
+    signs = [s for s in product((1, -1), repeat=group.base_rank) if s[:1] != (-1,)]
+    n, cost = 0, len(signs)
+    while n < radius:
+        # radius n + 1 adds the q with |q|_1 <= (n + 1) // 2 for each s
+        cost += len(signs) * sum(2**j * comb(k, j) * comb((n + 1) // 2, j) for j in range(k + 1))
+        if cost > budget:
+            break
+        n += 1
+    cols = {q: a.columns for q, a in group.actions_within(n // 2).items()}
+    units = [(0,) * i + (d,) + (0,) * (k - i - 1) for i in range(k) for d in (1, -1)]
+    moves = {q: [f for u in units if (f := tuple(map(add, q, u))) in cols] for q in cols}
+    best = [0] * (n + 1)
+    for s in signs:
+        gain = {q: max((abs(sum(map(mul, s, c))) for c in cs), default=0) for q, cs in cols.items()}
+        values = {(0,) * k: 0}
+        for t in range(1, n + 1):
+            step = {}
+            for q, v in values.items():
+                for f, w in [(q, v + gain[q]), *((f, v) for f in moves[q])]:
+                    if sum(map(abs, f)) <= n - t and step.get(f, -1) < w:
+                        step[f] = w
+            values = step
+            best[t] = max(best[t], values[(0,) * k])
+    return DistortionProfile(tuple(accumulate(best, max)), n == radius)

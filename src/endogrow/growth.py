@@ -30,7 +30,7 @@ from endogrow.groups import (
     UnsupportedOperationError,
     lower_central_layer,
 )
-from endogrow.intmat import IntMatrix, mat_mul, spectral_radius
+from endogrow.intmat import spectral_radius
 from endogrow.products import Semidirect, Sublattice
 from endogrow.record import record
 
@@ -292,31 +292,21 @@ def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
     """Exact table of worst-case action stretches and its limit diagnostics.
 
     For an abelian acting group a word's action depends only on its exponent
-    sum, so the words of length m act through the vectors
-    S_m = {e +- u_i : e in S_(m-1)}, S_0 = {0}: the exact max over words is a
-    finite max over S_m, and each action matrix A(e) is one product from a
-    neighbour in S_(m-1).  In zero generators S_m is empty for m >= 1.
+    sum, so the words of length m act through the vectors S_m = {e : |e|_1 <=
+    m, |e|_1 = m mod 2}: the exact max over words is a finite max over S_m,
+    whose action matrices `Semidirect.actions_within` builds.  In zero
+    generators S_m is empty for m >= 1, and a rank-0 base stretches nothing.
     """
     if type(max_power) is not int or max_power < 1:
         raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
     rank = group.quotient_rank
     if rank > 3:
         raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
-    inverses = group._inverse_action
-    steps = [(i, s, a) for i in range(rank) for s, a in ((1, group.action[i]), (-1, inverses[i]))]
-    origin = (0,) * rank
-    actions = {origin: IntMatrix.identity(group.base_rank)}
-    stretch = {}
-    level = (origin,)
-    table = []
-    for _ in range(max_power):
-        # each vector of S_m, with a neighbour in S_(m-1) and the step from it
-        level = {e[:i] + (e[i] + s,) + e[i + 1 :]: (e, a) for e in level for i, s, a in steps}
-        for f, (e, a) in level.items():
-            if f not in stretch:
-                matrix = actions.setdefault(f, mat_mul(actions[e], a))
-                stretch[f] = max(sum(map(abs, col)) for col in matrix.columns)
-        table.append(max((stretch[f] for f in level), default=0))
+    reach = [0] * (max_power + 1)  # reach[d]: the largest stretch of an A(e) with |e|_1 = d
+    for e, a in group.actions_within(max_power).items():
+        d = sum(map(abs, e))
+        reach[d] = max([reach[d], *(sum(map(abs, col)) for col in a.columns)])
+    table = [max(reach[m::-2]) if rank else 0 for m in range(1, max_power + 1)]
     estimate = estimate_from_table(table, max_power, "action-word-table", EXACT)
-    spectral = max([1.0, *(spectral_radius(a) for _, _, a in steps)])
+    spectral = max([1.0, *map(spectral_radius, group.action + group._inverse_action)])
     return DistortionRate(tuple(table), estimate, spectral, math.sqrt(spectral))

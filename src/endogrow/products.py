@@ -358,13 +358,23 @@ class Semidirect(Group):
         highs = (radius * norm**radius,) * self.base_rank + (radius,) * self.quotient_rank
         return _Box(map(neg, highs), highs)
 
-    @cached_property
-    def base_lattice(self) -> Sublattice:
-        """The base H as the sublattice q = 0 of Z^(n + k), in the coordinates
-        h + q a census codes: the span of the first n unit vectors."""
-        n, size = self.base_rank, self.base_rank + self.quotient_rank
-        units = [[int(i == j) for j in range(n)] for i in range(size)]
-        return Sublattice(size, IntMatrix.from_rows(units))
+    def actions_within(self, radius: int) -> dict:
+        """q -> A(q) for every q with |q|_1 <= radius, nearer q first.  Each
+        A(q) is one product A(e) a from a neighbour e one step nearer 0, with
+        a an action generator or its inverse."""
+        steps = [(i, s, a) for i in range(self.quotient_rank)
+                 for s, a in ((1, self.action[i]), (-1, self._inverse_action[i]))]
+        actions = {(0,) * self.quotient_rank: IntMatrix.identity(self.base_rank)}
+        sphere = list(actions)
+        for _ in range(radius):
+            grown = len(actions)
+            for e in sphere:
+                for i, s, a in steps:
+                    f = e[:i] + (e[i] + s,) + e[i + 1 :]
+                    if f not in actions:
+                        actions[f] = mat_mul(actions[e], a)
+            sphere = list(actions)[grown:]
+        return actions
 
     def _ball_coding(self, radius):
         # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each quotient part this

@@ -5,8 +5,9 @@ must recode what it found, and a lookup must never read another element's
 length through a code that carried out of its box; a sublattice's
 coordinates, and its members and intrinsic lengths read from the census
 codes, must equal those of an exact rational elimination on the decoded
-vectors, and a semidirect base's those of the decoded elements with
-trivial quotient part; a library budget must be an int >= 1; the
+vectors; a semidirect base's profile, a walk DP, must equal one read from
+the census's elements with trivial quotient part, and a budget must cut
+it to a prefix; a library budget must be an int >= 1; the
 public operations of every group and endo kind still reject foreign
 elements; and the CLI rejects bad radii, budgets and query literals with
 exit code 2 and a query outside the ball with exit code 3."""
@@ -35,7 +36,7 @@ from endogrow.groups import (
     LengthMode,
     OutOfBallError,
 )
-from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul
+from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul, mat_pow
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -225,6 +226,14 @@ def test_budget_bounds_a_base_distortion_profile_of_any_radius(name):
     assert not far.complete
 
 
+def test_budget_counts_the_walk_states_of_a_base_profile():
+    # at radius 12 on Z^2 x| Z the walk keeps sum over t of (2 min(t, 12 - t) + 1)
+    # = 85 states (t, q) for each of the two sign vectors up to -s
+    group, _ = GROUPS["semidirect_hyperbolic"]
+    assert distortion_profile(group, "base", 12, budget=170).complete
+    assert len(distortion_profile(group, "base", 12, budget=169).values) == 12
+
+
 @st.composite
 def sublattices(draw):
     """A sublattice of Z^2 or Z^3 of any rank 0..n, on a basis with entries
@@ -282,7 +291,8 @@ def test_sublattice_coordinates_match_exact_elimination(lattice, data):
 def reference_members(census, group, lattice):
     """(length, intrinsic length) of the census's members, through the
     decoded elements: a semidirect product's (h, q) with q = 0 and the L1
-    norm of h; a sublattice's vectors through the exact elimination."""
+    norm of h (its base, whatever `lattice` is); a sublattice's vectors
+    through the exact elimination."""
     for v, n in census.lengths.items():
         if isinstance(group, Semidirect):
             h, q = v
@@ -303,49 +313,40 @@ def reference_profile(group, lattice, radius, budget):
     return DistortionProfile(tuple(accumulate(best_at, max)), complete)
 
 
-ELEMENTARY = ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 0]], [[-1, 0], [0, 1]])
-
-
 @st.composite
-def unimodular(draw):
-    """A product of up to four elementary 2x2 matrices and their inverses:
-    shears, a swap and a sign change, so the determinant is +-1."""
-    m = IntMatrix.identity(2)
-    for _ in range(draw(st.integers(0, 4))):
-        e = IntMatrix.from_rows(draw(st.sampled_from(ELEMENTARY)))
-        m = mat_mul(m, e if draw(st.booleans()) else inverse_unimodular(e))
+def unimodular(draw, n):
+    """A product of one to six elementary n x n matrices: shears by +-1,
+    swaps and sign changes, so the determinant is +-1."""
+    m = IntMatrix.identity(n)
+    for _ in range(draw(st.integers(1, 6)) if n else 0):
+        rows = [[int(r == c) for c in range(n)] for r in range(n)]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i][i] = -1
+        elif draw(st.booleans()):
+            rows[i][j] = draw(st.sampled_from([1, -1]))
+        else:
+            rows[i][i] = rows[j][j] = 0
+            rows[i][j] = rows[j][i] = 1
+        m = mat_mul(m, IntMatrix.from_rows(rows))
     return m
 
 
-@st.composite
-def embeddings(draw):
-    """(ambient group, subgroup lattice): a sublattice of Z^2 or Z^3, or the
-    base lattice of Z^2 x| Z under a random unimodular action."""
-    if draw(st.booleans()):
-        lattice = draw(sublattices())
-        return FreeAbelian(lattice.ambient_rank), lattice
-    group = Semidirect(2, 1, (draw(unimodular()),))
-    return group, group.base_lattice
-
-
-# no membership row: L = Z^n, and the base of a product with no quotient
+# no membership row: L = Z^n
 NO_MEMBERSHIP_ROW = (
-    (FreeAbelian(2), Sublattice(2, IntMatrix.identity(2))),
-    (FreeAbelian(3), Sublattice(3, IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, -3, 1]]))),
-    (Semidirect(2, 0, ()), Semidirect(2, 0, ()).base_lattice),
+    Sublattice(2, IntMatrix.identity(2)),
+    Sublattice(3, IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, -3, 1]])),
 )
 
 
 @settings(max_examples=100, deadline=None)
-@given(embedding=embeddings(), radius=st.integers(0, 12))
-@example(embedding=NO_MEMBERSHIP_ROW[0], radius=5)
-@example(embedding=NO_MEMBERSHIP_ROW[1], radius=4)
-@example(embedding=NO_MEMBERSHIP_ROW[2], radius=5)
-def test_sublattice_members_read_from_codes_match_coordinates(embedding, radius):
+@given(lattice=sublattices(), radius=st.integers(0, 12))
+@example(lattice=NO_MEMBERSHIP_ROW[0], radius=5)
+@example(lattice=NO_MEMBERSHIP_ROW[1], radius=4)
+def test_sublattice_members_read_from_codes_match_coordinates(lattice, radius):
     # a 2000-element budget cuts the larger balls; a 6-bit box limit codes
     # the census for radius 1 at first, so it is recoded on its way out
-    group, lattice = embedding
-    subgroup = "base" if isinstance(group, Semidirect) else lattice
+    group = FreeAbelian(lattice.ambient_rank)
     for box_limit in (ball._BOX_LIMIT, 1 << 6):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ball, "_BOX_LIMIT", box_limit)
@@ -353,9 +354,52 @@ def test_sublattice_members_read_from_codes_match_coordinates(embedding, radius)
         members = lattice._members(census.codes, group._box(census.coded_radius))
         assert list(members) == list(reference_members(census, group, lattice))
     for r, budget in ((radius, 50), (10**7, 1000)):
-        assert distortion_profile(group, subgroup, r, budget) == reference_profile(
+        assert distortion_profile(group, lattice, r, budget) == reference_profile(
             group, lattice, r, budget
         )
+
+
+@st.composite
+def semidirect_groups(draw):
+    """Z^b x| Z^k for b in 0..3 and k in 0..2, acting through a random
+    unimodular A and, for k = 2, A^p or -A^p (p in 0..2), which commutes
+    with A."""
+    b, k = draw(st.sampled_from([2, 3, 1, 0])), draw(st.sampled_from([1, 2, 0]))
+    a = draw(unimodular(b))
+    second = mat_pow(a, draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        second = IntMatrix(b, b, tuple(-x for x in second.entries))
+    return Semidirect(b, k, (a, second)[:k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(group=semidirect_groups(), radius=st.integers(4, 9))
+@example(group=Semidirect(2, 1, (IntMatrix.identity(2),)), radius=0)
+@example(group=Semidirect(2, 0, ()), radius=6)
+@example(group=Semidirect(0, 1, (IntMatrix(0, 0, ()),)), radius=5)
+@example(group=Semidirect(1, 1, (IntMatrix.from_rows([[-1]]),)), radius=9)
+@example(group=semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC]), radius=9)
+@example(group=semidirect(FreeAbelian(2), FreeAbelian(1), [SHEAR]), radius=9)
+@example(group=GROUPS["semidirect_rank2_quotient_hyperbolic"][0], radius=6)
+@example(group=GROUPS["semidirect_rank3_hyperbolic"][0], radius=7)
+def test_base_distortion_walk_matches_the_census(group, radius):
+    # the census reference runs to the radius a 20000-element budget reaches
+    reference = reference_profile(group, None, radius, 20_000)
+    reached = len(reference.values) - 1
+    assert distortion_profile(group, "base", reached) == replace(reference, complete=True)
+    if reference.complete:
+        assert reached == radius
+
+
+@settings(max_examples=60, deadline=None)
+@given(group=semidirect_groups(), budget=st.integers(1, 400))
+def test_budget_cut_base_profile_is_a_prefix_of_the_full_one(group, budget):
+    far = distortion_profile(group, "base", 10**7, budget)
+    reached = len(far.values) - 1
+    assert not far.complete
+    assert distortion_profile(group, "base", reached + 1, budget) == far
+    assert distortion_profile(group, "base", reached, budget) == replace(far, complete=True)
+    assert distortion_profile(group, "base", reached, 10**7).values == far.values
 
 
 def test_census_recodes_when_it_outgrows_its_box():

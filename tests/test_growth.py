@@ -346,6 +346,11 @@ class TestDistortionRate:
             ))
         assert distortion_rate(group, 5).table == tuple(expected)
 
+    def test_trivial_base_stretches_nothing(self):
+        # a 0x0 action has no columns to stretch, so the table is all zeros
+        group = semidirect(FreeAbelian(0), FreeAbelian(1), [[]])
+        assert distortion_rate(group, 3).table == (0, 0, 0)
+
     def test_acting_rank_over_three_is_unsupported(self):
         group = semidirect(FreeAbelian(1), FreeAbelian(4), [[[1]]] * 4)
         with pytest.raises(UnsupportedOperationError, match="capped at rank 3"):
