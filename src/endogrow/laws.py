@@ -454,7 +454,7 @@ def _law_distortion(instance, options, seed, tol):
     rho = profile.values
     if not profile.complete:  # a resource limit, not a counterexample
         reached = f"completed radius {len(rho) - 1} of {options.radius}"
-        raise Inapplicable(f"the census budget of {budget} elements {reached}")
+        raise Inapplicable(f"the budget of {budget} walk states {reached}")
     nondecreasing = all(a <= b for a, b in zip(rho, rho[1:]))
     ceiling = rate.sqrt_spectral + 0.05
     roots_ok = all(1.0 <= rho[n] ** (1.0 / n) <= ceiling for n in range(6, len(rho)) if rho[n])

@@ -79,8 +79,9 @@ CENSUS_CASES = {
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
     "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
-# golden name -> the ENDOGROW_BUDGET that cuts its census
-CENSUS_BUDGETS = {"ball_budget_cut": "200", "distortion_budget_cut": "500"}
+# golden name -> the ENDOGROW_BUDGET that cuts its census, or its base
+# profile's walk: radius 4 keeps 26 walk states and radius 5 keeps 36
+CENSUS_BUDGETS = {"ball_budget_cut": "200", "distortion_budget_cut": "30"}
 
 
 @pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])

@@ -162,21 +162,22 @@ def test_distortion_honours_instance_budget(monkeypatch):
                    "action": [[[2, 1], [1, 1]]]},
          "options": {"max_m": 10, "radius": 8}},
     )
-    # a census cut by its budget is a resource limit, not a law failure
+    # a walk cut by its budget is a resource limit, not a law failure
     assert check.verdict == "inapplicable"
     assert check.values == {
-        "reason": "the census budget of 10 elements completed radius 1 of 8"
+        "reason": "the budget of 10 walk states completed radius 2 of 8"
     }
 
 
 def test_budget_cut_distortion_census_leaves_verify_passing(monkeypatch, capsys):
-    monkeypatch.setenv("ENDOGROW_BUDGET", "1000")
+    # radius 5 keeps 36 walk states and radius 6 keeps 50
+    monkeypatch.setenv("ENDOGROW_BUDGET", "40")
     assert main(["verify", "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     (check,) = [c for c in report["checks"] if c["id"] == "lemma5.8-distortion"]
     assert check["verdict"] == "inapplicable"
     assert check["values"]["reason"] == (
-        "the census budget of 1000 elements completed radius 5 of 12"
+        "the budget of 40 walk states completed radius 5 of 12"
     )
     assert report["summary"]["fail"] == 0
 
