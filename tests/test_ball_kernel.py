@@ -36,7 +36,7 @@ from endogrow.groups import (
     LengthMode,
     OutOfBallError,
 )
-from endogrow.intmat import IntMatrix, inverse_unimodular, mat_mul, mat_pow
+from endogrow.intmat import IntMatrix, mat_mul, mat_pow
 from endogrow.products import (
     AbelianQuotient,
     DirectProduct,
@@ -387,8 +387,6 @@ def test_base_distortion_walk_matches_the_census(group, radius):
     reference = reference_profile(group, None, radius, 20_000)
     reached = len(reference.values) - 1
     assert distortion_profile(group, "base", reached) == replace(reference, complete=True)
-    if reference.complete:
-        assert reached == radius
 
 
 @settings(max_examples=60, deadline=None)

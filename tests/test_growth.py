@@ -346,6 +346,12 @@ class TestDistortionRate:
             ))
         assert distortion_rate(group, 5).table == tuple(expected)
 
+    def test_table_takes_the_max_over_shorter_exponents_of_the_same_parity(self):
+        # A has order 3: A(e) stretches 2 at e = +-1, +-2 and 1 at e = +-3,
+        # and S_3 = {+-1, +-3} still holds a stretch of 2
+        group = semidirect(FreeAbelian(2), FreeAbelian(1), [[[0, 1], [-1, -1]]])
+        assert distortion_rate(group, 6).table == (2,) * 6
+
     def test_trivial_base_stretches_nothing(self):
         # a 0x0 action has no columns to stretch, so the table is all zeros
         group = semidirect(FreeAbelian(0), FreeAbelian(1), [[]])
