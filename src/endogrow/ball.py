@@ -55,6 +55,11 @@ def _resolve_budget(budget):
     return value
 
 
+def _check_radius(radius):
+    if type(radius) is not int or radius < 0:
+        raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+
+
 @record
 class BallCensus:
     """Exact lengths for every element within completed_radius of the identity.
@@ -102,8 +107,7 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     recorded length is its true geodesic length.  Exceeding the budget
     yields a partial census flagged incomplete (completed radii stay exact).
     """
-    if type(radius) is not int or radius < 0:
-        raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+    _check_radius(radius)
     budget = _resolve_budget(budget)
     for s in (group.identity(), *group.symmetric_generators()):
         group.check(s)
@@ -193,15 +197,11 @@ class DistortionProfile:
 
 
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
-    """Exact distortion measurements.
-
-    Supported embeddings: a sublattice of a free abelian group, which reads
-    its members and their intrinsic lengths from the codes of a BFS census,
-    and the base of a semidirect product, profiled by `_base_profile`.
-    """
+    """Exact distortion measurements: a sublattice of a free abelian group
+    reads its members and their intrinsic lengths from the codes of a BFS
+    census, and the base of a semidirect product is profiled by `_base_profile`."""
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
-        if type(radius) is not int or radius < 0:
-            raise ValueError(f"radius must be an int >= 0, got {radius!r}")
+        _check_radius(radius)
         return _base_profile(group, radius, _resolve_budget(budget))
     if not (isinstance(group, FreeAbelian) and isinstance(subgroup, Sublattice)):
         raise UnsupportedOperationError("unsupported group/subgroup pair for distortion")
@@ -210,7 +210,6 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
     census = enumerate_ball(group, radius, budget)
     # (ambient length, intrinsic length) for each census element in the subgroup
     members = subgroup._members(census.codes, group._box(census.coded_radius))
-
     top = census.completed_radius
     best_at = [0] * (top + 1)
     for n, value in members:
@@ -224,24 +223,25 @@ def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProf
     letters sum to 0, as a longest walk over states (t, q) for each sign
     vector s up to -s (README, Lemma 5.8): a base letter at q gains
     max_j |s . A(q) e_j|, and a quotient letter moves q for nothing.
-
-    Radius n keeps the q with |q|_1 <= min(t, n - t) at step t.  The budget
+    Radius n keeps the q with |q|_1 <= min(t, n - t) at step t; the budget
     buys the largest radius whose states all fit, so a cut is a prefix."""
-    k = group.quotient_rank
-    # one of s and -s: the sign vectors that do not start with -1
-    signs = [s for s in product((1, -1), repeat=group.base_rank) if s[:1] != (-1,)]
-    n, cost = 0, len(signs)
+    k, b = group.quotient_rank, group.base_rank
+    count = 2 ** max(b - 1, 0)  # sign vectors up to -s, counted before any is built
+    n, cost = 0, count
     while n < radius:
         # radius n + 1 adds the q with |q|_1 <= (n + 1) // 2 for each s
-        cost += len(signs) * sum(2**j * comb(k, j) * comb((n + 1) // 2, j) for j in range(k + 1))
+        cost += count * sum(2**j * comb(k, j) * comb((n + 1) // 2, j) for j in range(k + 1))
         if cost > budget:
             break
         n += 1
+    if n == 0:  # rho(0) = 0 needs no walk
+        return DistortionProfile((0,), radius == 0)
     cols = {q: a.columns for q, a in group.actions_within(n // 2).items()}
     units = [(0,) * i + (d,) + (0,) * (k - i - 1) for i in range(k) for d in (1, -1)]
     moves = {q: [f for u in units if (f := tuple(map(add, q, u))) in cols] for q in cols}
     best = [0] * (n + 1)
-    for s in signs:
+    # one of s and -s: the sign vectors that do not start with -1
+    for s in (s for s in product((1, -1), repeat=b) if s[:1] != (-1,)):
         gain = {q: max((abs(sum(map(mul, s, c))) for c in cs), default=0) for q, cs in cols.items()}
         values = {(0,) * k: 0}
         for t in range(1, n + 1):

@@ -234,6 +234,18 @@ def test_budget_counts_the_walk_states_of_a_base_profile():
     assert len(distortion_profile(group, "base", 12, budget=169).values) == 12
 
 
+def test_budget_counts_the_sign_vectors_of_a_wide_base():
+    # Z^40 has 2^39 sign vectors up to -s, past any budget, so no walk runs;
+    # rho(0) = 0 needs none
+    wide = Semidirect(40, 0, ())
+    assert distortion_profile(wide, "base", 10**7, budget=1000) == DistortionProfile((0,), False)
+    assert distortion_profile(wide, "base", 0, budget=1000) == DistortionProfile((0,), True)
+    # Z^10 charges 512 sign vectors per step, so 1536 buys radius 2
+    assert distortion_profile(Semidirect(10, 0, ()), "base", 10**7, budget=1536) == (
+        DistortionProfile((0, 1, 2), False)
+    )
+
+
 @st.composite
 def sublattices(draw):
     """A sublattice of Z^2 or Z^3 of any rank 0..n, on a basis with entries
@@ -372,21 +384,35 @@ def semidirect_groups(draw):
     return Semidirect(b, k, (a, second)[:k])
 
 
+# named cases, each of which a 20000-element census completes
+WALK_EXAMPLES = (
+    (Semidirect(2, 1, (IntMatrix.identity(2),)), 0),
+    (Semidirect(2, 0, ()), 6),
+    (Semidirect(0, 1, (IntMatrix(0, 0, ()),)), 5),
+    (Semidirect(1, 1, (IntMatrix.from_rows([[-1]]),)), 9),
+    (semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC]), 9),
+    (semidirect(FreeAbelian(2), FreeAbelian(1), [SHEAR]), 9),
+    (GROUPS["semidirect_rank2_quotient_hyperbolic"][0], 6),
+    (GROUPS["semidirect_rank3_hyperbolic"][0], 7),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(group=semidirect_groups(), radius=st.integers(4, 9))
-@example(group=Semidirect(2, 1, (IntMatrix.identity(2),)), radius=0)
-@example(group=Semidirect(2, 0, ()), radius=6)
-@example(group=Semidirect(0, 1, (IntMatrix(0, 0, ()),)), radius=5)
-@example(group=Semidirect(1, 1, (IntMatrix.from_rows([[-1]]),)), radius=9)
-@example(group=semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC]), radius=9)
-@example(group=semidirect(FreeAbelian(2), FreeAbelian(1), [SHEAR]), radius=9)
-@example(group=GROUPS["semidirect_rank2_quotient_hyperbolic"][0], radius=6)
-@example(group=GROUPS["semidirect_rank3_hyperbolic"][0], radius=7)
 def test_base_distortion_walk_matches_the_census(group, radius):
-    # the census reference runs to the radius a 20000-element budget reaches
+    # the census reference runs to the radius a 20000-element budget reaches:
+    # radius 4 at least on a draw, which has at most 10 generators, so
+    # |B(4)| <= 8201, and the full radius on a named case
     reference = reference_profile(group, None, radius, 20_000)
     reached = len(reference.values) - 1
+    assert reached == radius if (group, radius) in WALK_EXAMPLES else reached >= 4
     assert distortion_profile(group, "base", reached) == replace(reference, complete=True)
+
+
+for _group, _radius in WALK_EXAMPLES:
+    test_base_distortion_walk_matches_the_census = example(group=_group, radius=_radius)(
+        test_base_distortion_walk_matches_the_census
+    )
 
 
 @settings(max_examples=60, deadline=None)
