@@ -19,8 +19,6 @@ from endogrow.groups import (
     Free,
     FreeAbelian,
     Heisenberg,
-    LengthMode,
-    LengthValue,
     lower_central_layer,
 )
 from endogrow.products import (

@@ -21,14 +21,7 @@ from itertools import accumulate, product
 from math import comb
 from operator import add, mul
 
-from endogrow.groups import (
-    EXACT,
-    FreeAbelian,
-    Group,
-    LengthValue,
-    OutOfBallError,
-    UnsupportedOperationError,
-)
+from endogrow.groups import FreeAbelian, Group, OutOfBallError, UnsupportedOperationError
 from endogrow.products import Semidirect, Sublattice
 from endogrow.record import record
 from endogrow.specio import SpecError
@@ -171,7 +164,7 @@ def enumerate_ball(group: Group, radius: int, budget: int | None = None) -> Ball
     )
 
 
-def census_length(census: BallCensus, g) -> int:
+def exact_length(census: BallCensus, g) -> int:
     """The geodesic length of an enumerated element.  An element outside the
     coding's box encodes to None, which no census holds."""
     found = census.codes.get(census.encode(g))
@@ -180,11 +173,6 @@ def census_length(census: BallCensus, g) -> int:
             f"element {g!r} not within the enumerated radius {census.completed_radius}"
         )
     return found
-
-
-def exact_length(census: BallCensus, g) -> LengthValue:
-    """Exact geodesic length of an enumerated element."""
-    return LengthValue(census_length(census, g), EXACT)
 
 
 @record

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from endogrow import specio
@@ -74,8 +73,7 @@ def cmd_spectral(args) -> int:
     instance = specio.load_instance_file(args.spec)
     if instance.endo is None:
         raise SpecError("at endo: spectral needs an endomorphism in the spec")
-    tol = args.tol if args.tol is not None else 1e-12
-    value = exact_growth_rate(instance.endo, tol)
+    value = exact_growth_rate(instance.endo)
     if args.format == "json":
         _emit(json.dumps({"growth_rate": value}, sort_keys=True) + "\n")
     else:
@@ -113,8 +111,7 @@ def cmd_ball(args) -> int:
     queries = []
     for raw in args.query or []:
         element = _parse_query_element(raw, instance.group)
-        lv = exact_length(census, element)
-        queries.append((raw, lv.value))
+        queries.append((raw, exact_length(census, element)))
     if args.format == "json":
         payload = {
             "counts": list(census.counts),
@@ -220,17 +217,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_pass else EXIT_LAW_FAILURE
 
 
-def _positive_real(text: str) -> float:
-    """An argparse type: a finite real > 0, so a bad value exits 2 at parse time."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
-    return value
-
-
 def _int_at_least(low: int):
     """An argparse type: an integer >= low, so a bad value exits 2 at parse time."""
 
@@ -263,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", help="exact growth rate (spectral route)")
     p_spec.add_argument("spec")
-    p_spec.add_argument("--tol", type=_positive_real, default=None)
     p_spec.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_spec.set_defaults(func=cmd_spectral)
 

@@ -33,31 +33,6 @@ class OutOfBallError(LookupError):
 
 
 @record
-class LengthValue:
-    """A word-length measurement plus how literally to read it."""
-
-    value: int
-    exactness: str  # EXACT or QUASI_EQUIVALENT
-
-
-@record
-class LengthMode:
-    """How a group measures elements: closed-form exact, a quasi-length that
-    is within multiplicative constants of the word metric, or BFS lookup."""
-
-    kind: str = "exact"  # "exact" | "quasi" | "bfs"
-    radius: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "quasi", "bfs"):
-            raise ValueError(f"unknown length mode {self.kind!r}")
-        if type(self.radius) is not int:
-            raise ValueError(f"length mode radius must be an int, got {self.radius!r}")
-        if self.kind == "bfs" and self.radius <= 0:
-            raise ValueError("bfs length mode needs a positive radius")
-
-
-@record
 class BallCoding:
     """How a BFS census codes a kind's normal forms.
 
@@ -136,6 +111,12 @@ def _require_type(name: str, value, kind=int) -> None:
         raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
+def _check_bfs_radius(radius) -> None:
+    _require_type("bfs_radius", radius)
+    if radius < 0:
+        raise ValueError(f"bfs_radius must be >= 0, got {radius}")
+
+
 def ceil_sqrt(n: int) -> int:
     if n < 0:
         raise ValueError("negative argument")
@@ -149,7 +130,14 @@ class Group(ABC):
     The public operations check their arguments, then run the kind's
     unchecked kernel (_mul, _inv, _length).  Loops over elements the program
     made itself from checked ones call the kernels directly.
+
+    A group measures with its kind's own metric, OWN_METRIC, unless it has
+    a bfs_radius >= 1: then it reads exact lengths from a census of that
+    radius.  Only the kinds that take a bfs_radius field set one.
     """
+
+    OWN_METRIC = "exact"  # or "quasi": within constants of the word metric
+    bfs_radius = 0
 
     @property
     @abstractmethod
@@ -181,10 +169,8 @@ class Group(ABC):
 
     @property
     def length_kind(self) -> str:
-        """The kind of the group's length mode; a group without one measures
-        exactly."""
-        mode = getattr(self, "length_mode", None)
-        return mode.kind if mode is not None else "exact"
+        """The metric the group measures with: "bfs" or its OWN_METRIC."""
+        return "bfs" if self.bfs_radius else self.OWN_METRIC
 
     @property
     def exactness(self) -> str:
@@ -202,17 +188,19 @@ class Group(ABC):
         self.check(g)
         return self._inv(g)
 
-    def word_length(self, g) -> LengthValue:
+    def word_length(self, g) -> int:
+        """The length of g in the group's metric; `exactness` says how
+        literally it reads."""
         self.check(g)
-        return LengthValue(self._word_length(g), self.exactness)
+        return self._word_length(g)
 
     def _word_length(self, g) -> int:
         """The length of a checked normal form: a bfs-mode group reads its
         census, any other group measures with its kind's _length."""
-        if self.length_kind == "bfs":
+        if self.bfs_radius:
             from endogrow import ball  # groups -> ball -> products -> groups
 
-            return ball.census_length(self._bfs_census, g)
+            return ball.exact_length(self._bfs_census, g)
         return self._length(g)
 
     def symmetric_generators(self) -> tuple[tuple, ...]:
@@ -236,7 +224,7 @@ class Group(ABC):
         under the resolved budget, and collected with the group."""
         from endogrow import ball  # groups -> ball -> products -> groups
 
-        return ball.enumerate_ball(self, self.length_mode.radius)
+        return ball.enumerate_ball(self, self.bfs_radius)
 
 
 @record
@@ -244,10 +232,11 @@ class FreeAbelian(Group):
     """Z^rank with the standard basis generators; elements are int tuples."""
 
     rank: int
-    length_mode: LengthMode = LengthMode("exact")
+    bfs_radius: int = 0
 
     def __post_init__(self):
         _require_type("rank", self.rank)
+        _check_bfs_radius(self.bfs_radius)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 
@@ -292,10 +281,11 @@ class Free(Group):
     generator indices (1-based, negative for inverses)."""
 
     rank: int
-    length_mode: LengthMode = LengthMode("exact")
+    bfs_radius: int = 0
 
     def __post_init__(self):
         _require_type("rank", self.rank)
+        _check_bfs_radius(self.bfs_radius)
         if self.rank < 1:
             raise ValueError("free groups here have rank >= 1")
 
@@ -350,12 +340,15 @@ class Heisenberg(Group):
     inside a finite radius.
     """
 
+    OWN_METRIC = "quasi"
+
     generator_count: int = 3
-    length_mode: LengthMode = LengthMode("quasi")
+    bfs_radius: int = 0
 
     def __post_init__(self):
         if type(self.generator_count) is not int or self.generator_count not in (2, 3):
             raise ValueError("generator_count must be 2 or 3")
+        _check_bfs_radius(self.bfs_radius)
 
     @property
     def kind(self) -> str:
@@ -383,17 +376,6 @@ class Heisenberg(Group):
         a, b, c = g
         return (-a, a * c - b, -c)
 
-    @staticmethod
-    def _quasi_length(g) -> int:
-        """max(|a|, |c|, ceil(sqrt(|2b - ac|))).
-
-        The centered combination 2b - ac flips sign under inversion, which
-        makes this quasi-length exactly symmetric; it stays within
-        multiplicative constants of the word metric.
-        """
-        a, b, c = g
-        return max(abs(a), abs(c), ceil_sqrt(abs(2 * b - a * c)))
-
     @property
     def exactness(self) -> str:
         return QUASI_EQUIVALENT if self.length_kind == "quasi" else EXACT
@@ -414,11 +396,14 @@ class Heisenberg(Group):
         return BallCoding(steps, step, box.encode, box.decode, box.size)
 
     def _length(self, g) -> int:
-        if self.length_mode.kind == "quasi":
-            return self._quasi_length(g)
-        raise UnsupportedOperationError(
-            "Heisenberg has no closed-form exact length; use quasi or bfs mode"
-        )
+        """max(|a|, |c|, ceil(sqrt(|2b - ac|))).
+
+        The centered combination 2b - ac flips sign under inversion, which
+        makes this quasi-length exactly symmetric; it stays within
+        multiplicative constants of the word metric.
+        """
+        a, b, c = g
+        return max(abs(a), abs(c), ceil_sqrt(abs(2 * b - a * c)))
 
 
 def _word_coding(rank: int, radius: int) -> BallCoding:

@@ -124,7 +124,7 @@ def _may_truncate(endo: Endomorphism) -> bool:
     product's with such a factor inside."""
     if isinstance(endo, ProductEndo):
         return any(map(_may_truncate, endo.factors))
-    return endo.group.length_kind == "bfs"
+    return endo.group.bfs_radius > 0
 
 
 def _lengths(endo: Endomorphism):
@@ -149,12 +149,12 @@ def _lengths(endo: Endomorphism):
         factors = sorted(endo.factors, key=lambda e: not _may_truncate(e))
         yield from map(max, zip(*map(_lengths, factors)))
         return
-    if isinstance(endo, WordEndo) and endo.group.length_kind != "bfs" and endo.is_cancellation_free:
+    if isinstance(endo, WordEndo) and not endo.group.bfs_radius and endo.is_cancellation_free:
         endo = MatrixEndo(FreeAbelian(endo.group.rank), endo.letter_matrix)
     # the images go through the unchecked kernels, which is sound because
     # they start from the generators
     group = endo.group
-    measure = group._word_length if group.length_kind == "bfs" else group._length
+    measure = group._word_length if group.bfs_radius else group._length
     images = group.generators
     while True:
         images = endo._next_images(images)
@@ -180,7 +180,7 @@ def _torsion_orbit_rate(endo: QuotientEndo) -> float:
     return 0.0
 
 
-def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
+def exact_growth_rate(endo: Endomorphism) -> float:
     """Exact-route growth rate for kinds where it is a spectral quantity.
 
     Free abelian: largest eigenvalue modulus of the matrix.  Finitely
@@ -191,13 +191,13 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
     undistorted (finite-order action); otherwise raises.
     """
     if isinstance(endo, MatrixEndo):
-        return spectral_radius(endo.matrix, tol)
+        return spectral_radius(endo.matrix)
     if isinstance(endo, QuotientEndo):
-        return max(spectral_radius(endo.free_block(), tol), _torsion_orbit_rate(endo))
+        return max(spectral_radius(endo.free_block()), _torsion_orbit_rate(endo))
     if isinstance(endo, HeisenbergEndo):
-        return nilpotent_growth_rate(endo, tol).combined
+        return nilpotent_growth_rate(endo).combined
     if isinstance(endo, ProductEndo):
-        return max(exact_growth_rate(f, tol) for f in endo.factors)
+        return max(exact_growth_rate(f) for f in endo.factors)
     if isinstance(endo, SemidirectEndo):
         if not endo.group.action_is_finite_order:
             raise UnsupportedOperationError(
@@ -205,8 +205,8 @@ def exact_growth_rate(endo: Endomorphism, tol: float = 1e-12) -> float:
                 "(finite-order action); the base here is exponentially distorted"
             )
         return max(
-            spectral_radius(endo.base_matrix, tol),
-            spectral_radius(endo.quotient_matrix, tol),
+            spectral_radius(endo.base_matrix),
+            spectral_radius(endo.quotient_matrix),
         )
     if isinstance(endo, WordEndo):
         raise UnsupportedOperationError(
@@ -224,7 +224,7 @@ class NilpotentRate:
     no_exponent_max: float  # max of the raw layer rates (NOT the growth rate)
 
 
-def nilpotent_growth_rate(endo: HeisenbergEndo, tol: float = 1e-12) -> NilpotentRate:
+def nilpotent_growth_rate(endo: HeisenbergEndo) -> NilpotentRate:
     """Combine the abelian layer rates with exponents 1/k.
 
     The center sits at depth 2 in the lower central series, so its rate
@@ -235,8 +235,8 @@ def nilpotent_growth_rate(endo: HeisenbergEndo, tol: float = 1e-12) -> Nilpotent
     layer2 = lower_central_layer(endo.group, 2)
     ab = induce_on_quotient(endo, layer2)  # group modulo center
     center = restrict(endo, layer2)
-    rate1 = exact_growth_rate(ab, tol)
-    rate2 = exact_growth_rate(center, tol)
+    rate1 = exact_growth_rate(ab)
+    rate2 = exact_growth_rate(center)
     combined = max(rate1, math.sqrt(rate2))
     return NilpotentRate((rate1, rate2), combined, max(rate1, rate2))
 

@@ -388,21 +388,19 @@ def aberth_roots(coeffs, tol: float = 1e-12, max_iter: int = 10000) -> tuple[com
     )
 
 
-def spectral_radius(a: IntMatrix, tol: float = 1e-12) -> float:
+def spectral_radius(a: IntMatrix) -> float:
     """Largest root modulus of the characteristic polynomial.
 
     Zero roots are factored out exactly and the remaining polynomial is
     reduced to its square-free part before the Aberth iteration, so repeated
     eigenvalues cost nothing in accuracy.  Nilpotent matrices give 0.0.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     p = list(char_poly(a).coefficients)
     while p and p[0] == 0:
         p.pop(0)
     if len(p) <= 1:
         return 0.0
-    roots = aberth_roots(_poly_square_free(p), tol=tol)
+    roots = aberth_roots(_poly_square_free(p))
     return max(abs(z) for z in roots)
 
 

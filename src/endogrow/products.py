@@ -16,9 +16,9 @@ from endogrow.groups import (
     FreeAbelian,
     Group,
     KindMismatchError,
-    LengthMode,
     UnsupportedOperationError,
     _Box,
+    _check_bfs_radius,
     _require_type,
     _word_coding,
 )
@@ -237,15 +237,18 @@ class Semidirect(Group):
     (h, q)(h', q') = (h + action(q) h', q + q').
     """
 
+    OWN_METRIC = "quasi"
+
     base_rank: int
     quotient_rank: int
     action: tuple[IntMatrix, ...]
-    length_mode: LengthMode = LengthMode("quasi")
+    bfs_radius: int = 0
 
     def __post_init__(self):
         _require_type("base_rank", self.base_rank)
         _require_type("quotient_rank", self.quotient_rank)
         _require_type("action", self.action, tuple)
+        _check_bfs_radius(self.bfs_radius)
         if len(self.action) != self.quotient_rank:
             raise ValueError("need one action matrix per quotient generator")
         for a in self.action:
@@ -418,23 +421,21 @@ class Semidirect(Group):
         return EXACT
 
     def _length(self, g) -> int:
-        if self.length_mode.kind == "quasi":
-            if not self.action_is_finite_order:
-                raise UnsupportedOperationError(
-                    "additive quasi-length is only honest for finite-order actions; "
-                    "use bfs mode"
-                )
-            return sum(abs(x) for x in g[0]) + sum(abs(x) for x in g[1])
-        raise UnsupportedOperationError("semidirect products have no exact length mode")
+        if not self.action_is_finite_order:
+            raise UnsupportedOperationError(
+                "additive quasi-length is only honest for finite-order actions; "
+                "use bfs mode"
+            )
+        return sum(abs(x) for x in g[0]) + sum(abs(x) for x in g[1])
 
 
 def semidirect(
-    base: FreeAbelian, quotient: FreeAbelian, action, length_mode=LengthMode("quasi")
+    base: FreeAbelian, quotient: FreeAbelian, action, bfs_radius: int = 0
 ) -> Semidirect:
     matrices = tuple(
         a if isinstance(a, IntMatrix) else IntMatrix.from_rows(a) for a in action
     )
-    return Semidirect(base.rank, quotient.rank, matrices, length_mode)
+    return Semidirect(base.rank, quotient.rank, matrices, bfs_radius)
 
 
 @record

@@ -12,7 +12,6 @@ from endogrow.groups import (
     FreeAbelian,
     Group,
     Heisenberg,
-    LengthMode,
     lower_central_layer,
 )
 from endogrow.intmat import IntMatrix
@@ -75,17 +74,25 @@ def _build(path: str, make, *args, **kwargs):
         _fail(path, str(exc))
 
 
-def _mode_keyword(d: dict, path: str) -> dict:
-    """{"length_mode": ...} when the spec gives one; else the class default applies."""
+def _bfs_radius(d: dict, path: str, cls) -> int:
+    """A length_mode's radius if its kind is bfs; 0, for the kind's own
+    metric, if it names that metric or is absent."""
     if "length_mode" not in d:
-        return {}
+        return 0
     path = f"{path}.length_mode"
     mode = expect_dict(d["length_mode"], path)
     kind = mode.get("kind")
-    if kind not in ("exact", "quasi", "bfs"):
+    if kind == cls.OWN_METRIC:
+        return 0
+    if kind in ("exact", "quasi"):
+        _fail(f"{path}.kind", f"{d['kind']} groups measure with 'bfs' or their own "
+              f"{cls.OWN_METRIC!r} metric, not {kind!r}")
+    if kind != "bfs":
         _fail(f"{path}.kind", f"unknown length mode {kind!r}")
-    radius = expect_int(mode.get("radius", 0), f"{path}.radius") if kind == "bfs" else 0
-    return {"length_mode": _build(path, LengthMode, kind, radius)}
+    radius = expect_int(mode.get("radius", 0), f"{path}.radius")
+    if radius < 1:
+        _fail(path, "bfs length mode needs a positive radius")
+    return radius
 
 
 def parse_group(d, path: str = "group") -> Group:
@@ -94,10 +101,10 @@ def parse_group(d, path: str = "group") -> Group:
     if kind in ("free_abelian", "free"):
         rank = expect_int(d.get("rank"), f"{path}.rank")
         cls = FreeAbelian if kind == "free_abelian" else Free
-        return _build(path, cls, rank, **_mode_keyword(d, path))
+        return _build(path, cls, rank, _bfs_radius(d, path, cls))
     if kind == "heisenberg":
         count = expect_int(d.get("generators", 3), f"{path}.generators")
-        return _build(path, Heisenberg, count, **_mode_keyword(d, path))
+        return _build(path, Heisenberg, count, _bfs_radius(d, path, Heisenberg))
     if kind in ("direct_product", "free_product"):
         if "length_mode" in d:
             _fail(f"{path}.length_mode", f"{kind} groups take the length modes of their factors")
@@ -117,8 +124,8 @@ def parse_group(d, path: str = "group") -> Group:
         matrices = tuple(
             _expect_matrix(a, f"{path}.action[{i}]") for i, a in enumerate(action)
         )
-        mode = _mode_keyword(d, path)
-        return _build(path, Semidirect, base_rank, quotient_rank, matrices, **mode)
+        radius = _bfs_radius(d, path, Semidirect)
+        return _build(path, Semidirect, base_rank, quotient_rank, matrices, radius)
     _fail(f"{path}.kind", f"unknown group kind {kind!r}")
 
 

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from endogrow import ball
-from endogrow.ball import DistortionProfile, census_length, distortion_profile, enumerate_ball
+from endogrow.ball import DistortionProfile, distortion_profile, enumerate_ball, exact_length
 from endogrow.cli import main
 from endogrow.endos import HeisenbergEndo, MatrixEndo, WordEndo, identity_endo
 from endogrow.groups import (
@@ -33,7 +33,6 @@ from endogrow.groups import (
     FreeAbelian,
     Heisenberg,
     KindMismatchError,
-    LengthMode,
     OutOfBallError,
 )
 from endogrow.intmat import IntMatrix, mat_mul, mat_pow
@@ -454,10 +453,10 @@ def test_census_recoded_from_a_small_box_equals_reference_bfs(name, monkeypatch)
     assert list(recoded.lengths.items()) == list(reference.items())
     for g, n in reference_bfs(group, radius + 1)[0].items():
         if n <= radius:
-            assert census_length(recoded, g) == n
+            assert exact_length(recoded, g) == n
         else:
             with pytest.raises(OutOfBallError):
-                census_length(recoded, g)
+                exact_length(recoded, g)
     if semidirect:
         assert distortion_profile(group, "base", radius) == profile
 
@@ -479,7 +478,7 @@ def test_elements_one_step_past_the_radius_are_out_of_the_ball(name):
     assert outside
     for g in outside:
         with pytest.raises(OutOfBallError):
-            census_length(census, g)
+            exact_length(census, g)
 
 
 # elements past the box of the radius-r census, whose digits would carry:
@@ -505,7 +504,7 @@ def test_codes_never_carry_into_another_element(name):
         group.check(g)
         assert census.encode(g) is None
         with pytest.raises(OutOfBallError):
-            census_length(census, g)
+            exact_length(census, g)
 
 
 def coordinate(radius):
@@ -559,17 +558,18 @@ def test_census_length_is_the_reference_length_or_out_of_ball(name, data):
         g = data.draw(elements(group, radius), label="element")
     group.check(g)
     if g in reference:
-        assert census_length(census, g) == reference[g]
+        assert exact_length(census, g) == reference[g]
     else:
         with pytest.raises(OutOfBallError):
-            census_length(census, g)
+            exact_length(census, g)
 
 
 BFS_MODE_GROUPS = {
-    "free_abelian": lambda mode: FreeAbelian(2, mode),
-    "free": lambda mode: Free(2, mode),
-    "heisenberg": lambda mode: Heisenberg(3, mode),
-    "semidirect": lambda mode: semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC], mode),
+    "free_abelian": lambda radius: FreeAbelian(2, bfs_radius=radius),
+    "free": lambda radius: Free(2, bfs_radius=radius),
+    "heisenberg": lambda radius: Heisenberg(3, bfs_radius=radius),
+    "semidirect": lambda radius: semidirect(FreeAbelian(2), FreeAbelian(1), [HYPERBOLIC],
+                                            bfs_radius=radius),
 }
 
 
@@ -577,7 +577,7 @@ BFS_MODE_GROUPS = {
 def test_bfs_mode_census_holds_no_reference_to_its_group(kind):
     # a coding closure kept in the census that held the group would make a
     # cycle group -> census -> closure -> group
-    group = BFS_MODE_GROUPS[kind](LengthMode("bfs", 4))
+    group = BFS_MODE_GROUPS[kind](4)
     group.word_length(group.generators[0])
     ref = weakref.ref(group._bfs_census)
     gc.disable()

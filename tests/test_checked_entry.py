@@ -24,8 +24,6 @@ from endogrow.groups import (
     FreeAbelian,
     Heisenberg,
     KindMismatchError,
-    LengthMode,
-    LengthValue,
     OutOfBallError,
 )
 from endogrow.growth import GrowthEstimate, growth_table
@@ -64,27 +62,20 @@ def free_reduce(letters) -> tuple[int, ...]:
 
 
 def reference_table(endo, max_power):
-    """growth_table's table and exactness, through the public operations."""
+    """growth_table's table and exactness, through the public operations: the
+    exactness is the group's label, and an empty table measured nothing."""
     group = endo.group
     current = list(group.generators)
     table = []
-    exactness = EXACT
     for _ in range(max_power):
         current = [endo.apply(g) for g in current]
         try:
-            measured = [group.word_length(g) for g in current]
+            table.append(max(map(group.word_length, current), default=0))
         except OutOfBallError:
             break
-        if any(lv.exactness != EXACT for lv in measured):
-            exactness = "quasi-equivalent"
-        table.append(max((lv.value for lv in measured), default=0))
         if table[-1] == 0:
             break
-    return tuple(table), exactness
-
-
-def bfs(radius):
-    return LengthMode("bfs", radius)
+    return tuple(table), group.exactness if table else EXACT
 
 
 small = st.integers(-2, 2)
@@ -114,14 +105,14 @@ def matrix_endos(draw):
 
 @st.composite
 def word_endos(draw):
-    mode = draw(st.sampled_from([LengthMode("exact"), bfs(5)]))
-    return draw(words_on(Free(draw(st.integers(1, 3)), mode)))
+    radius = draw(st.sampled_from([0, 5]))
+    return draw(words_on(Free(draw(st.integers(1, 3)), bfs_radius=radius)))
 
 
 @st.composite
 def heisenberg_endos(draw):
-    mode = draw(st.sampled_from([LengthMode("quasi"), bfs(4)]))
-    group = Heisenberg(draw(st.sampled_from([2, 3])), mode)
+    radius = draw(st.sampled_from([0, 4]))
+    group = Heisenberg(draw(st.sampled_from([2, 3])), bfs_radius=radius)
     return HeisenbergEndo(group, draw(small), draw(small))
 
 
@@ -133,11 +124,11 @@ def direct_product_endos(draw, depth=1):
     kinds = ["bfs-free", "free", "heisenberg"] + (["nested"] if depth else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "bfs-free":
-        left_endo = draw(words_on(Free(2, bfs(5))))
+        left_endo = draw(words_on(Free(2, bfs_radius=5)))
     elif kind == "free":
         left_endo = draw(words_on(Free(2)))
     elif kind == "heisenberg":
-        group = Heisenberg(draw(st.sampled_from([2, 3])), LengthMode("quasi"))
+        group = Heisenberg(draw(st.sampled_from([2, 3])))
         left_endo = HeisenbergEndo(group, draw(small), draw(small))
     else:
         left_endo = draw(direct_product_endos(depth - 1))
@@ -159,10 +150,10 @@ def semidirect_endos(draw):
     # base blocks k * A^j commute with the action A, so they intertwine with
     # a quotient block that fixes the generator's action
     if draw(st.booleans()):
-        action, quotient, mode = ROTATION, draw(st.sampled_from([1, 5, -3])), LengthMode("quasi")
+        action, quotient, radius = ROTATION, draw(st.sampled_from([1, 5, -3])), 0
     else:
-        action, quotient, mode = HYPERBOLIC, 1, bfs(5)
-    group = semidirect(FreeAbelian(2), FreeAbelian(1), [action], mode)
+        action, quotient, radius = HYPERBOLIC, 1, 5
+    group = semidirect(FreeAbelian(2), FreeAbelian(1), [action], bfs_radius=radius)
     power = mat_pow(IntMatrix.from_rows(action), draw(st.integers(0, 3)))
     k = draw(small)
     base = IntMatrix(2, 2, tuple(k * x for x in power.entries))
@@ -206,10 +197,10 @@ def test_growth_table_equals_the_table_built_through_public_operations(endo, m):
     "endo",
     [
         WordEndo(Free(2), CANCELLING),
-        WordEndo(Free(2, bfs(6)), CANCELLING),
+        WordEndo(Free(2, bfs_radius=6), CANCELLING),
         ProductEndo(
-            DirectProduct(Free(2, bfs(6)), FreeAbelian(1)),
-            (WordEndo(Free(2, bfs(6)), FIBONACCI), z1_times(2)),
+            DirectProduct(Free(2, bfs_radius=6), FreeAbelian(1)),
+            (WordEndo(Free(2, bfs_radius=6), FIBONACCI), z1_times(2)),
         ),
         ProductEndo(
             FreeProduct(Free(2), FreeAbelian(1)),
@@ -224,12 +215,12 @@ def test_growth_table_equals_the_table_built_through_public_operations(endo, m):
             (MatrixEndo(FreeAbelian(2), IntMatrix.zero(2, 2)), z1_times(0)),
         ),
         ProductEndo(
-            DirectProduct(FreeAbelian(1), Free(2, bfs(6))),
-            (z1_times(3), WordEndo(Free(2, bfs(6)), FIBONACCI)),
+            DirectProduct(FreeAbelian(1), Free(2, bfs_radius=6)),
+            (z1_times(3), WordEndo(Free(2, bfs_radius=6), FIBONACCI)),
         ),
         ProductEndo(
-            DirectProduct(Free(2, bfs(1)), Heisenberg(3)),
-            (WordEndo(Free(2, bfs(1)), FIBONACCI), HeisenbergEndo(Heisenberg(3), 2, 3)),
+            DirectProduct(Free(2, bfs_radius=1), Heisenberg(3)),
+            (WordEndo(Free(2, bfs_radius=1), FIBONACCI), HeisenbergEndo(Heisenberg(3), 2, 3)),
         ),
     ],
     ids=[
@@ -283,15 +274,15 @@ def test_growth_table_check_calls_do_not_grow_with_the_power(monkeypatch):
     ids=["heisenberg", "semidirect", "quotient"],
 )
 def test_growth_table_builds_no_length_value(endo, monkeypatch):
-    # a length is an int inside the table loop; the exactness is read once,
-    # from the group
-    built = []
-    init = LengthValue.__init__
-    monkeypatch.setattr(
-        LengthValue, "__init__", lambda self, *a, **k: built.append(a) or init(self, *a, **k)
-    )
+    # a length inside the table loop is the kernel's int: the loop calls no
+    # public word_length, which checks each image; the exactness is read
+    # once, from the group
+    calls = []
+    cls = type(endo.group)
+    public = cls.word_length
+    monkeypatch.setattr(cls, "word_length", lambda self, g: calls.append(g) or public(self, g))
     est = growth_table(endo, 12)
-    assert est.table and built == []
+    assert est.table and calls == []
 
 
 def test_word_factor_of_a_product_builds_no_words(monkeypatch):
@@ -312,11 +303,11 @@ def test_word_factor_of_a_product_builds_no_words(monkeypatch):
 def test_truncated_factor_cuts_the_later_factors_tables(monkeypatch):
     # Fibonacci words leave the radius-6 ball after 3 powers; the matrix
     # factor beside them is built to that cut, not to m = 1000
-    group = DirectProduct(Free(2, bfs(6)), FreeAbelian(4))
+    group = DirectProduct(Free(2, bfs_radius=6), FreeAbelian(4))
     rows = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
     endo = ProductEndo(
         group,
-        (WordEndo(Free(2, bfs(6)), FIBONACCI), MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))),
+        (WordEndo(Free(2, bfs_radius=6), FIBONACCI), MatrixEndo(FreeAbelian(4), IntMatrix.from_rows(rows))),
     )
     calls = []
     step = MatrixEndo._next_images
@@ -357,12 +348,12 @@ def _matrix_beside(truncating, monkeypatch):
 def test_truncating_factor_placed_second_still_cuts_the_first(monkeypatch):
     # the product above with its factors swapped: the bfs factor is built
     # first, so the matrix factor still stops at the cut
-    _matrix_beside(WordEndo(Free(2, bfs(6)), FIBONACCI), monkeypatch)
+    _matrix_beside(WordEndo(Free(2, bfs_radius=6), FIBONACCI), monkeypatch)
 
 
 def test_product_with_a_truncating_factor_inside_is_built_first(monkeypatch):
     # the bfs factor one product further down still cuts the matrix factor
-    words = WordEndo(Free(2, bfs(6)), FIBONACCI)
+    words = WordEndo(Free(2, bfs_radius=6), FIBONACCI)
     _matrix_beside(
         ProductEndo(DirectProduct(words.group, FreeAbelian(1)), (words, z1_times(1))), monkeypatch
     )
@@ -373,7 +364,7 @@ def test_product_table_stops_with_its_bfs_factor(bfs_first, monkeypatch):
     # 2^m leaves the radius-8 ball at m = 4, so the table is the exact
     # factor's 3^m cut at m = 3; stepping the exact factor first would
     # build its fourth power before the bfs factor ends
-    truncating = MatrixEndo(FreeAbelian(1, bfs(8)), IntMatrix.from_rows([[2]]))
+    truncating = MatrixEndo(FreeAbelian(1, bfs_radius=8), IntMatrix.from_rows([[2]]))
     exact = z1_times(3)
     factors = (truncating, exact) if bfs_first else (exact, truncating)
     endo = ProductEndo(direct_product(*(f.group for f in factors)), factors)
@@ -393,7 +384,7 @@ def test_product_table_stops_with_its_bfs_factor(bfs_first, monkeypatch):
 
 @pytest.mark.parametrize(
     "left_endo",
-    [WordEndo(Free(2, bfs(6)), FIBONACCI), MatrixEndo(FreeAbelian(2), IntMatrix.identity(2))],
+    [WordEndo(Free(2, bfs_radius=6), FIBONACCI), MatrixEndo(FreeAbelian(2), IntMatrix.identity(2))],
     ids=["other-length-mode", "other-rank"],
 )
 def test_product_endo_rejects_a_factor_on_another_group(left_endo):

@@ -116,24 +116,26 @@ class TestEstimate:
         assert tables == [[2], [2, 3]]
 
     @pytest.mark.parametrize(
-        "group, endo, message",
+        "group, endo",
         [
             ({"kind": "heisenberg", "generators": 3},
-             {"kind": "heisenberg", "lambda": 2, "gamma": 2},
-             "Heisenberg has no closed-form exact length; use quasi or bfs mode"),
+             {"kind": "heisenberg", "lambda": 2, "gamma": 2}),
             ({"kind": "semidirect", "base_rank": 2, "quotient_rank": 1,
               "action": [[[2, 1], [1, 1]]]},
-             {"kind": "semidirect", "base": [[1, 0], [0, 1]], "quotient": [[1]]},
-             "semidirect products have no exact length mode"),
+             {"kind": "semidirect", "base": [[1, 0], [0, 1]], "quotient": [[1]]}),
         ],
         ids=["heisenberg", "semidirect"],
     )
     def test_exact_length_mode_without_a_closed_form_exits_2(self, tmp_path, capsys, group,
-                                                             endo, message):
+                                                             endo):
+        # rejected where the spec names it, before any length is measured
         spec = write_spec(tmp_path, {"group": {**group, "length_mode": {"kind": "exact"}},
                                      "endo": endo})
         assert main(["estimate", spec]) == 2
-        assert capsys.readouterr().err == f"unsupported for this input: {message}\n"
+        assert capsys.readouterr().err == (
+            f"spec error: at group.length_mode.kind: {group['kind']} groups measure with "
+            "'bfs' or their own 'quasi' metric, not 'exact'\n"
+        )
 
     @pytest.mark.parametrize("flag", [["--length-mode", "bfs"], ["--radius", "1"]])
     def test_length_mode_and_radius_flags_are_usage_errors(self, capsys, flag):
@@ -430,7 +432,7 @@ class TestVerify:
 @pytest.mark.parametrize(
     "options, argv, budget_env",
     [
-        ({}, ["spectral", "--tol", "-1"], None),
+        ({}, ["spectral", "--tol", "1e-9"], None),  # the root tolerance is fixed, no flag
         ({"length_mode": "bfs"}, ["estimate"], None),  # not an option: set on the group
         ({"tolerance": "abc"}, ["estimate"], None),
         ({"seed": 20250811}, ["estimate"], None),  # not an option: laws read instance["seed"]
@@ -523,6 +525,13 @@ def test_query_with_a_non_integer_component_exits_2(tmp_path, capsys, group, que
         pytest.param(ESTIMATE, {"group": {**Z2, "length_mode": {"kind": "fuzzy"}}},
                      "at group.length_mode.kind: unknown length mode 'fuzzy'",
                      id="length_mode-kind"),
+        # a quasi mode on a free kind was accepted and changed nothing
+        pytest.param(ESTIMATE, {"group": {**Z2, "length_mode": {"kind": "quasi"}}},
+                     "at group.length_mode.kind: free_abelian groups measure with 'bfs' or "
+                     "their own 'exact' metric, not 'quasi'", id="length_mode-quasi-free_abelian"),
+        pytest.param(ESTIMATE, {"group": {**F2, "length_mode": {"kind": "quasi"}}},
+                     "at group.length_mode.kind: free groups measure with 'bfs' or "
+                     "their own 'exact' metric, not 'quasi'", id="length_mode-quasi-free"),
         pytest.param(ESTIMATE, {"group": {"kind": "direct_product", "factors": [Z1, Z1],
                                           "length_mode": {"kind": "bfs", "radius": 3}}},
                      "at group.length_mode: direct_product groups take the length modes of "
@@ -601,3 +610,4 @@ class TestErrorsAndDeterminism:
         assert main(["estimate", spec]) == 0
         second = capsys.readouterr().out
         assert first == second
+

@@ -44,11 +44,19 @@ def values(good, bad):
 UNIMODULAR = {1: [[[1]], [[-1]]], 2: [[[2, 1], [1, 1]], [[0, -1], [1, 0]], [[1, 1], [0, 1]]]}
 FREE_FACTORS = st.sampled_from([{"kind": "free", "rank": 1}, {"kind": "free", "rank": 2},
                                 {"kind": "free_abelian", "rank": 1}])
-length_modes = st.builds(
-    lambda kind, radius: {"kind": kind, "radius": radius},
-    values(["exact", "quasi", "bfs"], ["fuzzy"]),
-    mostly(st.integers(1, 3), st.just(0)),
-)
+OWN_METRIC = {"free_abelian": "exact", "free": "exact", "heisenberg": "quasi", "semidirect": "quasi"}
+
+
+def length_modes(kind):
+    """The kind's own metric or bfs; the other metric's name, or no metric,
+    as a fault."""
+    own = OWN_METRIC[kind]
+    other = "quasi" if own == "exact" else "exact"
+    return st.builds(
+        lambda name, radius: {"kind": name, "radius": radius},
+        values([own, "bfs"], [other, "fuzzy"]),
+        mostly(st.integers(1, 3), st.just(0)),
+    )
 
 
 @st.composite
@@ -74,7 +82,7 @@ def groups(draw, depth=1):
     else:
         group = {"kind": kind, "rank": draw(mostly(st.integers(1, 3), st.integers(-1, 0)))}
     if draw(st.integers(0, 3)) == 3:
-        group["length_mode"] = draw(length_modes)
+        group["length_mode"] = draw(length_modes(kind))
     return group
 
 
@@ -180,7 +188,7 @@ MAX_M = flag("--max-m", ["1", "4"], ["0", "x"])
 FORMAT = flag("--format", ["tsv", "json"], ["xml"])
 COMMAND_FLAGS = {
     "estimate": [MAX_M, FORMAT],
-    "spectral": [FORMAT, flag("--tol", ["1e-9", "0.5"], ["0", "-1", "nan", "x"])],
+    "spectral": [FORMAT],
     "ball": [RADIUS, FORMAT,
              flag("--query", ["[1,0]", "[0,0,1]", "[[1],[2]]", "[1,-1]", "[0]"], ["[true]", "x"])],
     "distortion": [RADIUS, MAX_M, FORMAT],

@@ -16,7 +16,6 @@ from endogrow.groups import (
     FreeAbelian,
     Heisenberg,
     KindMismatchError,
-    LengthMode,
     UnsupportedOperationError,
     lower_central_layer,
 )
@@ -93,30 +92,29 @@ class TestMultiplyInvert:
 
 class TestWordLength:
     def test_lattice_l1(self):
-        lv = FreeAbelian(2).word_length((3, -2))
-        assert lv.value == 5 and lv.exactness == EXACT
+        group = FreeAbelian(2)
+        assert group.word_length((3, -2)) == 5 and group.exactness == EXACT
 
     def test_free_reduced_length(self):
-        lv = Free(2).word_length((1, 2, -1))
-        assert lv.value == 3 and lv.exactness == EXACT
+        group = Free(2)
+        assert group.word_length((1, 2, -1)) == 3 and group.exactness == EXACT
 
     def test_heisenberg_commutator_length_two_generators(self):
-        h = Heisenberg(2, LengthMode("bfs", 6))
-        lv = h.word_length((0, 1, 0))
+        h = Heisenberg(2, bfs_radius=6)
         # equals the four-letter commutator of the two generators
-        assert lv.value == 4 and lv.exactness == EXACT
+        assert h.word_length((0, 1, 0)) == 4 and h.exactness == EXACT
 
     def test_exact_length_axioms_random(self):
         rng = random.Random(13)
         for group in (FreeAbelian(3), Free(2)):
-            assert group.word_length(group.identity()).value == 0
+            assert group.word_length(group.identity()) == 0
             for _ in range(300):
                 g = random_element(group, rng)
                 h = random_element(group, rng)
-                lg = group.word_length(g).value
-                assert group.word_length(group.invert(g)).value == lg
-                product = group.word_length(group.multiply(g, h)).value
-                assert product <= lg + group.word_length(h).value
+                lg = group.word_length(g)
+                assert group.word_length(group.invert(g)) == lg
+                product = group.word_length(group.multiply(g, h))
+                assert product <= lg + group.word_length(h)
 
 
 @pytest.mark.parametrize(
@@ -126,13 +124,13 @@ class TestWordLength:
         pytest.param(Free(2), EXACT, id="F_2"),
         pytest.param(sublattice(FreeAbelian(2), [[2], [0]]).quotient, EXACT, id="quotient"),
         pytest.param(Heisenberg(), QUASI_EQUIVALENT, id="heisenberg-quasi"),
-        pytest.param(Heisenberg(2, LengthMode("bfs", 4)), EXACT, id="heisenberg-bfs"),
+        pytest.param(Heisenberg(2, bfs_radius=4), EXACT, id="heisenberg-bfs"),
         pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[1, 0], [0, 1]]]), EXACT,
                      id="semidirect-quasi-trivial"),
         pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[0, -1], [1, 0]]]),
                      QUASI_EQUIVALENT, id="semidirect-quasi-rotation"),
         pytest.param(semidirect(FreeAbelian(2), FreeAbelian(1), [[[2, 1], [1, 1]]],
-                                LengthMode("bfs", 4)), EXACT, id="semidirect-bfs"),
+                                bfs_radius=4), EXACT, id="semidirect-bfs"),
         pytest.param(DirectProduct(Heisenberg(), FreeAbelian(1)), QUASI_EQUIVALENT,
                      id="heisenberg-x-Z"),
         pytest.param(DirectProduct(FreeAbelian(1), FreeAbelian(1)), EXACT, id="Z-x-Z"),
@@ -140,8 +138,10 @@ class TestWordLength:
     ],
 )
 def test_exactness_is_the_groups_and_every_length_carries_it(group, expected):
+    # a length is a plain int; how literally it reads is the group's label
+    assert group.exactness == expected
     for generator in group.generators:
-        assert group.exactness == group.word_length(generator).exactness == expected
+        assert type(group.word_length(generator)) is int
 
 
 @pytest.mark.parametrize(
@@ -197,22 +197,31 @@ def test_public_constructors_take_int_matrices_only(build):
 
 @pytest.mark.parametrize("radius", [True, 2.5, "3", -1])
 def test_bfs_length_mode_radius_is_a_positive_int(radius):
-    # checked at construction, not at the first length measured
-    with pytest.raises(ValueError, match="radius"):
-        LengthMode("bfs", radius)
+    # every public constructor that takes a bfs_radius checks it when it
+    # builds the group, not at the first length measured; 0 is the own metric
+    builds = (
+        lambda: FreeAbelian(2, bfs_radius=radius),
+        lambda: Free(2, bfs_radius=radius),
+        lambda: Heisenberg(3, bfs_radius=radius),
+        lambda: Semidirect(1, 1, (_ONE,), bfs_radius=radius),
+        lambda: semidirect(FreeAbelian(1), FreeAbelian(1), [[[1]]], bfs_radius=radius),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="bfs_radius"):
+            build()
 
 
 class TestQuasiLength:
     def test_identity_zero_and_symmetry_exact(self):
         h = Heisenberg()
-        assert h.word_length((0, 0, 0)).value == 0
+        assert h.word_length((0, 0, 0)) == 0
         rng = random.Random(17)
         for _ in range(500):
             g = (rng.randint(-40, 40), rng.randint(-900, 900), rng.randint(-40, 40))
-            assert h.word_length(g).value == h.word_length(h.invert(g)).value
+            assert h.word_length(g) == h.word_length(h.invert(g))
 
     def test_flagged_quasi_equivalent(self):
-        assert Heisenberg().word_length((1, 2, 3)).exactness == QUASI_EQUIVALENT
+        assert Heisenberg().exactness == QUASI_EQUIVALENT
 
     def test_triangle_defect_is_bounded(self):
         # not a word metric: record the multiplicative triangle constant
@@ -222,8 +231,8 @@ class TestQuasiLength:
         for _ in range(500):
             g = (rng.randint(-9, 9), rng.randint(-80, 80), rng.randint(-9, 9))
             k = (rng.randint(-9, 9), rng.randint(-80, 80), rng.randint(-9, 9))
-            lhs = h.word_length(h.multiply(g, k)).value
-            rhs = h.word_length(g).value + h.word_length(k).value
+            lhs = h.word_length(h.multiply(g, k))
+            rhs = h.word_length(g) + h.word_length(k)
             if lhs > rhs:
                 worst = max(worst, lhs / max(rhs, 1))
         # measured constant: stays below 2 on this sample
@@ -236,7 +245,7 @@ class TestQuasiLength:
             census = enumerate_ball(h, radius)
             c_lower, c_upper = float("inf"), 0.0
             for g, length in census.lengths.items():
-                q = h.word_length(g).value
+                q = h.word_length(g)
                 if q > 0:
                     c_lower = min(c_lower, length / q)
                 c_upper = max(c_upper, length / (q + 1))

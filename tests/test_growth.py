@@ -23,7 +23,6 @@ from endogrow.groups import (
     Free,
     FreeAbelian,
     Heisenberg,
-    LengthMode,
     UnsupportedOperationError,
     lower_central_layer,
 )
@@ -91,7 +90,7 @@ class TestGrowthTable:
         assert est.inf_bound == 0.0
 
     def test_bfs_truncation(self):
-        group = FreeAbelian(2, LengthMode("bfs", 8))
+        group = FreeAbelian(2, bfs_radius=8)
         est = growth_table(MatrixEndo(group, M([[2, 0], [0, 2]])), 10)
         assert est.status == "truncated"
         assert est.table == (2, 4, 8)  # 16 exceeds the enumerated radius
@@ -99,7 +98,7 @@ class TestGrowthTable:
     def test_bfs_first_image_outside_the_ball_is_truncated(self):
         # phi(a) = ab already has length 2 > radius 1: no power is recorded,
         # which says nothing about the rate (the golden ratio)
-        endo = WordEndo(Free(2, LengthMode("bfs", 1)), ((1, 2), (1,)))
+        endo = WordEndo(Free(2, bfs_radius=1), ((1, 2), (1,)))
         est = growth_table(endo, 10)
         assert est.table == ()
         assert est.status == "truncated"
@@ -114,7 +113,7 @@ class TestGrowthTable:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(ball, "enumerate_ball", counting)
-        group = FreeAbelian(2, LengthMode("bfs", 8))
+        group = FreeAbelian(2, bfs_radius=8)
         est = growth_table(MatrixEndo(group, M([[2, 0], [0, 2]])), 10)
         assert est.table == (2, 4, 8)
         assert runs == [(group, 8)]
@@ -157,7 +156,7 @@ class TestGrowthTable:
     def test_bfs_matrix_table_reads_the_census_until_it_runs_out(self, rows, max_power):
         # the matrix step in a bfs-mode lattice: the table of the images by
         # _apply, looked up in the census, cut where an image leaves the ball
-        group = FreeAbelian(2, LengthMode("bfs", 6))
+        group = FreeAbelian(2, bfs_radius=6)
         endo = MatrixEndo(group, M(rows))
         lengths = ball.enumerate_ball(FreeAbelian(2), 6).lengths
         images = list(group.generators)
@@ -211,23 +210,6 @@ class TestExactRates:
     def test_diagonal(self):
         assert exact_growth_rate(MatrixEndo(FreeAbelian(2), M([[2, 0], [0, 3]]))) == pytest.approx(3.0)
 
-    @pytest.mark.parametrize(
-        "endo",
-        [MatrixEndo(FreeAbelian(2), M([[2, 1], [1, 1]])), HeisenbergEndo(Heisenberg(), 2, 3)],
-        ids=["matrix", "heisenberg"],
-    )
-    def test_tolerance_reaches_the_root_solver(self, monkeypatch, endo):
-        seen = []
-        real = growth.spectral_radius
-
-        def spy(matrix, tol=1e-12):
-            seen.append(tol)
-            return real(matrix, tol)
-
-        monkeypatch.setattr(growth, "spectral_radius", spy)
-        exact_growth_rate(endo, 0.5)
-        assert seen and set(seen) == {0.5}
-
     def test_zero_size_blocks_read_through_spectral_radius(self):
         # the empty matrix's char poly is 1, so its spectral radius is 0.0
         assert exact_growth_rate(identity_endo(FreeAbelian(0))) == 0.0
@@ -258,7 +240,7 @@ class TestExactRates:
 
     def test_heisenberg_quasi_and_bfs_routes_agree(self):
         quasi_est = growth_table(HeisenbergEndo(Heisenberg(3), 2, 2), 14)
-        bfs_group = Heisenberg(2, LengthMode("bfs", 16))
+        bfs_group = Heisenberg(2, bfs_radius=16)
         bfs_est = growth_table(HeisenbergEndo(bfs_group, 2, 2), 4)
         assert abs(quasi_est.ratio_estimate - bfs_est.ratio_estimate) <= 0.1
 

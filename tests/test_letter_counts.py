@@ -9,14 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from endogrow.endos import WordEndo
-from endogrow.groups import Free, LengthMode
+from endogrow.groups import Free
 from endogrow.growth import growth_table
 
 from test_checked_entry import CANCELLING, FIBONACCI, free_reduce, reference_table
 
 MAX_POWER = 7
 A_TO_BA = ((2, 1), (1,))  # a -> ba, b -> a: positive, yet phi(a b^-1) = b cancels
-EXACT_MODE, QUASI_MODE, BFS_MODE = LengthMode("exact"), LengthMode("quasi"), LengthMode("bfs", 6)
 
 
 @st.composite
@@ -28,7 +27,7 @@ def word_endos(draw):
     images = tuple(
         free_reduce(draw(st.lists(letters, max_size=4))) for _ in range(rank)
     )
-    return WordEndo(Free(rank, draw(st.sampled_from([EXACT_MODE, QUASI_MODE]))), images)
+    return WordEndo(Free(rank), images)
 
 
 @settings(max_examples=300, deadline=None)
@@ -57,12 +56,11 @@ def apply_calls(monkeypatch):
     "endo, takes_route",
     [
         (WordEndo(Free(2), A_TO_BA), True),
-        (WordEndo(Free(2, QUASI_MODE), A_TO_BA), True),
         (WordEndo(Free(2), CANCELLING), False),  # phi^2(a) = ab.b^-1 a
-        (WordEndo(Free(2, BFS_MODE), FIBONACCI), False),
+        (WordEndo(Free(2, bfs_radius=6), FIBONACCI), False),
         (WordEndo(Free(2), ((1, 2), ())), False),  # an empty image
     ],
-    ids=["a-to-ba", "a-to-ba-quasi", "cancelling", "bfs-free", "empty-image"],
+    ids=["a-to-ba", "cancelling", "bfs-free", "empty-image"],
 )
 def test_route_taken_only_when_no_iterate_cancels(apply_calls, endo, takes_route):
     est = growth_table(endo, 8)

@@ -69,9 +69,13 @@ class TestOptions:
                        "length_mode": {"kind": "bfs", "radius": 5}},
              "options": {"radius": 3}}
         )
-        assert isinstance(parsed.group, Heisenberg)
-        assert parsed.group.length_mode.kind == "bfs"
-        assert parsed.group.length_mode.radius == 5
+        assert parsed.group == Heisenberg(2, bfs_radius=5)
+        assert parsed.group.length_kind == "bfs"
+        # the kind's own metric is the default, so naming it builds the same group
+        for kind, own in (("heisenberg", "quasi"), ("free", "exact")):
+            group = {"kind": kind, "rank": 2}
+            named = {**group, "length_mode": {"kind": own}}
+            assert specio.parse_group(named) == specio.parse_group(group)
         with pytest.raises(SpecError, match=r"^at options\.length_mode: unknown option$"):
             specio.parse_instance(
                 {"group": {"kind": "heisenberg", "generators": 2},
