@@ -470,7 +470,6 @@ def _law_distortion(instance, options, seed, tol):
         "profile_nondecreasing": nondecreasing,
         "roots_in_band": roots_ok,
         "lower_bounds_certified": len(certified),
-        "profile_complete": profile.complete,  # True past the check above; reported still
     }
     return values, nondecreasing and roots_ok and cert_ok and ratio_gap <= tol
 
