@@ -55,9 +55,10 @@ def expect_int(value, path: str, low: int | None = None) -> int:
 
 
 def _expect_matrix(value, path: str) -> IntMatrix:
-    if not isinstance(value, list) or not value or not all(isinstance(r, list) for r in value):
+    """A list of int rows; [] is the 0 x 0 matrix."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         _fail(path, "expected a matrix as a list of rows")
-    width = len(value[0])
+    width = len(value[0]) if value else 0
     for i, row in enumerate(value):
         if len(row) != width:
             _fail(f"{path}[{i}]", "ragged matrix rows")

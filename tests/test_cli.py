@@ -226,6 +226,32 @@ class TestSpectral:
         assert main(["spectral", spec]) == 2
 
 
+Z0_SPEC = {"group": {"kind": "free_abelian", "rank": 0},
+           "endo": {"kind": "matrix", "rows": []}}
+Z0_BASE_SPEC = {"group": {"kind": "semidirect", "base_rank": 0, "quotient_rank": 1,
+                          "action": [[]]},
+                "endo": {"kind": "semidirect", "base": [], "quotient": [[2]]},
+                "options": {"max_m": 3, "radius": 4}}
+
+
+@pytest.mark.parametrize(
+    "spec, command, expected",
+    [
+        (Z0_SPEC, "estimate", {"table": [0], "status": "trivial", "exactness": "exact"}),
+        (Z0_SPEC, "spectral", {"growth_rate": 0.0}),
+        (Z0_BASE_SPEC, "spectral", {"growth_rate": 2.0}),
+        (Z0_BASE_SPEC, "distortion", {"profile": [0, 0, 0, 0, 0], "complete": True}),
+    ],
+    ids=["z0-estimate", "z0-spectral", "z0-base-spectral", "z0-base-distortion"],
+)
+def test_an_empty_list_is_the_0x0_matrix(tmp_path, capsys, spec, command, expected):
+    # [] was "expected a matrix as a list of rows", and [[]] is 1 x 0, so no
+    # spec could write a rank-0 endo or action the library builds
+    assert main([command, write_spec(tmp_path, spec), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert {key: payload[key] for key in expected} == expected
+
+
 class TestBall:
     def test_counts_and_queries(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"group": {"kind": "free_abelian", "rank": 2}})
