@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from endogrow import laws
-from endogrow.cli import main
+from endogrow.cli import build_parser, main
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -637,3 +639,14 @@ class TestErrorsAndDeterminism:
         second = capsys.readouterr().out
         assert first == second
 
+
+def test_readme_synopsis_lists_each_subcommands_flags():
+    # README's CLI block, one line per subcommand, against the parser itself
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line))
+                  for line in block.splitlines()}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+              for name, p in sub.choices.items()}
+    assert documented == parsed
