@@ -334,10 +334,10 @@ class Heisenberg(Group):
     multiplying as (a,b,c)(p,q,r) = (a+p, b+q+a*r, c+r).
 
     generator_count 3 uses {(1,0,0),(0,1,0),(0,0,1)}, generator_count 2 the
-    minimal set {(1,0,0),(0,0,1)}.  The default length is a quasi-length
+    minimal set {(1,0,0),(0,0,1)}.  The kind's own metric is a quasi-length
     (within multiplicative constants of the word metric, which is all that
-    m-th-root growth quantities can see); a BFS mode gives exact lengths
-    inside a finite radius.
+    m-th-root growth quantities can see); a bfs_radius gives exact lengths
+    inside that radius.
     """
 
     OWN_METRIC = "quasi"

@@ -275,8 +275,7 @@ def test_growth_table_check_calls_do_not_grow_with_the_power(monkeypatch):
 )
 def test_growth_table_builds_no_length_value(endo, monkeypatch):
     # a length inside the table loop is the kernel's int: the loop calls no
-    # public word_length, which checks each image; the exactness is read
-    # once, from the group
+    # public word_length, which would check each image
     calls = []
     cls = type(endo.group)
     public = cls.word_length
