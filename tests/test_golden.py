@@ -45,8 +45,8 @@ def test_verify_output_matches_golden(capsys, seed, fmt, golden, code):
 
 
 @pytest.mark.parametrize("fmt, suffix", [("tsv", "txt"), ("json", "json")])
-@pytest.mark.parametrize(
-    "name", ["fibonacci", "positive_f3", "cancelling", "product", "bfs_matrix", "bfs_empty"])
+@pytest.mark.parametrize("name", [
+    "fibonacci", "positive_f3", "cancelling", "product", "bfs_matrix", "bfs_empty", "matrix_signed"])
 def test_estimate_output_matches_golden(capsys, name, fmt, suffix):
     spec = DATA / f"estimate_{name}.spec.json"
     assert main(["estimate", str(spec), "--format", fmt]) == 0
