@@ -6,7 +6,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from functools import cached_property
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 from endogrow.groups import (
     Free,
@@ -90,19 +90,51 @@ class MatrixEndo(Endomorphism):
 
     @cached_property
     def _row_terms(self):
-        """Row i's nonzero entries of the matrix A, as (k, A[i][k]) pairs."""
-        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.matrix.to_rows())
+        """Row i of the matrix A as (scaled, unit).  unit holds (add, k) for
+        each A[i][k] = 1, then (sub, k) for each A[i][k] = -1.  scaled holds
+        one (c, first, rest) for each |c| > 1 among the row's entries: the
+        sum of row first and the (op, k) in rest, times c.  A class with no
+        positive entry puts its sign into c; so does a row whose only
+        entries are -1, which is the one class c = -1."""
+        rows = []
+        for row in self.matrix.to_rows():
+            classes = {}
+            for k, c in enumerate(row):
+                if c:
+                    classes.setdefault(abs(c), ([], []))[c < 0].append(k)
+            plus, minus = classes.pop(1, ([], []))
+            if minus and not plus and not classes:
+                classes[1], minus = ([], minus), []
+            scaled = []
+            for c, (cplus, cminus) in classes.items():
+                if not cplus:
+                    c, cplus, cminus = -c, cminus, cplus
+                rest = [(add, k) for k in cplus[1:]] + [(sub, k) for k in cminus]
+                scaled.append((c, cplus[0], tuple(rest)))
+            unit = [(add, k) for k in plus] + [(sub, k) for k in minus]
+            rows.append((tuple(scaled), tuple(unit)))
+        return tuple(rows)
 
     def _next_images(self, images):
         # the m-th images are the rows of A^m, and row i of A^(m+1) = A A^m
-        # sums A[i][k] * row k of A^m over the nonzero A[i][k] only
+        # sums A[i][k] * row k of A^m over the nonzero A[i][k]: the rows of
+        # one |A[i][k]| are added and subtracted first and their sum is
+        # multiplied once, so a row costs one vector add or subtract per
+        # nonzero entry and one multiply per distinct |A[i][k]| > 1
         out = []
-        for terms in self._row_terms:
+        for scaled, unit in self._row_terms:
             acc = None
-            for k, c in terms:
-                row = images[k] if c == 1 else map(mul, images[k], repeat(c))
-                acc = row if acc is None else map(add, acc, row)
-            out.append(tuple(acc) if terms else (0,) * len(images))
+            for c, first, rest in scaled:
+                part = images[first]
+                for op, k in rest:
+                    part = map(op, part, images[k])
+                part = map(neg, part) if c == -1 else map(mul, part, repeat(c))
+                acc = part if acc is None else map(add, acc, part)
+            # unit lists its adds first, so a row with no scaled class
+            # starts from a row of A^m
+            for op, k in unit:
+                acc = images[k] if acc is None else map(op, acc, images[k])
+            out.append((0,) * len(images) if acc is None else tuple(acc))
         return out
 
     def _compose(self, other):

@@ -118,10 +118,11 @@ def _check_bfs_radius(radius) -> None:
 
 
 def ceil_sqrt(n: int) -> int:
+    """The least s >= 0 with s * s >= n: isqrt(n - 1) + 1, as n - 1 < s * s
+    exactly when isqrt(n - 1) < s."""
     if n < 0:
         raise ValueError("negative argument")
-    s = isqrt(n)
-    return s if s * s == n else s + 1
+    return isqrt(n - 1) + 1 if n else 0
 
 
 class Group(ABC):

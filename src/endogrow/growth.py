@@ -139,8 +139,9 @@ def _lengths(endo: Endomorphism):
     stepped past it.
 
     Every other endo runs the one orbit loop: `_next_images` steps the
-    images one power on (a matrix endo by linearity, over A's nonzero
-    entries) and the group measures them, so a bfs length can cut it.  A
+    images one power on (a matrix endo by linearity: it adds and subtracts
+    the rows of A^m that share one |A[i][k]|, then multiplies once by it)
+    and the group measures them, so a bfs length can cut it.  A
     word endo whose generator iterates never cancel runs it as the matrix
     endo C on Z^rank, C >= 0 its letter matrix, and builds no word:
     |phi^m(a_i)| is row i's sum in C^m, the L1 length of row i of C^m.

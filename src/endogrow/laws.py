@@ -189,9 +189,9 @@ def _extension_rates(endo, subgroup, max_power):
     return (*full, report.restricted, report.quotient)
 
 
-def _random_invariant_instances(rng):
+def _random_invariant_instances(rng, complemented_only=False):
     """Seeded (matrix endo, invariant sublattice, complemented?) triples,
-    without end.
+    without end; only the complemented ones if complemented_only.
 
     Three families: scalar lattices d*Z^n (invariant under everything),
     coordinate sublattices with block-triangular matrices (complemented),
@@ -216,15 +216,17 @@ def _random_invariant_instances(rng):
             d = 1 if family == "coordinate" else rng.choice([2, 3])
             basis = [[d if (j < len(block) and i == block[j]) else 0 for j in range(k)] for i in range(n)]
             complemented = family == "coordinate"
+        # a draw is skipped only after all its rng calls, so the stream of
+        # draws is the same with or without the filter
+        if complemented_only and not complemented:
+            continue
         endo = MatrixEndo(FreeAbelian(n), IntMatrix.from_rows(entries))
         yield endo, Sublattice(n, IntMatrix.from_rows(basis)), complemented
 
 
 def _random_rates(seed, count, max_power, complemented_only=False):
     """The rates of the first count seeded random instances."""
-    instances = _random_invariant_instances(random.Random(seed))
-    if complemented_only:
-        instances = (instance for instance in instances if instance[2])
+    instances = _random_invariant_instances(random.Random(seed), complemented_only)
     for endo, sub, _ in islice(instances, count):
         yield _extension_rates(endo, sub, max_power)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endogrow.endos import (
     Endomorphism,
@@ -29,7 +30,7 @@ from endogrow.groups import (
     KindMismatchError,
     lower_central_layer,
 )
-from endogrow.intmat import IntMatrix
+from endogrow.intmat import IntMatrix, mat_pow
 from endogrow.products import (
     AbelianQuotient,
     direct_product,
@@ -84,6 +85,26 @@ class TestApply:
             for letter in g:
                 expected = group.multiply(expected, endo.apply((letter,)))
             assert endo.apply(g) == expected
+
+
+# few distinct entries, so that a row holds several entries of one |c|
+# with mixed signs, and some rows are all negative
+_SQUARE_ROWS = st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from((0, 0, 1, -1, 2, -2, 3, -3)), min_size=n, max_size=n),
+    min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_SQUARE_ROWS)
+@example(rows=[[-1, -1, 0], [0, -2, -2], [2, -2, 1]])
+@example(rows=[[0, -1], [-3, 0]])
+def test_matrix_step_gives_the_rows_of_each_power(rows):
+    a = M(rows)
+    endo = MatrixEndo(FreeAbelian(len(rows)), a)
+    images = endo.group.generators
+    for m in range(1, 7):
+        images = endo._next_images(images)
+        assert images == [tuple(row) for row in mat_pow(a, m).to_rows()]
 
 
 class TestComposePower:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from endogrow.ball import enumerate_ball
 from endogrow.endos import HeisenbergEndo, MatrixEndo, QuotientEndo, SemidirectEndo
@@ -17,6 +18,7 @@ from endogrow.groups import (
     Heisenberg,
     KindMismatchError,
     UnsupportedOperationError,
+    ceil_sqrt,
     lower_central_layer,
 )
 from endogrow.intmat import IntMatrix
@@ -327,3 +329,27 @@ class TestLowerCentralSeries:
             lower_central_layer(Heisenberg(), 4)
         with pytest.raises(UnsupportedOperationError):
             lower_central_layer(Free(2), 2)
+
+
+# n near a square k^2 is where a ceiling square root goes wrong by one
+_ROOTS = st.integers(0, 2**3000)
+_NEAR_SQUARES = st.builds(lambda k, d: max(k * k + d, 0), _ROOTS, st.integers(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_NEAR_SQUARES, st.integers(0, 2**6000)))
+@example(0)
+@example(1)
+@example(2)
+@example(3)
+@example(4)
+@example(5)
+def test_ceil_sqrt_is_the_least_root_whose_square_reaches_n(n):
+    s = ceil_sqrt(n)
+    assert s >= 0 and s * s >= n
+    assert s == 0 or (s - 1) * (s - 1) < n
+
+
+def test_ceil_sqrt_rejects_a_negative_argument():
+    with pytest.raises(ValueError, match="negative argument"):
+        ceil_sqrt(-1)

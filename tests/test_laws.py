@@ -4,6 +4,8 @@ gating."""
 from __future__ import annotations
 
 import json
+import random
+from itertools import islice
 
 import pytest
 
@@ -253,6 +255,21 @@ def test_every_estimated_table_has_the_instances_power_count(law_id, instance, m
     )
     run_law(law_id, instance)
     assert set(powers) <= {expected}
+
+
+@pytest.mark.parametrize("seed", [0, 1, SEED])
+def test_complemented_draws_are_the_complemented_part_of_every_draw(seed, monkeypatch):
+    # the complement law's filter skips a draw before building it, after the
+    # draw's rng calls, so it keeps the same instances in the same order
+    everything = laws._random_invariant_instances(random.Random(seed))
+    expected = [(e.matrix, s.basis) for e, s, c in islice(everything, 60) if c]
+    built = []
+    sublattice = laws.Sublattice
+    monkeypatch.setattr(laws, "Sublattice", lambda *args: built.append(args) or sublattice(*args))
+    kept = laws._random_invariant_instances(random.Random(seed), complemented_only=True)
+    assert [(e.matrix, s.basis, c) for e, s, c in islice(kept, len(expected))] == [
+        (*pair, True) for pair in expected]
+    assert len(built) == len(expected) > 0
 
 
 def _second_above_first_squared(est):
