@@ -14,7 +14,8 @@ matrix endos: the JSON golden pins the full float of each exact rate.
 `endogrow ball` and `endogrow distortion`, in both formats, on one small spec
 per group kind, with `--query` lengths, a census and a profile cut by
 `ENDOGROW_BUDGET`, the base of Z^2 x| Z^2 (a rank-2 quotient, radius from
-the spec's options), and a rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
+the spec's options), the base of Z^4 x| Z (8 sign vectors up to -s, the
+companion of x^4 - x - 1), and a rank-deficient sublattice (rank 1 in Z^2); the census of an abelian quotient, which no spec builds, through the library."""
 
 from __future__ import annotations
 
@@ -76,6 +77,7 @@ CENSUS_CASES = {
     "distortion_semidirect": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
     "distortion_budget_cut": ("distortion", "distortion_semidirect", ["--radius", "8", "--max-m", "6"]),
     "distortion_semidirect_rank2": ("distortion", "distortion_semidirect_rank2", []),
+    "distortion_semidirect_rank4": ("distortion", "distortion_semidirect_rank4", ["--radius", "20", "--max-m", "8"]),
     "distortion_sublattice": ("distortion", "distortion_sublattice", ["--radius", "15"]),
     "distortion_sublattice_rank1": ("distortion", "distortion_sublattice_rank1", ["--radius", "15"]),
 }
