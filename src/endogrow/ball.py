@@ -12,14 +12,18 @@ bits.  Only when the BFS completes that radius with budget left does it code
 for twice the radius and re-key what it found, so its cost follows the
 budget and not the radius asked for.  A census decodes its `lengths` on
 each access; lookups encode the element.
+
+A distortion profile of a sublattice of Z^n reads its members from a
+census.  A semidirect base's profile takes none: it is a closed form in the
+column norms of the actions A(q), and the budget bounds it through the
+states of the longest walk that form replaced.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import accumulate, product
+from itertools import accumulate
 from math import comb
-from operator import add, mul
 
 from endogrow.groups import FreeAbelian, Group, OutOfBallError, UnsupportedOperationError
 from endogrow.products import Semidirect, Sublattice
@@ -187,7 +191,8 @@ class DistortionProfile:
 def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> DistortionProfile:
     """Exact distortion measurements: a sublattice of a free abelian group
     reads its members and their intrinsic lengths from the codes of a BFS
-    census, and the base of a semidirect product is profiled by `_base_profile`."""
+    census, and `_base_profile` reads the base of a semidirect product in
+    closed form from `Semidirect.column_reach`."""
     if isinstance(group, Semidirect) and (subgroup is None or subgroup == "base"):
         _check_radius(radius)
         return _base_profile(group, radius, _resolve_budget(budget))
@@ -208,13 +213,14 @@ def distortion_profile(group: Group, subgroup, radius: int, budget=None) -> Dist
 
 def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProfile:
     """rho(n), the largest |h|_1 over words of length <= n whose quotient
-    letters sum to 0, as a longest walk over states (t, q) for each sign
-    vector s up to -s (README, Lemma 5.8): a base letter at q gains
-    max_j |s . A(q) e_j|, and a quotient letter moves q for nothing.
-    Radius n keeps the q with |q|_1 <= min(t, n - t) at step t; the budget
-    buys the largest radius whose states all fit, so a cut is a prefix."""
+    letters sum to 0, is the max over d <= n / 2 of (n - 2d) reach[d], for
+    reach[d] the largest column L1 norm of an A(q) with |q|_1 = d (README,
+    Lemma 5.8).  The budget is charged the states of the longest walk this
+    form replaced, 2^(b-1) sign vectors times the q with |q|_1 <=
+    min(t, n - t) at step t, and buys the largest radius whose charge fits,
+    so a cut is a prefix."""
     k, b = group.quotient_rank, group.base_rank
-    count = 2 ** max(b - 1, 0)  # sign vectors up to -s, counted before any is built
+    count = 2 ** max(b - 1, 0)  # sign vectors up to -s, counted but never built
     n, cost = 0, count
     while n < radius:
         # radius n + 1 adds the q with |q|_1 <= (n + 1) // 2 for each s
@@ -222,22 +228,8 @@ def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProf
         if cost > budget:
             break
         n += 1
-    if n == 0:  # rho(0) = 0 needs no walk
+    if n == 0:  # rho(0) = 0 needs no A(q)
         return DistortionProfile((0,), radius == 0)
-    cols = {q: a.columns for q, a in group.actions_within(n // 2).items()}
-    units = [(0,) * i + (d,) + (0,) * (k - i - 1) for i in range(k) for d in (1, -1)]
-    moves = {q: [f for u in units if (f := tuple(map(add, q, u))) in cols] for q in cols}
-    best = [0] * (n + 1)
-    # one of s and -s: the sign vectors that do not start with -1
-    for s in (s for s in product((1, -1), repeat=b) if s[:1] != (-1,)):
-        gain = {q: max((abs(sum(map(mul, s, c))) for c in cs), default=0) for q, cs in cols.items()}
-        values = {(0,) * k: 0}
-        for t in range(1, n + 1):
-            step = {}
-            for q, v in values.items():
-                for f, w in [(q, v + gain[q]), *((f, v) for f in moves[q])]:
-                    if sum(map(abs, f)) <= n - t and step.get(f, -1) < w:
-                        step[f] = w
-            values = step
-            best[t] = max(best[t], values[(0,) * k])
-    return DistortionProfile(tuple(accumulate(best, max)), n == radius)
+    reach = group.column_reach(n // 2)
+    values = (max((t - 2 * d) * r for d, r in enumerate(reach[: t // 2 + 1])) for t in range(n + 1))
+    return DistortionProfile(tuple(values), n == radius)

@@ -294,19 +294,17 @@ def distortion_rate(group: Semidirect, max_power: int) -> DistortionRate:
 
     For an abelian acting group a word's action depends only on its exponent
     sum, so the words of length m act through the vectors S_m = {e : |e|_1 <=
-    m, |e|_1 = m mod 2}: the exact max over words is a finite max over S_m,
-    whose action matrices `Semidirect.actions_within` builds.  In zero
-    generators S_m is empty for m >= 1, and a rank-0 base stretches nothing.
+    m, |e|_1 = m mod 2}: the exact max over words is the largest
+    `Semidirect.column_reach` entry over the spheres of S_m, the same list
+    the base's distortion profile reads.  In zero generators S_m is empty for
+    m >= 1, and a rank-0 base stretches nothing.
     """
     if type(max_power) is not int or max_power < 1:
         raise ValueError(f"max_power must be an int >= 1, got {max_power!r}")
     rank = group.quotient_rank
     if rank > 3:
         raise UnsupportedOperationError("action exponent enumeration capped at rank 3")
-    reach = [0] * (max_power + 1)  # reach[d]: the largest stretch of an A(e) with |e|_1 = d
-    for e, a in group.actions_within(max_power).items():
-        d = sum(map(abs, e))
-        reach[d] = max([reach[d], *(sum(map(abs, col)) for col in a.columns)])
+    reach = group.column_reach(max_power)
     table = [max(reach[m::-2]) if rank else 0 for m in range(1, max_power + 1)]
     estimate = estimate_from_table(table, max_power, "action-word-table", EXACT)
     spectral = max([1.0, *map(spectral_radius, group.action + group._inverse_action)])

@@ -361,23 +361,27 @@ class Semidirect(Group):
         highs = (radius * norm**radius,) * self.base_rank + (radius,) * self.quotient_rank
         return _Box(map(neg, highs), highs)
 
-    def actions_within(self, radius: int) -> dict:
-        """q -> A(q) for every q with |q|_1 <= radius, nearer q first.  Each
-        A(q) is one product A(e) a from a neighbour e one step nearer 0, with
-        a an action generator or its inverse."""
+    def column_reach(self, radius: int) -> list:
+        """reach[d] for d <= radius: the largest column L1 norm of an A(q)
+        with |q|_1 = d, or 0 where there is none.  Each A(q) is one product
+        A(e) a from a neighbour e one step nearer 0, with a an action
+        generator or its inverse; a step moves |q|_1 by one, so the walk
+        keeps only the last two spheres."""
         steps = [(i, s, a) for i in range(self.quotient_rank)
                  for s, a in ((1, self.action[i]), (-1, self._inverse_action[i]))]
-        actions = {(0,) * self.quotient_rank: IntMatrix.identity(self.base_rank)}
-        sphere = list(actions)
-        for _ in range(radius):
-            grown = len(actions)
-            for e in sphere:
+        last, sphere = {}, {(0,) * self.quotient_rank: IntMatrix.identity(self.base_rank)}
+        reach = []
+        while True:
+            reach.append(max((sum(map(abs, c)) for a in sphere.values() for c in a.columns), default=0))
+            if len(reach) > radius:
+                return reach
+            grown = {}
+            for e, ae in sphere.items():
                 for i, s, a in steps:
                     f = e[:i] + (e[i] + s,) + e[i + 1 :]
-                    if f not in actions:
-                        actions[f] = mat_mul(actions[e], a)
-            sphere = list(actions)[grown:]
-        return actions
+                    if f not in last and f not in grown:
+                        grown[f] = mat_mul(ae, a)
+            last, sphere = sphere, grown
 
     def _ball_coding(self, radius):
         # g s = (g_H + A(g_Q) s_H, g_Q + s_Q): for each quotient part this

@@ -19,7 +19,8 @@ import json
 import weakref
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import add, mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -54,6 +55,7 @@ ROTATION = [[0, -1], [1, 0]]
 SHEAR = [[1, 1], [0, 1]]
 HYPERBOLIC_SQUARED = [[5, 3], [3, 2]]
 CUBIC_COMPANION = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # x^3 - x - 1
+QUARTIC_COMPANION = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]  # x^4 - x - 1
 
 
 def reference_bfs(group, radius):
@@ -371,11 +373,11 @@ def test_sublattice_members_read_from_codes_match_coordinates(lattice, radius):
 
 
 @st.composite
-def semidirect_groups(draw):
-    """Z^b x| Z^k for b in 0..3 and k in 0..2, acting through a random
+def semidirect_groups(draw, base_ranks=(2, 3, 1, 0)):
+    """Z^b x| Z^k for b in base_ranks and k in 0..2, acting through a random
     unimodular A and, for k = 2, A^p or -A^p (p in 0..2), which commutes
     with A."""
-    b, k = draw(st.sampled_from([2, 3, 1, 0])), draw(st.sampled_from([1, 2, 0]))
+    b, k = draw(st.sampled_from(base_ranks)), draw(st.sampled_from([1, 2, 0]))
     a = draw(unimodular(b))
     second = mat_pow(a, draw(st.integers(0, 2)))
     if draw(st.booleans()):
@@ -412,6 +414,74 @@ for _group, _radius in WALK_EXAMPLES:
     test_base_distortion_walk_matches_the_census = example(group=_group, radius=_radius)(
         test_base_distortion_walk_matches_the_census
     )
+
+
+def quotient_parts(k, d):
+    """The q in Z^k with |q|_1 <= d."""
+    return [q for q in product(range(-d, d + 1), repeat=k) if sum(map(abs, q)) <= d]
+
+
+def walk_profile(group, n):
+    """rho(0..n) by a longest walk over states (t, q) for each sign vector s
+    up to -s: a base letter at q gains max_j |s . A(q) e_j|, a quotient
+    letter moves q for nothing, and step t keeps the q with |q|_1 <= n - t.
+    Each A(q) comes from `action_of`, not from `column_reach`."""
+    k, b = group.quotient_rank, group.base_rank
+    cols = {q: group.action_of(q).columns for q in quotient_parts(k, n // 2)}
+    units = [(0,) * i + (d,) + (0,) * (k - i - 1) for i in range(k) for d in (1, -1)]
+    moves = {q: [f for u in units if (f := tuple(map(add, q, u))) in cols] for q in cols}
+    best = [0] * (n + 1)
+    for s in (s for s in product((1, -1), repeat=b) if s[:1] != (-1,)):
+        gain = {q: max((abs(sum(map(mul, s, c))) for c in cs), default=0) for q, cs in cols.items()}
+        values = {(0,) * k: 0}
+        for t in range(1, n + 1):
+            step = {}
+            for q, v in values.items():
+                for f, w in [(q, v + gain[q]), *((f, v) for f in moves[q])]:
+                    if sum(map(abs, f)) <= n - t and step.get(f, -1) < w:
+                        step[f] = w
+            values = step
+            best[t] = max(best[t], values[(0,) * k])
+    return tuple(accumulate(best, max))
+
+
+def walk_states(group, n):
+    """The states (s, t, q) `walk_profile(group, n)` keeps: 2^(b-1) sign
+    vectors times the q with |q|_1 <= min(t, n - t) at each step t."""
+    balls = [len(quotient_parts(group.quotient_rank, d)) for d in range(n // 2 + 1)]
+    return 2 ** max(group.base_rank - 1, 0) * sum(balls[min(t, n - t)] for t in range(n + 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    group=semidirect_groups(base_ranks=(2, 3, 4, 5, 1, 0)),
+    radius=st.integers(0, 24),
+    budget=st.integers(1, 8000),
+)
+@example(group=Semidirect(4, 1, (IntMatrix.from_rows(QUARTIC_COMPANION),)), radius=20, budget=8000)
+def test_base_profile_equals_the_walk_at_any_budget(group, radius, budget):
+    # the census reference reaches radius 4 to 9; the walk reaches 24, or 12
+    # over Z^2, and the budget buys the largest radius whose states all fit
+    if group.quotient_rank == 2:
+        radius //= 2
+    reached = max(m for m in range(radius + 1) if m == 0 or walk_states(group, m) <= budget)
+    assert distortion_profile(group, "base", radius, budget) == DistortionProfile(
+        walk_profile(group, reached), reached == radius
+    )
+
+
+def test_base_profile_the_budget_cuts_at_radius_0_builds_no_action(monkeypatch):
+    def refused(self, radius):
+        raise AssertionError("column_reach called")
+
+    monkeypatch.setattr(Semidirect, "column_reach", refused)
+    # Z^3 x| Z charges 4 sign vectors for radius 0 and 8 for radius 1;
+    # Z^3000 charges 2^2999
+    group = Semidirect(3, 1, (IntMatrix.from_rows(CUBIC_COMPANION),))
+    assert distortion_profile(group, "base", 10**7, budget=7) == DistortionProfile((0,), False)
+    wide = Semidirect(3000, 0, ())
+    assert distortion_profile(wide, "base", 10**7, budget=10**7) == DistortionProfile((0,), False)
+    assert distortion_profile(group, "base", 0, budget=1) == DistortionProfile((0,), True)
 
 
 @settings(max_examples=60, deadline=None)
