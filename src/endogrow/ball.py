@@ -15,8 +15,8 @@ each access; lookups encode the element.
 
 A distortion profile of a sublattice of Z^n reads its members from a
 census.  A semidirect base's profile takes none: it is a closed form in the
-column norms of the actions A(q), and the budget bounds it through the
-states of the longest walk that form replaced.
+column norms of the actions A(q), and the budget is charged the states a
+longest walk over (t, q) would keep, so both cost what the budget allows.
 """
 
 from __future__ import annotations
@@ -215,8 +215,8 @@ def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProf
     """rho(n), the largest |h|_1 over words of length <= n whose quotient
     letters sum to 0, is the max over d <= n / 2 of (n - 2d) reach[d], for
     reach[d] the largest column L1 norm of an A(q) with |q|_1 = d (README,
-    Lemma 5.8).  The budget is charged the states of the longest walk this
-    form replaced, 2^(b-1) sign vectors times the q with |q|_1 <=
+    Lemma 5.8).  The budget is charged the states a longest walk over
+    (t, q) would keep, 2^(b-1) sign vectors times the q with |q|_1 <=
     min(t, n - t) at step t, and buys the largest radius whose charge fits,
     so a cut is a prefix."""
     k, b = group.quotient_rank, group.base_rank

@@ -5,9 +5,10 @@ must recode what it found, and a lookup must never read another element's
 length through a code that carried out of its box; a sublattice's
 coordinates, and its members and intrinsic lengths read from the census
 codes, must equal those of an exact rational elimination on the decoded
-vectors; a semidirect base's profile, a walk DP, must equal one read from
-the census's elements with trivial quotient part, and a budget must cut
-it to a prefix; a library budget must be an int >= 1; the
+vectors; a semidirect base's closed-form profile must equal one read from
+the census's elements with trivial quotient part and, at any radius and
+budget, a longest-walk DP over (t, q), and a budget must cut it to a
+prefix; a library budget must be an int >= 1; the
 public operations of every group and endo kind still reject foreign
 elements; and the CLI rejects bad radii, budgets and query literals with
 exit code 2 and a query outside the ball with exit code 3."""
