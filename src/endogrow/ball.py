@@ -230,6 +230,10 @@ def _base_profile(group: Semidirect, radius: int, budget: int) -> DistortionProf
         n += 1
     if n == 0:  # rho(0) = 0 needs no A(q)
         return DistortionProfile((0,), radius == 0)
-    reach = group.column_reach(n // 2)
-    values = (max((t - 2 * d) * r for d, r in enumerate(reach[: t // 2 + 1])) for t in range(n + 1))
+    values, top = [0] * (n + 1), 0
+    for d, r in enumerate(group.column_reach(n // 2)):
+        # (t - 2d) r only wins where r beats every reach[d'] with d' < d
+        if r > top:
+            top = r
+            values[2 * d :] = map(max, values[2 * d :], range(0, (n + 1 - 2 * d) * r, r))
     return DistortionProfile(tuple(values), n == radius)

@@ -366,15 +366,15 @@ class Semidirect(Group):
         with |q|_1 = d, or 0 where there is none.  Each A(q) is one product
         A(e) a from a neighbour e one step nearer 0, with a an action
         generator or its inverse; a step moves |q|_1 by one, so the walk
-        keeps only the last two spheres."""
+        keeps only the last two spheres, and stops at an empty one."""
         steps = [(i, s, a) for i in range(self.quotient_rank)
                  for s, a in ((1, self.action[i]), (-1, self._inverse_action[i]))]
         last, sphere = {}, {(0,) * self.quotient_rank: IntMatrix.identity(self.base_rank)}
         reach = []
         while True:
             reach.append(max((sum(map(abs, c)) for a in sphere.values() for c in a.columns), default=0))
-            if len(reach) > radius:
-                return reach
+            if len(reach) > radius or not sphere:
+                return reach + [0] * (radius + 1 - len(reach))
             grown = {}
             for e, ae in sphere.items():
                 for i, s, a in steps:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import gc
 import json
+import time
 import weakref
 from fractions import Fraction
 from functools import cache, reduce
@@ -483,6 +484,16 @@ def test_base_profile_the_budget_cuts_at_radius_0_builds_no_action(monkeypatch):
     wide = Semidirect(3000, 0, ())
     assert distortion_profile(wide, "base", 10**7, budget=10**7) == DistortionProfile((0,), False)
     assert distortion_profile(group, "base", 0, budget=1) == DistortionProfile((0,), True)
+
+
+def test_base_profile_over_no_quotient_is_one_pass_over_its_radius():
+    # Z x| Z^0 charges 1 per radius, so 20000 buys radius 19999; reach is 0
+    # past d = 0, so the profile is t itself.  One max per (t, d <= t / 2)
+    # took 9 s here; one pass per new running maximum of reach takes 20 ms
+    start = time.perf_counter()
+    profile = distortion_profile(Semidirect(1, 0, ()), "base", 10**7, budget=20_000)
+    assert time.perf_counter() - start < 2
+    assert profile == DistortionProfile(tuple(range(20_000)), False)
 
 
 @settings(max_examples=60, deadline=None)
