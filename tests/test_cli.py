@@ -303,6 +303,15 @@ class TestDistortion:
         assert "m\tK_m\troot\tinf_bound\tratio_estimate" in out
         assert "# K=2.61803399\tK_sqrt=1.61803399" in out
 
+    def test_tsv_root_of_a_profile_past_the_float_range(self, capsys):
+        # rho(1500) has 314 digits; its root is taken through logs, as
+        # growth._root takes a table's, not as a float power of the int
+        spec = DATA / "distortion_semidirect.spec.json"
+        assert main(["distortion", str(spec), "--radius", "1500"]) == 0
+        n, rho, root = capsys.readouterr().out.splitlines()[1501].split("\t")
+        assert (n, float(root)) == ("1500", pytest.approx(1.618, abs=1e-3))
+        assert int(rho) > 2**1024
+
     def test_lattice_profile_needs_subgroup(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"group": {"kind": "free_abelian", "rank": 2}})
         assert main(["distortion", spec]) == 2

@@ -9,7 +9,7 @@ from itertools import islice
 
 import pytest
 
-from endogrow import laws
+from endogrow import ball, endos, growth, laws
 from endogrow.cli import main
 from endogrow.laws import (
     LAWS,
@@ -19,6 +19,7 @@ from endogrow.laws import (
     run_law,
     run_suite,
 )
+from endogrow.products import Semidirect
 from endogrow.record import replace
 from endogrow.specio import parse_options
 
@@ -151,7 +152,7 @@ def test_inapplicable_branch_reports_reason_and_default_tolerance(
     law_id, instance, reason, tolerance
 ):
     check = run_law(law_id, instance)
-    assert check.verdict == "inapplicable"
+    assert (check.verdict, check.failed) == ("inapplicable", ())
     assert check.values == {"reason": reason}
     assert check.tolerance == tolerance
 
@@ -279,14 +280,14 @@ def _second_above_first_squared(est):
 
 
 def _roots_above_band(profile):
-    """A nondecreasing profile whose 6th and later roots leave the band."""
+    """A profile whose 6th and later roots leave the band."""
     v = profile.values
     return replace(profile, values=(*v[:6], *[10**9] * (len(v) - 6)))
 
 
 def _below_certificates(profile):
-    """The zero profile: nondecreasing with no root to check, below every
-    lower bound the rate table certifies."""
+    """The zero profile: no root to check, and below every lower bound the
+    rate table certifies."""
     return replace(profile, values=(0,) * len(profile.values))
 
 
@@ -294,34 +295,164 @@ def _catalog_entry(law_id):
     return next(instance for i, instance in CATALOG if i == law_id)
 
 
-# each doctor breaks only the inequality its values key names
+# each doctor breaks only the check it names
 @pytest.mark.parametrize(
     "law_id, target, doctor, broken",
     [
-        ("thm2.2.1-fekete", "growth_table", _second_above_first_squared,
-         lambda v: v["pair_violations"] > 0 and v["prefix_inf_nonincreasing"]),
-        ("thm2.2.2-generator-bound", "growth_table", _second_above_first_squared,
-         lambda v: v["violations"] > 0),
-        ("lemma5.8-distortion", "distortion_profile", _roots_above_band,
-         lambda v: not v["roots_in_band"] and v["profile_nondecreasing"]),
+        ("thm2.2.1-fekete", "growth_table", _second_above_first_squared, "pair_violations"),
+        ("thm2.2.2-generator-bound", "growth_table", _second_above_first_squared, "violations"),
+        ("lemma5.8-distortion", "distortion_profile", _roots_above_band, "roots_in_band"),
         ("lemma5.8-distortion", "distortion_profile", _below_certificates,
-         lambda v: v["roots_in_band"] and v["profile_nondecreasing"]
-         and v["lower_bounds_certified"] > 0),
+         "lower_bounds_certified"),
     ],
 )
 def test_a_broken_inequality_fails_the_law_and_the_suite(
-    law_id, target, doctor, broken, monkeypatch, tmp_path
+    law_id, target, doctor, broken, monkeypatch, tmp_path, capsys
 ):
     instance = _catalog_entry(law_id)
-    assert run_law(law_id, instance).verdict == "pass"
+    check = run_law(law_id, instance)
+    assert (check.verdict, check.failed) == ("pass", ())
     real = getattr(laws, target)
     monkeypatch.setattr(laws, target, lambda *args: doctor(real(*args)))
     check = run_law(law_id, instance)
-    assert check.verdict == "fail"
-    assert broken(check.values)
+    assert (check.verdict, check.failed) == ("fail", (broken,))
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"checks": [{"id": law_id, "instance": instance}]}))
     assert main(["verify", "--suite", str(suite)]) == 1
+    assert capsys.readouterr().out.splitlines()[0].endswith(f"  failed={broken}")
+
+
+# -- the mutation gate: a fault in the code a check reads flips that check ----
+
+
+def _wrap(monkeypatch, owner, name, change):
+    """owner.name, with change applied to each result."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: change(real(*args)))
+
+
+def third_length_doubled(monkeypatch):
+    _wrap(monkeypatch, growth, "_lengths", lambda ks: (2 * k if m == 2 else k for m, k in enumerate(ks)))
+
+
+def lengths_squared(monkeypatch):
+    _wrap(monkeypatch, growth, "_lengths", lambda ks: (k * k for k in ks))
+
+
+def power_one_too_many(monkeypatch):
+    real = endos.Endomorphism.power
+    monkeypatch.setattr(endos.Endomorphism, "power", lambda self, n: real(self, n + 1))
+
+
+def restrict_squares(monkeypatch):
+    real = growth.restrict
+    monkeypatch.setattr(growth, "restrict", lambda endo, sub: real(endo.power(2), sub))
+
+
+def restrict_loses_the_endo(monkeypatch):
+    real = growth.restrict
+    monkeypatch.setattr(
+        growth, "restrict", lambda endo, sub: real(endos.identity_endo(endo.group), sub))
+
+
+def induce_squares(monkeypatch):
+    real = growth.induce_on_quotient
+    monkeypatch.setattr(growth, "induce_on_quotient", lambda endo, sub: real(endo.power(2), sub))
+
+
+def spectral_radius_plus(eps):
+    def fault(monkeypatch):
+        for owner in (growth, laws):
+            _wrap(monkeypatch, owner, "spectral_radius", lambda rate: rate + eps)
+
+    fault.__name__ = f"spectral_radius_plus_{eps}"
+    return fault
+
+
+def no_square_root(monkeypatch):
+    _wrap(monkeypatch, laws, "nilpotent_growth_rate",
+          lambda rate: replace(rate, combined=rate.no_exponent_max))
+
+
+def raw_max_with_the_root(monkeypatch):
+    _wrap(monkeypatch, laws, "nilpotent_growth_rate",
+          lambda rate: replace(rate, no_exponent_max=rate.combined))
+
+
+def column_reach_squared(monkeypatch):
+    real = Semidirect.column_reach
+    monkeypatch.setattr(Semidirect, "column_reach", lambda self, r: [x * x for x in real(self, r)])
+
+
+def base_profile_one_step_late(monkeypatch):
+    # the closed form with (t - 2d - 1) reach[d] for (t - 2d) reach[d]
+    _wrap(monkeypatch, ball, "_base_profile",
+          lambda p: replace(p, values=(0, *p.values[:-1])))
+
+
+# (catalog index, fault, the checks it fails)
+FAULTS = [
+    (0, third_length_doubled, ("pair_violations",)),
+    (2, third_length_doubled, ("violations",)),
+    (3, power_one_too_many, ("relative_gap",)),
+    (5, power_one_too_many, ("gap",)),
+    (6, restrict_squares, ("rate_restricted",)),
+    (8, induce_squares, ("quotient_minus_full",)),
+    (9, induce_squares, ("quotient_minus_full",)),
+    (10, restrict_loses_the_endo, ("full_minus_max",)),
+    (12, restrict_loses_the_endo, ("equality_gap",)),
+    (13, lengths_squared, ("estimate_gap",)),
+    (13, spectral_radius_plus(0.01), ("inf_bound",)),
+    (16, spectral_radius_plus(0.01), ("inf_bound",)),
+    (19, no_square_root, ("gap",)),
+    (21, no_square_root, ("differs", "gap")),
+    (21, raw_max_with_the_root, ("differs",)),
+    (21, lengths_squared, ("gap",)),
+    (22, lengths_squared, ("gap",)),
+    (23, lengths_squared, ("gap",)),
+    (24, lengths_squared, ("gap",)),
+    (26, lengths_squared, ("gap",)),
+    (26, spectral_radius_plus(0.01), ("integer_gap",)),
+    (27, spectral_radius_plus(0.1), ("ratio_gap",)),
+    (27, column_reach_squared, ("roots_in_band", "ratio_gap")),
+    (27, base_profile_one_step_late, ("lower_bounds_certified",)),
+]
+# lemma4.3's clauses compare the combined rate with the layer roots it is
+# the max of (nilpotent_growth_rate), so a fault moves both sides alike
+UNFLIPPED = {("lemma4.3-lcs", "layer1_root"), ("lemma4.3-lcs", "layer2_root")}
+
+
+@pytest.mark.parametrize(
+    "index, fault, failed",
+    FAULTS,
+    ids=[f"{i}-{CATALOG[i][0]}-{fault.__name__}" for i, fault, _ in FAULTS],
+)
+def test_a_fault_fails_exactly_the_checks_that_read_it(index, fault, failed, monkeypatch):
+    law_id, instance = CATALOG[index]
+    assert run_law(law_id, instance).failed == ()
+    fault(monkeypatch)
+    check = run_law(law_id, instance)
+    assert (check.verdict, check.failed) == ("fail", failed)
+
+
+def test_every_catalog_check_is_flipped_by_a_fault_or_listed(monkeypatch):
+    # a new check comes with its fault, or is listed as one that no fault flips
+    named = set()
+
+    def spy(law_id, runner):
+        def run(*args):
+            values, checks, *route_tol = runner(*args)
+            named.update((law_id, name) for name in checks)
+            return (values, checks, *route_tol)
+
+        return run
+
+    for law_id, (runner, tol) in LAWS.items():
+        monkeypatch.setitem(LAWS, law_id, (spy(law_id, runner), tol))
+    assert run_suite(LawConfig(seed=SEED)).all_pass
+    flipped = {(CATALOG[i][0], name) for i, _, failed in FAULTS for name in failed}
+    assert flipped <= named
+    assert named - flipped == UNFLIPPED
 
 
 class TestSuite:
