@@ -332,7 +332,8 @@ def _wrap(monkeypatch, owner, name, change):
 
 
 def third_length_doubled(monkeypatch):
-    _wrap(monkeypatch, growth, "_lengths", lambda ks: (2 * k if m == 2 else k for m, k in enumerate(ks)))
+    _wrap(monkeypatch, growth, "_lengths",
+          lambda ks: (2 * k if m == 2 else k for m, k in enumerate(ks)))
 
 
 def lengths_squared(monkeypatch):
